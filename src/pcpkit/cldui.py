@@ -35,7 +35,6 @@ from .pairs import (
     NecessaryReport,
     PairXY,
     PcpDecomposition,
-    _condition_d,
     check_necessary,
 )
 
@@ -78,14 +77,20 @@ class ClduiState:
                      - np.abs(np.diag(self.pair.Y)).sum()))
 
 
-def build_state(pair: PairXY) -> ClduiState:
-    """Wrap a coefficient pair as a state; conditions (a)-(c) are required for positivity."""
+def _state_report(pair: PairXY) -> NecessaryReport:
+    """The report on (a)-(e); raises unless (a)-(c) hold, as the state must be positive."""
     report = check_necessary(pair)
     if not report.holds_abc:
         raise ConditionsViolatedError(
             f"conditions {report.failing()} fail; the pair does not describe a state",
             report=report,
         )
+    return report
+
+
+def build_state(pair: PairXY) -> ClduiState:
+    """Wrap a coefficient pair as a state; conditions (a)-(c) are required for positivity."""
+    _state_report(pair)
     return ClduiState(pair)
 
 
@@ -156,25 +161,16 @@ def realign_map(rho: np.ndarray, n: int) -> np.ndarray:
     return rho.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
 
 
-def _gate_abc(pair: PairXY) -> NecessaryReport:
-    report = check_necessary(pair)
-    if not report.holds_abc:
-        raise ConditionsViolatedError(
-            f"conditions {report.failing()} fail; the pair does not describe a state",
-            report=report,
-        )
-    return report
-
-
 def ppt_check(pair: PairXY) -> tuple[bool, dict[str, Any] | None]:
     """Positivity of the partial transpose, at coefficient level.
 
     For this family the partial transpose splits into the diagonal of X and
-    2x2 blocks [[y_ij, x_ij], [x_ji, y_ji]], so positivity reduces to the
-    entrywise product condition (d).
+    2x2 blocks [[y_ij, x_ij], [x_ji, y_ji]], so positivity is exactly the
+    entrywise product condition (d): this reads (d) and its witness from
+    the pair's necessary-condition report.
     """
-    _gate_abc(pair)
-    return _condition_d(pair.X, pair.Y)
+    report = _state_report(pair)
+    return report.holds_d, report.witnesses.get("d")
 
 
 class RealignmentResult(NamedTuple):
@@ -187,14 +183,12 @@ def realignment_check(pair: PairXY) -> RealignmentResult:
     """The realignment criterion, at coefficient level: gap(X) <= gap(Y).
 
     Here gap(A) = ||A||_1 - ||A||_tr; the trace norm of the realigned dense
-    matrix equals (||X||_1 - tr X) + ||Y||_tr, which makes the two statements
-    equivalent for states of this family.
+    matrix equals (||X||_1 - tr X) + ||Y||_tr, which makes the criterion
+    condition (e) for states of this family: this reads (e) and both gaps
+    from the pair's necessary-condition report.
     """
-    _gate_abc(pair)
-    x_gap = linalg.entrywise_one_norm(pair.X) - linalg.trace_norm(pair.X)
-    y_gap = linalg.entrywise_one_norm(pair.Y) - linalg.trace_norm(pair.Y)
-    passes = x_gap <= y_gap + 1e-8 * max(1.0, linalg.entrywise_one_norm(pair.Y))
-    return RealignmentResult(x_gap, y_gap, passes)
+    report = _state_report(pair)
+    return RealignmentResult(report.x_gap, report.y_gap, report.holds_e)
 
 
 @dataclass(frozen=True)
@@ -215,21 +209,17 @@ def separability_verdict(pair: PairXY, search_permutations: bool = True) -> Sepa
     Entangled when the partial-transpose or realignment criterion fails;
     separable when a joint decomposition is found (the certificate: replace
     each w_k by its conjugate to obtain product vectors); inconclusive
-    otherwise.
+    otherwise.  Conditions (a)-(e) are evaluated once; both criteria and
+    every construction route read that one report.
     """
-    report = _gate_abc(pair)
-    ppt_ok, ppt_witness = ppt_check(pair)
-    if not ppt_ok:
-        return SeparabilityVerdict(ENTANGLED, criterion="ppt", report=report, witness=ppt_witness)
-    realign = realignment_check(pair)
-    if not realign.passes:
-        return SeparabilityVerdict(
-            ENTANGLED,
-            criterion="realignment",
-            report=report,
-            witness={"x_gap": realign.x_gap, "y_gap": realign.y_gap},
-        )
-    outcome = decompose_auto(pair, search_permutations=search_permutations)
+    report = _state_report(pair)
+    if not report.holds_d:
+        return SeparabilityVerdict(ENTANGLED, criterion="ppt", report=report,
+                                   witness=report.witnesses["d"])
+    if not report.holds_e:
+        return SeparabilityVerdict(ENTANGLED, criterion="realignment", report=report,
+                                   witness=report.witnesses["e"])
+    outcome = decompose_auto(pair, search_permutations=search_permutations, report=report)
     if outcome.ok:
         return SeparabilityVerdict(
             SEPARABLE,

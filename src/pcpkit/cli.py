@@ -184,16 +184,19 @@ def cmd_check_state(args) -> int:
         source = "pair"
 
     if args.normalize:
-        weight = float(np.trace(pair.X).real + np.abs(pair.Y).sum()
-                       - np.abs(np.diag(pair.Y)).sum())
+        weight = cldui.ClduiState(pair).trace
         if weight <= 0.0:
             raise PcpkitError("cannot normalize: the state has non-positive trace")
         pair = PairXY(pair.X / weight, pair.Y / weight)
 
-    report = check_necessary(pair)
+    try:
+        verdict = cldui.separability_verdict(pair)
+        report = verdict.report
+    except ConditionsViolatedError as exc:
+        verdict, report = None, exc.report
     lines = [f"state: {args.state} ({source} form, n = {pair.n})"]
     payload = {"n": pair.n, "form": source, **_report_payload(report)}
-    if not report.holds_abc:
+    if verdict is None:
         message = f"not a state: conditions {report.failing()} fail"
         if args.json:
             payload["verdict"] = "invalid"
@@ -202,21 +205,19 @@ def cmd_check_state(args) -> int:
             print("\n".join(lines + [message]))
         return EXIT_VIOLATED
 
-    state = cldui.build_state(pair)
+    state = cldui.ClduiState(pair)
     trace = state.trace
-    ppt_ok, ppt_witness = cldui.ppt_check(pair)
-    realign = cldui.realignment_check(pair)
     lines.append(f"trace: {trace:.9g}")
-    lines.append(f"ppt criterion: {'PASS' if ppt_ok else 'FAIL'}")
+    lines.append(f"ppt criterion: {'PASS' if report.holds_d else 'FAIL'}")
     lines.append(
-        f"realignment criterion: {'PASS' if realign.passes else 'FAIL'} "
-        f"(gap(X) = {realign.x_gap:.9g}, gap(Y) = {realign.y_gap:.9g})"
+        f"realignment criterion: {'PASS' if report.holds_e else 'FAIL'} "
+        f"(gap(X) = {report.x_gap:.9g}, gap(Y) = {report.y_gap:.9g})"
     )
     payload.update({
         "trace": trace,
-        "ppt": ppt_ok,
-        "realignment": {"passes": realign.passes,
-                        "x_gap": realign.x_gap, "y_gap": realign.y_gap},
+        "ppt": report.holds_d,
+        "realignment": {"passes": report.holds_e,
+                        "x_gap": report.x_gap, "y_gap": report.y_gap},
     })
 
     if args.dense_crosscheck:
@@ -225,17 +226,16 @@ def cmd_check_state(args) -> int:
         r_trace = linalg.trace_norm(cldui.realign_map(dense, pair.n))
         dense_realign = r_trace <= trace + 1e-8 * max(1.0, trace)
         lines.append(
-            f"dense cross-check: PT PSD {pt_psd} (agrees: {pt_psd == ppt_ok}), "
+            f"dense cross-check: PT PSD {pt_psd} (agrees: {pt_psd == report.holds_d}), "
             f"realigned trace norm {r_trace:.9g} vs trace {trace:.9g} "
-            f"(agrees: {dense_realign == realign.passes})"
+            f"(agrees: {dense_realign == report.holds_e})"
         )
         payload["dense_crosscheck"] = {
             "pt_psd": pt_psd,
             "realigned_trace_norm": r_trace,
-            "agrees": bool(pt_psd == ppt_ok and dense_realign == realign.passes),
+            "agrees": bool(pt_psd == report.holds_d and dense_realign == report.holds_e),
         }
 
-    verdict = cldui.separability_verdict(pair)
     payload["verdict"] = verdict.verdict
     if verdict.verdict == cldui.ENTANGLED:
         lines.append(f"verdict: entangled (by the {verdict.criterion} criterion)")

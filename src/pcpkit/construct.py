@@ -16,6 +16,10 @@ Four sufficient constructions, each packaged as a function returning a
 by mixing closed-form decompositions of the two extreme members, and
 ``decompose_auto`` tries the general routes in order of cost.
 
+Each general route takes a keyword-only ``report``, the pair's
+:func:`~pcpkit.pairs.check_necessary` result, and evaluates (a)-(e) itself
+only when it is omitted.
+
 A constructor never raises on an unsuitable pair; it reports why it does not
 apply.  Raised errors are reserved for malformed input and for internal
 inconsistencies (``ConstructionError``), which indicate a bug rather than an
@@ -119,14 +123,16 @@ def _position_columns(Y: np.ndarray, drop_zero: bool) -> tuple[np.ndarray, np.nd
     return np.column_stack(vs), np.column_stack(ws)
 
 
-def decompose_diagonal_x(pair: PairXY) -> ConstructorOutcome:
+def decompose_diagonal_x(pair: PairXY, *,
+                         report: NecessaryReport | None = None) -> ConstructorOutcome:
     """Decompose a pair whose X is diagonal: n^2 terms, one per position of Y.
 
     Applies whenever conditions (a)-(c) hold and every off-diagonal entry of X
     is below 1e-10 in magnitude.
     """
     method = "diagonal-x"
-    report = check_necessary(pair)
+    if report is None:
+        report = check_necessary(pair)
     if not report.holds_abc:
         return _violated(method, report, [c for c in report.failing() if c in "abc"])
     off = pair.X - np.diag(np.diag(pair.X))
@@ -141,7 +147,7 @@ def decompose_diagonal_x(pair: PairXY) -> ConstructorOutcome:
     return _decomposed(pair, method, V, W)
 
 
-def decompose_2x2(pair: PairXY) -> ConstructorOutcome:
+def decompose_2x2(pair: PairXY, *, report: NecessaryReport | None = None) -> ConstructorOutcome:
     """Closed-form two-term decomposition for n = 2.
 
     Conditions (a)-(d) are sufficient at this size.  When the leading entry of
@@ -151,7 +157,8 @@ def decompose_2x2(pair: PairXY) -> ConstructorOutcome:
     method = "two-by-two"
     if pair.n != 2:
         raise WrongDimensionError(f"decompose_2x2 needs n = 2, got n = {pair.n}")
-    report = check_necessary(pair)
+    if report is None:
+        report = check_necessary(pair)
     bad = [c for c in report.failing() if c in "abcd"]
     if bad:
         return _violated(method, report, bad)
@@ -243,7 +250,8 @@ def _attempt_rowwise(X: np.ndarray, Y: np.ndarray, scale: float):
     return V, W, None
 
 
-def decompose_recursive(pair: PairXY, search_permutations: bool = False) -> ConstructorOutcome:
+def decompose_recursive(pair: PairXY, search_permutations: bool = False, *,
+                        report: NecessaryReport | None = None) -> ConstructorOutcome:
     """Row-by-row elimination with upper-triangular v-vectors.
 
     The elimination can fail on a decomposable pair for ordering reasons
@@ -253,7 +261,8 @@ def decompose_recursive(pair: PairXY, search_permutations: bool = False) -> Cons
     n <= 7; beyond that only the identity is attempted.
     """
     method = "recursive"
-    report = check_necessary(pair)
+    if report is None:
+        report = check_necessary(pair)
     if not report.holds_abc:
         return _violated(method, report, [c for c in report.failing() if c in "abc"])
 
@@ -390,7 +399,8 @@ def perron_scaling(X: np.ndarray) -> np.ndarray:
     return d
 
 
-def decompose_comparison(pair: PairXY) -> ConstructorOutcome:
+def decompose_comparison(pair: PairXY, *,
+                         report: NecessaryReport | None = None) -> ConstructorOutcome:
     """Comparison-matrix route.
 
     Requires (a)-(d) plus a positive semidefinite comparison matrix of X.
@@ -401,7 +411,8 @@ def decompose_comparison(pair: PairXY) -> ConstructorOutcome:
     in the result; ``info["core_columns"]`` records how many there are.
     """
     method = "comparison"
-    report = check_necessary(pair)
+    if report is None:
+        report = check_necessary(pair)
     bad = [c for c in report.failing() if c in "abcd"]
     if bad:
         return _violated(method, report, bad)
@@ -544,13 +555,18 @@ def decompose_isotropic(n: int, a: float, b: float) -> ConstructorOutcome:
                        mixture=t, c_plus=c_plus, c_minus=c_minus)
 
 
-def decompose_auto(pair: PairXY, search_permutations: bool = True) -> ConstructorOutcome:
+def decompose_auto(pair: PairXY, search_permutations: bool = True, *,
+                   report: NecessaryReport | None = None) -> ConstructorOutcome:
     """Try every general-purpose route in order of cost; first success wins.
 
     Order: diagonal X, the n = 2 closed form, the comparison route, then the
     row-by-row elimination (with permutation retries).  When nothing applies,
-    the per-method reasons are collected in ``info["methods"]``.
+    the per-method reasons are collected in ``info["methods"]``.  Conditions
+    (a)-(e) are evaluated once, or read from ``report`` when given, and that
+    one report is passed to every route.
     """
+    if report is None:
+        report = check_necessary(pair)
     attempts: dict[str, str] = {}
 
     def record(out: ConstructorOutcome) -> ConstructorOutcome | None:
@@ -559,23 +575,23 @@ def decompose_auto(pair: PairXY, search_permutations: bool = True) -> Constructo
         attempts[out.method] = out.reason or out.status
         return None
 
-    out = record(decompose_diagonal_x(pair))
+    out = record(decompose_diagonal_x(pair, report=report))
     if out:
         return out
     if pair.n == 2:
-        out = record(decompose_2x2(pair))
+        out = record(decompose_2x2(pair, report=report))
         if out:
             return out
-    out = record(decompose_comparison(pair))
+    out = record(decompose_comparison(pair, report=report))
     if out:
         return out
-    out = record(decompose_recursive(pair, search_permutations=search_permutations))
+    out = record(decompose_recursive(pair, search_permutations=search_permutations,
+                                     report=report))
     if out:
         return out
 
     # a failing necessary condition settles the question even when the
     # individual routes only reported themselves inapplicable
-    report = check_necessary(pair)
     if not report.all_hold:
         return ConstructorOutcome(
             status=CONDITIONS_VIOLATED,

@@ -170,22 +170,13 @@ def verify_decomposition(dec: PcpDecomposition, pair: PairXY, tol: float = 1e-8)
     return max(rx, ry) <= tol * scale
 
 
-def _condition_d(X: np.ndarray, Y: np.ndarray) -> tuple[bool, dict[str, Any] | None]:
-    """Entrywise product condition |x_ij|^2 <= y_ij y_ji, with an additive slack."""
-    n = X.shape[0]
-    scale = max(1.0, float(np.abs(X).max()), float(np.abs(Y).max()))
-    slack = 1e-12 * scale * scale
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = abs(X[i, j]) ** 2
-            rhs = (Y[i, j] * Y[j, i]).real
-            if lhs > rhs + slack:
-                return False, {"position": (i + 1, j + 1), "lhs": lhs, "rhs": rhs}
-    return True, None
-
-
 def check_necessary(pair: PairXY) -> NecessaryReport:
-    """Evaluate the five necessary conditions (a)-(e) on a pair."""
+    """Evaluate the five necessary conditions (a)-(e) on a pair.
+
+    Conditions (b)-(d) are whole-array masks.  Each witness is the first
+    offender in row-major order (over the strict upper triangle for (d)),
+    with its values recomputed from the scalar entries.
+    """
     X, Y, n = pair.X, pair.Y, pair.n
     witnesses: dict[str, dict[str, Any]] = {}
 
@@ -197,29 +188,31 @@ def check_necessary(pair: PairXY) -> NecessaryReport:
         else:
             witnesses["a"] = {"min_eigenvalue": float(np.linalg.eigvalsh(X).min())}
 
-    holds_b = True
-    for i in range(n):
-        for j in range(n):
-            y = Y[i, j]
-            bound = 1e-12 * max(1.0, abs(y))
-            if abs(y.imag) > bound or y.real < -bound:
-                holds_b = False
-                witnesses["b"] = {"position": (i + 1, j + 1), "value": complex(y)}
-                break
-        if not holds_b:
-            break
+    absY = np.abs(Y)
+    bound = 1e-12 * np.maximum(1.0, absY)
+    bad = np.flatnonzero((np.abs(Y.imag) > bound) | (Y.real < -bound))
+    holds_b = bad.size == 0
+    if not holds_b:
+        i, j = divmod(int(bad[0]), n)
+        witnesses["b"] = {"position": (i + 1, j + 1), "value": complex(Y[i, j])}
 
-    holds_c = True
-    for i in range(n):
-        xd, yd = X[i, i], Y[i, i]
-        if abs(xd - yd) > 1e-9 * max(1.0, abs(xd)):
-            holds_c = False
-            witnesses["c"] = {"position": i + 1, "x": complex(xd), "y": complex(yd)}
-            break
+    xd, yd = np.diag(X), np.diag(Y)
+    bad = np.flatnonzero(np.abs(xd - yd) > 1e-9 * np.maximum(1.0, np.abs(xd)))
+    holds_c = bad.size == 0
+    if not holds_c:
+        i = int(bad[0])
+        witnesses["c"] = {"position": i + 1, "x": complex(xd[i]), "y": complex(yd[i])}
 
-    holds_d, wd = _condition_d(X, Y)
-    if wd is not None:
-        witnesses["d"] = wd
+    # (d): |x_ij|^2 <= y_ij y_ji with an additive slack
+    absX = np.abs(X)
+    scale = max(1.0, float(absX.max()), float(absY.max()))
+    slack = 1e-12 * scale * scale
+    bad = np.flatnonzero(np.triu(absX ** 2 > (Y * Y.T).real + slack, 1))
+    holds_d = bad.size == 0
+    if not holds_d:
+        i, j = divmod(int(bad[0]), n)
+        witnesses["d"] = {"position": (i + 1, j + 1), "lhs": abs(X[i, j]) ** 2,
+                          "rhs": (Y[i, j] * Y[j, i]).real}
 
     x_gap = linalg.entrywise_one_norm(X) - linalg.trace_norm(X)
     y_gap = linalg.entrywise_one_norm(Y) - linalg.trace_norm(Y)

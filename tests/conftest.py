@@ -8,7 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pcpkit import PairXY, PcpDecomposition, reconstruct
+import pcpkit.cldui
+import pcpkit.construct
+from pcpkit import PairXY, PcpDecomposition, check_necessary, reconstruct
+from pcpkit.fileio import load_pair_document
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -60,3 +63,36 @@ def cyclic_norms(a: float) -> tuple[float, float]:
     one = 3.0 * (1.0 + a + a * a) / a
     tr = (1.0 + a + a * a + 2.0 * abs(a - 1.0) * np.sqrt(1.0 + a + a * a)) / a
     return one, tr
+
+
+@pytest.fixture
+def necessary_calls(monkeypatch) -> list:
+    """Record every ``check_necessary`` call made from ``cldui`` and ``construct``."""
+    calls = []
+
+    def counted(pair):
+        calls.append(pair)
+        return check_necessary(pair)
+
+    for module in (pcpkit.cldui, pcpkit.construct):
+        monkeypatch.setattr(module, "check_necessary", counted)
+    return calls
+
+
+def verdict_cases() -> dict[tuple[str, str | None], PairXY]:
+    """One pair per (verdict, criterion) outcome of ``separability_verdict``,
+    covering every construction route that can certify."""
+    inconclusive, _ = load_pair_document(FIXTURES / "inconclusive_pair.json")
+    return {
+        ("separable", "diagonal-x"): PairXY(np.diag([2.0, 1.0]),
+                                            np.array([[2.0, 3.0], [0.5, 1.0]])),
+        ("separable", "two-by-two"): PairXY(np.array([[2.0, 1.0j], [-1.0j, 3.0]]),
+                                            np.array([[2.0, 2.0], [1.0, 3.0]])),
+        ("separable", "comparison"): PairXY(np.array([[2, 1, -1], [1, 8, 1], [-1, 1, 4]]),
+                                            np.array([[2, 1, 3], [2, 8, 1], [1, 2, 4]])),
+        ("separable", "recursive"): PairXY(np.ones((3, 3)), np.ones((3, 3))),
+        ("entangled", "ppt"): PairXY(np.array([[1.0, 0.9], [0.9, 1.0]]),
+                                     np.array([[1.0, 0.5], [0.5, 1.0]])),
+        ("entangled", "realignment"): cyclic_pair(2.0),
+        ("inconclusive", None): inconclusive,
+    }

@@ -18,7 +18,7 @@ from pcpkit import (
 from pcpkit.errors import ConditionsViolatedError, NotClduiError, WrongDimensionError
 from pcpkit.linalg import entrywise_one_norm, is_psd, trace_norm
 
-from conftest import cyclic_pair, random_decomposable_pair, random_decomposition
+from conftest import cyclic_pair, random_decomposable_pair, random_decomposition, verdict_cases
 
 
 def coded_pair(n):
@@ -210,6 +210,21 @@ def test_verdicts_on_known_families():
 
     with pytest.raises(ConditionsViolatedError):
         separability_verdict(PairXY(np.eye(2), -np.eye(2)))
+
+
+def test_verdict_evaluates_conditions_once(necessary_calls):
+    for expected, pair in verdict_cases().items():
+        necessary_calls.clear()
+        v = separability_verdict(pair)
+        assert (v.verdict, v.criterion) == expected
+        assert len(necessary_calls) == 1, expected
+
+
+def test_criteria_read_the_report():
+    for expected, pair in verdict_cases().items():
+        report = check_necessary(pair)
+        assert ppt_check(pair) == (report.holds_d, report.witnesses.get("d"))
+        assert tuple(realignment_check(pair)) == (report.x_gap, report.y_gap, report.holds_e)
 
 
 def test_wrong_dimension_errors():

@@ -22,7 +22,12 @@ from pcpkit.errors import ComparisonNotPsdError, WrongDimensionError
 from pcpkit.linalg import phase_normalize_columns
 from pcpkit.pairs import length_lower_bound
 
-from conftest import cyclic_pair, random_2x2_abcd_pair, random_decomposable_pair
+from conftest import (
+    cyclic_pair,
+    random_2x2_abcd_pair,
+    random_decomposable_pair,
+    verdict_cases,
+)
 
 REG_X = np.array([[2, 1, -1], [1, 8, 1], [-1, 1, 4]], float)
 REG_Y = np.array([[2, 1, 3], [2, 8, 1], [1, 2, 4]], float)
@@ -289,6 +294,35 @@ def test_auto_collects_reasons(fixtures):
     out = decompose_auto(cyclic_pair(2.0))
     assert out.status == "conditions-violated"
     assert "e" in out.reason
+
+
+def test_auto_evaluates_conditions_once(necessary_calls):
+    for expected, pair in verdict_cases().items():
+        necessary_calls.clear()
+        decompose_auto(pair)
+        assert len(necessary_calls) == 1, expected
+
+
+def _same_outcome(a, b) -> bool:
+    same = (a.status, a.method, a.reason, a.permutation, repr(a.info)) == \
+        (b.status, b.method, b.reason, b.permutation, repr(b.info))
+    if a.decomposition is None or b.decomposition is None:
+        return same and a.decomposition is b.decomposition
+    return (same and np.array_equal(a.decomposition.V, b.decomposition.V)
+            and np.array_equal(a.decomposition.W, b.decomposition.W))
+
+
+def test_routes_accept_a_precomputed_report(necessary_calls):
+    routes = [decompose_diagonal_x, decompose_comparison, decompose_recursive,
+              lambda pair, **kw: decompose_recursive(pair, search_permutations=True, **kw),
+              decompose_auto]
+    for expected, pair in verdict_cases().items():
+        report = check_necessary(pair)
+        for route in routes + ([decompose_2x2] if pair.n == 2 else []):
+            necessary_calls.clear()
+            given = route(pair, report=report)
+            assert not necessary_calls, expected
+            assert _same_outcome(route(pair), given), expected
 
 
 def test_auto_conditions_violated():

@@ -106,6 +106,65 @@ def test_condition_witnesses_carry_positions():
     assert not rep.holds_a and "min_eigenvalue" in rep.witnesses["a"]
 
 
+def loop_witnesses(X, Y):
+    """Reference for (b)-(d): the per-entry loops, first offender wins."""
+    n = X.shape[0]
+    out = {}
+    for i in range(n):
+        for j in range(n):
+            y = Y[i, j]
+            bound = 1e-12 * max(1.0, abs(y))
+            if abs(y.imag) > bound or y.real < -bound:
+                out["b"] = {"position": (i + 1, j + 1), "value": complex(y)}
+                break
+        if "b" in out:
+            break
+    for i in range(n):
+        xd, yd = X[i, i], Y[i, i]
+        if abs(xd - yd) > 1e-9 * max(1.0, abs(xd)):
+            out["c"] = {"position": i + 1, "x": complex(xd), "y": complex(yd)}
+            break
+    scale = max(1.0, float(np.abs(X).max()), float(np.abs(Y).max()))
+    slack = 1e-12 * scale * scale
+    for i in range(n):
+        for j in range(i + 1, n):
+            lhs = abs(X[i, j]) ** 2
+            rhs = (Y[i, j] * Y[j, i]).real
+            if lhs > rhs + slack:
+                out["d"] = {"position": (i + 1, j + 1), "lhs": lhs, "rhs": rhs}
+                return out
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**31 - 1),
+       st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+def test_witnesses_match_loop_reference(n, seed, nb, nc, nd):
+    """Several planted offenders per condition: the reported witness is the
+    first one in loop order, with exactly the loop's values and types."""
+    rng = np.random.default_rng(seed)
+    pair = reconstruct(random_decomposition(rng, n, int(rng.integers(1, 2 * n + 2))))
+    X, Y = pair.X.copy(), pair.Y.copy()
+    for _ in range(nb):
+        i, j = rng.integers(0, n, size=2)
+        if rng.random() < 0.5:
+            Y[i, j] = -rng.uniform(1e-3, 1.0) * max(1.0, abs(Y[i, j]))
+        else:
+            Y[i, j] += 1j * rng.uniform(1e-3, 1.0)
+    for _ in range(nc):
+        i = rng.integers(0, n)
+        Y[i, i] += rng.choice([-1.0, 1.0]) * rng.uniform(1e-3, 1.0)
+    for _ in range(nd if n > 1 else 0):
+        i, j = rng.choice(n, size=2, replace=False)
+        Y[i, j] = rng.uniform(0.0, 0.9) * abs(X[i, j]) ** 2 / max(Y[j, i].real, 1e-12)
+    report = check_necessary(PairXY(X, Y))
+    want = loop_witnesses(X, Y)
+    for c in "bcd":
+        assert getattr(report, f"holds_{c}") == (c not in want)
+        # repr pins the Python types of positions and values as well
+        assert repr(report.witnesses.get(c)) == repr(want.get(c))
+
+
 def test_strong_cs_examples():
     lhs, rhs = strong_cs_gap(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     assert lhs == pytest.approx(1.0)   # ||a|| ||b|| - <a,b> = 1 - 0
