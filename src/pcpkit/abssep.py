@@ -1,12 +1,19 @@
 """Spectra that stay PPT under every global unitary, and separable witnesses.
 
-For alpha_1 >= ... >= alpha_n >= 0, consider the n^2 products
+For alpha_1 >= ... >= alpha_n > 0, consider the n^2 products
 {alpha_k^2} u {alpha_k alpha_l} u {-alpha_k alpha_l} (k < l).  Each strict
 ordering of these products that is realizable by some alpha gives one linear
 test matrix: a spectrum lambda_1 >= ... >= lambda_{n^2} >= 0 is absolutely PPT
-iff the test matrix of every realizable ordering is positive semidefinite.
+iff the test matrix of every realizable ordering is positive semidefinite
+(Hildebrand, "Positive partial transpose from spectra", PRA 76, 052325, 2007).
 
-Orderings are found by seeded sampling of alpha vectors.  A slot is one of
+The realizable orderings are fixed data.  With x = log alpha, an ordering is
+an order of the n(n+1)/2 linear forms x_k + x_l (k <= l): the square and plus
+products follow that order, and the minus products follow in reverse order of
+the plus products.  ``scripts/ordering_tables.py`` enumerates these orders
+exactly (depth-first search pruned by a feasibility LP) and stores each one,
+with a log-space witness, in ``ordering_data``; ``enumerate_orderings`` only
+decodes them.  A slot is one of
 
     ("square", k)      the product alpha_k^2
     ("plus", k, l)     the product alpha_k alpha_l        (k < l, 0-based)
@@ -27,14 +34,13 @@ that basis and partially transposing lands inside the invariant family of
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from . import linalg
+from . import linalg, ordering_data
 from .cldui import extract_pair, partial_transpose
 from .construct import DECOMPOSED, NOT_APPLICABLE, ConstructorOutcome, decompose_comparison
-from .defaults import DEFAULT_SEED, ORDERING_SAMPLES
 from .errors import (
     ConstructionError,
     DimensionMismatchError,
@@ -66,6 +72,12 @@ class OrderingTable:
     def sort_key(self) -> tuple:
         return tuple((_TAG_RANK[s[0]],) + tuple(s[1:]) for s in self.slots)
 
+    @cached_property
+    def positions(self) -> np.ndarray:
+        """Position in ``slots`` of each slot: squares, then plus pairs, then minus pairs."""
+        pos = _slot_positions(self)
+        return np.array([pos[s] for s in _slot_list(self.n)])
+
 
 def _slot_list(n: int) -> list[Slot]:
     slots = [("square", k) for k in range(n)]
@@ -74,60 +86,34 @@ def _slot_list(n: int) -> list[Slot]:
     return slots
 
 
-def _product_columns(alphas: np.ndarray, n: int) -> np.ndarray:
-    cols = [alphas[:, k] ** 2 for k in range(n)]
-    cols += [alphas[:, k] * alphas[:, l] for k in range(n) for l in range(k + 1, n)]
-    cols += [-alphas[:, k] * alphas[:, l] for k in range(n) for l in range(k + 1, n)]
-    return np.column_stack(cols)
+def decode_ordering(n: int, code: str, log_witness) -> OrderingTable:
+    """The ordering whose square and plus products follow the forms listed in ``code``.
 
-
-def enumerate_orderings(n: int, samples: int = ORDERING_SAMPLES,
-                        seed: int = DEFAULT_SEED) -> list[OrderingTable]:
-    """Collect realizable product orderings by seeded sampling.
-
-    Alpha vectors are sorted absolute values of standard normals; a draw is
-    kept only when all consecutive product gaps clear a 1e-6 relative
-    threshold, and draws are repeated until ``samples`` valid ones have been
-    seen.  The result is sorted canonically (squares before plus before minus,
-    then by indices), so the listing order is stable across seeds that find
-    the same set.
+    ``code`` holds one base-36 digit per form x_k + x_l, indexing the row-major
+    list of pairs k <= l, from largest to smallest; ``log_witness`` is an x
+    realizing that order, so the witness is exp(x).
     """
-    if not 2 <= n <= 5:
-        raise UnsupportedDimensionError(f"ordering enumeration supports 2 <= n <= 5, got {n}")
-    if samples < 1:
-        raise PcpkitError("samples must be positive")
-    rng = np.random.default_rng(seed)
-    slots = _slot_list(n)
-    found: dict[tuple[int, ...], np.ndarray] = {}
-    valid = 0
-    while valid < samples:
-        batch = min(20_000, samples - valid + 5_000)
-        alphas = np.abs(rng.standard_normal((batch, n)))
-        alphas = -np.sort(-alphas, axis=1)
-        prods = _product_columns(alphas, n)
-        order = np.argsort(-prods, axis=1, kind="stable")
-        ranked = np.take_along_axis(prods, order, axis=1)
-        gaps = ranked[:, :-1] - ranked[:, 1:]
-        ok = (gaps > 1e-6 * np.maximum(1.0, np.abs(ranked[:, :-1]))).all(axis=1)
-        ok &= alphas[:, -1] > 0.0
-        order = order[ok]
-        keep = alphas[ok]
-        valid += order.shape[0]
-        for row, alpha in zip(order, keep):
-            key = tuple(int(i) for i in row)
-            if key not in found:
-                found[key] = alpha.copy()
-    tables = [
-        OrderingTable(n, tuple(slots[i] for i in key), witness)
-        for key, witness in found.items()
-    ]
-    tables.sort(key=OrderingTable.sort_key)
+    forms = [(k, l) for k in range(n) for l in range(k, n)]
+    positive = [("square", k) if k == l else ("plus", k, l)
+                for k, l in (forms[int(c, 36)] for c in code)]
+    minus = [("minus",) + s[1:] for s in reversed(positive) if s[0] == "plus"]
+    return OrderingTable(n, tuple(positive + minus), np.exp(log_witness))
+
+
+def enumerate_orderings(n: int) -> list[OrderingTable]:
+    """Every realizable product ordering for local dimension n (2 <= n <= 5).
+
+    Decoded from the stored exact tables (1, 2, 10 and 114 orderings for
+    n = 2..5), listed canonically: squares before plus before minus, then by
+    indices.
+    """
+    if n not in ordering_data.TABLES:
+        raise UnsupportedDimensionError(f"ordering tables are stored for 2 <= n <= 5, got {n}")
+    tables = []
+    for line in ordering_data.TABLES[n].strip().splitlines():
+        code, *x = line.split()
+        tables.append(decode_ordering(n, code, [float(v) for v in x]))
     return tables
-
-
-@lru_cache(maxsize=16)
-def _cached_orderings(n: int, samples: int, seed: int) -> tuple[OrderingTable, ...]:
-    return tuple(enumerate_orderings(n, samples, seed))
 
 
 def _slot_positions(ordering: OrderingTable) -> dict[Slot, int]:
@@ -147,6 +133,21 @@ def _check_spectrum(lambdas, size: int) -> np.ndarray:
     if np.any(lam[:-1] - lam[1:] < -1e-12 * scale):
         raise NotSortedError("spectrum must be sorted in non-increasing order")
     return lam
+
+
+def _test_matrices(n: int, orderings, lam: np.ndarray) -> np.ndarray:
+    """The stacked test matrices of ``orderings`` for a sorted spectrum."""
+    if any(t.n != n for t in orderings):
+        raise DimensionMismatchError(f"every ordering must be for n = {n}")
+    p = n * (n - 1) // 2
+    mu = lam[::-1]                       # mu[m] = lambda_{n^2 - m}, 0-based
+    vals = mu[np.array([t.positions for t in orderings], dtype=int).reshape(-1, n * n)]
+    d = np.arange(n)
+    k, l = np.triu_indices(n, 1)
+    Z = np.zeros((vals.shape[0], n, n))
+    Z[:, d, d] = 2.0 * vals[:, :n]
+    Z[:, k, l] = Z[:, l, k] = vals[:, n:n + p] - vals[:, n + p:]
+    return Z
 
 
 def l_map_matrix(ordering: OrderingTable, lambdas) -> np.ndarray:
@@ -169,9 +170,30 @@ def l_map_matrix(ordering: OrderingTable, lambdas) -> np.ndarray:
     return Z
 
 
-def abs_ppt_check(n: int, lambdas, *, orderings: list[OrderingTable] | None = None,
-                  samples: int = ORDERING_SAMPLES,
-                  seed: int = DEFAULT_SEED) -> tuple[bool, int | None]:
+def ordering_min_eigenvalues(n: int, lambdas, *,
+                             orderings: list[OrderingTable] | None = None
+                             ) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest eigenvalue of every ordering's test matrix, and which matrices pass.
+
+    All test matrices are built by one gather and diagonalized by one batched
+    ``eigvalsh`` call.  Each matrix is judged exactly as ``linalg.is_psd``
+    judges it: as a complex Hermitian matrix, passing when its smallest
+    eigenvalue clears -1e-9 * max(1, sum |w|).  Entries of the spectrum may
+    dip to -1e-12 and are clamped; it is sorted internally.
+    """
+    if orderings is None:
+        orderings = enumerate_orderings(n)
+    lam = _check_spectrum(-np.sort(-np.atleast_1d(np.asarray(lambdas, dtype=float))), n * n)
+    if lam.min() < -1e-12:
+        raise PcpkitError(f"spectrum has a negative entry ({lam.min():.3e})")
+    lam = np.clip(lam, 0.0, None)
+    w = np.linalg.eigvalsh(_test_matrices(n, orderings, lam).astype(complex))
+    floor = 1e-9 * np.maximum(1.0, np.abs(w).sum(axis=1))
+    return w[:, 0], w[:, 0] >= -floor
+
+
+def abs_ppt_check(n: int, lambdas, *,
+                  orderings: list[OrderingTable] | None = None) -> tuple[bool, int | None]:
     """Decide whether a spectrum stays PPT under every global unitary.
 
     Returns ``(True, None)`` when the test matrix of every realizable ordering
@@ -179,23 +201,9 @@ def abs_ppt_check(n: int, lambdas, *, orderings: list[OrderingTable] | None = No
     canonical listing order.  Entries may dip to -1e-12 and are clamped; the
     spectrum is sorted internally.
     """
-    if not 2 <= n <= 5:
-        raise UnsupportedDimensionError(f"supported local dimensions are 2 <= n <= 5, got {n}")
-    lam = np.asarray(lambdas, dtype=float)
-    if lam.ndim != 1 or lam.size != n * n:
-        raise DimensionMismatchError(f"spectrum must have length {n * n}, got shape {lam.shape}")
-    if not np.isfinite(lam).all():
-        raise PcpkitError("spectrum entries must be finite")
-    if lam.min() < -1e-12:
-        raise PcpkitError(f"spectrum has a negative entry ({lam.min():.3e})")
-    lam = np.clip(lam, 0.0, None)
-    lam = -np.sort(-lam)
-    if orderings is None:
-        orderings = list(_cached_orderings(n, samples, seed))
-    for idx, ordering in enumerate(orderings):
-        if not linalg.is_psd(l_map_matrix(ordering, lam)):
-            return False, idx
-    return True, None
+    _, passing = ordering_min_eigenvalues(n, lambdas, orderings=orderings)
+    failing = np.flatnonzero(~passing)
+    return (False, int(failing[0])) if failing.size else (True, None)
 
 
 def special_unitary(ordering: OrderingTable) -> np.ndarray:

@@ -1,4 +1,3 @@
-"""Default knobs for the seeded sampling routines."""
+"""Default seed for the seeded sampling routines."""
 
 DEFAULT_SEED = 12345
-ORDERING_SAMPLES = 100_000

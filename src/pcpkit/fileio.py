@@ -68,6 +68,13 @@ def _load_json(path) -> Any:
         raise PcpkitError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _write_json(path, doc: dict) -> None:
+    try:
+        Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    except OSError as exc:
+        raise PcpkitError(f"cannot write {path}: {exc}") from exc
+
+
 def load_pair_document(path) -> tuple[PairXY, dict[str, Any]]:
     """Read a pair file: ``{"n": int, "X": rows, "Y": rows}`` plus free metadata."""
     doc = _load_json(path)
@@ -92,7 +99,7 @@ def load_pair_document(path) -> tuple[PairXY, dict[str, Any]]:
 def save_pair_document(path, pair: PairXY, **meta) -> None:
     doc = {"n": pair.n, "X": _emit_matrix(pair.X), "Y": _emit_matrix(pair.Y)}
     doc.update(meta)
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    _write_json(path, doc)
 
 
 def load_dense_state(path) -> tuple[np.ndarray, int]:
@@ -128,7 +135,7 @@ def save_certificate(path, dec: PcpDecomposition, method: str,
         "ws": [[_emit_scalar(z) for z in w] for w in dec.ws],
     }
     doc.update(meta)
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    _write_json(path, doc)
 
 
 def load_certificate(path) -> tuple[PcpDecomposition, dict[str, Any]]:

@@ -1,5 +1,10 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcpkit import (
     abs_ppt_check,
@@ -9,7 +14,7 @@ from pcpkit import (
     special_unitary,
     verify_decomposition,
 )
-from pcpkit.abssep import OrderingTable
+from pcpkit.abssep import OrderingTable, ordering_min_eigenvalues
 from pcpkit.cldui import partial_transpose
 from pcpkit.errors import (
     DimensionMismatchError,
@@ -18,7 +23,7 @@ from pcpkit.errors import (
     PcpkitError,
     UnsupportedDimensionError,
 )
-from pcpkit.linalg import is_psd
+from pcpkit.linalg import hermitian_eigenvalues, is_psd
 
 S = 1.0 / np.sqrt(2.0)
 
@@ -65,28 +70,69 @@ def columns_match_up_to_sign(A, B, tol=1e-12):
     )
 
 
+def sampled_orderings(n, samples, seed):
+    """Product orderings found by seeded sampling: an oracle independent of the tables.
+
+    Alpha vectors are sorted absolute values of standard normals; a draw is
+    kept only when all consecutive product gaps clear a 1e-6 relative
+    threshold, and draws are repeated until ``samples`` valid ones have been
+    seen.  Returns the set of slot tuples found.
+    """
+    rng = np.random.default_rng(seed)
+    pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
+    slots = [("square", k) for k in range(n)]
+    slots += [("plus", k, l) for k, l in pairs] + [("minus", k, l) for k, l in pairs]
+    found = set()
+    valid = 0
+    while valid < samples:
+        batch = min(20_000, samples - valid + 5_000)
+        alphas = -np.sort(-np.abs(rng.standard_normal((batch, n))), axis=1)
+        cols = [alphas[:, k] ** 2 for k in range(n)]
+        cols += [alphas[:, k] * alphas[:, l] for k, l in pairs]
+        cols += [-alphas[:, k] * alphas[:, l] for k, l in pairs]
+        prods = np.column_stack(cols)
+        order = np.argsort(-prods, axis=1, kind="stable")
+        ranked = np.take_along_axis(prods, order, axis=1)
+        gaps = ranked[:, :-1] - ranked[:, 1:]
+        ok = (gaps > 1e-6 * np.maximum(1.0, np.abs(ranked[:, :-1]))).all(axis=1)
+        ok &= alphas[:, -1] > 0.0
+        valid += int(ok.sum())
+        found.update(tuple(slots[i] for i in row) for row in order[ok])
+    return found
+
+
 def test_ordering_counts_and_seed_stability():
     expected = {2: 1, 3: 2, 4: 10}
     for n, count in expected.items():
-        per_seed = [
-            tuple(t.slots for t in enumerate_orderings(n, samples=50_000, seed=seed))
-            for seed in (0, 1, 2)
-        ]
-        assert len(per_seed[0]) == count
-        assert per_seed[0] == per_seed[1] == per_seed[2]
+        tables = enumerate_orderings(n)
+        assert len(tables) == count
+        stored = {t.slots for t in tables}
+        for seed in (0, 1, 2):
+            assert sampled_orderings(n, 50_000, seed) == stored
 
 
 def test_n5_census_best_effort():
     tables = enumerate_orderings(5)
-    assert len(tables) >= 114
-    again = enumerate_orderings(5)
-    assert [t.slots for t in tables] == [t.slots for t in again]
+    assert len(tables) == 114
+    assert [t.slots for t in tables] == [t.slots for t in enumerate_orderings(5)]
+    stored = {t.slots for t in tables}
+    for seed in (0, 1, 2):
+        assert sampled_orderings(5, 50_000, seed) <= stored
+    assert sampled_orderings(5, 100_000, 12345) == stored
+
+
+def test_tables_are_listed_canonically_without_repeats():
+    for n in (2, 3, 4, 5):
+        tables = enumerate_orderings(n)
+        keys = [t.sort_key() for t in tables]
+        assert keys == sorted(set(keys))
 
 
 def test_witnesses_realize_their_orderings():
-    for n in (2, 3, 4):
-        for table in enumerate_orderings(n, samples=50_000):
+    for n in (2, 3, 4, 5):
+        for table in enumerate_orderings(n):
             a = table.witness
+            assert np.all(a > 0.0) and np.all(a[:-1] > a[1:])
             values = []
             for slot in table.slots:
                 if slot[0] == "square":
@@ -96,6 +142,16 @@ def test_witnesses_realize_their_orderings():
                 else:
                     values.append(-a[slot[1]] * a[slot[2]])
             assert all(x > y for x, y in zip(values, values[1:]))
+
+
+def test_generator_reproduces_the_stored_tables():
+    pytest.importorskip("scipy")
+    path = Path(__file__).resolve().parents[1] / "scripts" / "ordering_tables.py"
+    spec = importlib.util.spec_from_file_location("ordering_tables", path)
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    regenerated = generator.render({n: generator.tables(n) for n in generator.DIMS})
+    assert regenerated == generator.DATA_PATH.read_text()
 
 
 def test_l_maps_on_counting_spectrum():
@@ -155,6 +211,42 @@ def test_check_matches_dense_partial_transpose():
                 assert psd == is_psd(l_map_matrix(table, lam))
                 dense_ok = dense_ok and psd
             assert abs_ppt_check(n, lam)[0] == dense_ok
+
+
+def per_ordering_check(n, lam):
+    """``abs_ppt_check`` as one ``is_psd(l_map_matrix(...))`` call per ordering."""
+    lam = -np.sort(-np.clip(np.asarray(lam, dtype=float), 0.0, None))
+    for idx, table in enumerate(enumerate_orderings(n)):
+        if not is_psd(l_map_matrix(table, lam)):
+            return False, idx
+    return True, None
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1), near_boundary=st.booleans())
+def test_batched_check_equals_per_ordering_loop(n, seed, near_boundary):
+    rng = np.random.default_rng(seed)
+    flat = np.full(n * n, 1.0 / (n * n))
+    base = -np.sort(-rng.dirichlet(np.full(n * n, rng.uniform(0.2, 3.0))))
+    spectra = [base]
+    if near_boundary:
+        # the flat spectrum passes; bisect towards base to where the loop flips
+        lo, hi = 0.0, 1.0
+        if per_ordering_check(n, base)[0]:
+            base = np.eye(n * n)[0]
+        for _ in range(50):
+            mid = 0.5 * (lo + hi)
+            if per_ordering_check(n, (1.0 - mid) * flat + mid * base)[0]:
+                lo = mid
+            else:
+                hi = mid
+        spectra = [(1.0 - t) * flat + t * base for t in (lo, hi)]
+    for lam in spectra:
+        assert abs_ppt_check(n, lam) == per_ordering_check(n, lam)
+        minima, passing = ordering_min_eigenvalues(n, lam)
+        tables = enumerate_orderings(n)
+        assert list(passing) == [is_psd(l_map_matrix(t, lam)) for t in tables]
+        assert list(minima) == [hermitian_eigenvalues(l_map_matrix(t, lam))[-1] for t in tables]
 
 
 def test_maximally_mixed_always_passes():

@@ -7,6 +7,7 @@ import pytest
 
 from pcpkit import PairXY, reconstruct, verify_decomposition
 from pcpkit.cli import main
+from pcpkit.errors import PcpkitError
 from pcpkit.fileio import load_certificate, load_pair_document, save_pair_document
 
 from conftest import FIXTURES
@@ -128,6 +129,17 @@ def test_decompose_isotropic_pair(capsys, tmp_path):
     assert verify_decomposition(dec, pair, tol=1e-8)
 
 
+def test_decompose_out_to_missing_directory(capsys, tmp_path):
+    missing = tmp_path / "no" / "such" / "dir"
+    code, out, err = run(capsys, "decompose", FIXTURES / "isotropic_n3.json",
+                         "--out", missing / "c.json")
+    assert code == 1
+    assert err.startswith("error: cannot write ")
+    pair, _ = load_pair_document(FIXTURES / "isotropic_n3.json")
+    with pytest.raises(PcpkitError, match="cannot write"):
+        save_pair_document(missing / "pair.json", pair)
+
+
 # --------------------------------------------------------------- check-state
 
 def test_check_state_entangled_by_realignment(capsys):
@@ -218,16 +230,24 @@ def test_abs_ppt_lambdas_from_file(capsys, tmp_path):
     assert code == 0
 
 
-def test_abs_ppt_env_seed_and_override(capsys, monkeypatch):
-    monkeypatch.setenv("PCPKIT_SEED", "777")
-    code, out, _ = run(capsys, "abs-ppt", "--n", "2", "--lambdas", "0.25,0.25,0.25,0.25",
-                       "--samples", "5000")
+def test_abs_ppt_rejects_sampler_flags(capsys):
+    code, out, _ = run(capsys, "abs-ppt", "--n", "2", "--lambdas", "0.25,0.25,0.25,0.25")
     assert code == 0
-    assert "seed = 777" in out
+    assert out.splitlines()[0] == "n = 2: 1 realizable orderings"
+    for flag in ("--samples", "--seed"):
+        with pytest.raises(SystemExit) as exc:
+            main(["abs-ppt", "--n", "2", "--lambdas", "0.25,0.25,0.25,0.25", flag, "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
-    code, out, _ = run(capsys, "abs-ppt", "--n", "2", "--lambdas", "0.25,0.25,0.25,0.25",
-                       "--samples", "5000", "--seed", "5")
-    assert "seed = 5" in out
+
+def test_abs_ppt_certify_into_missing_directory(capsys, tmp_path):
+    missing = tmp_path / "no" / "such" / "dir"
+    code, out, err = run(capsys, "abs-ppt", "--n", "2", "--lambdas", "0.25,0.25,0.25,0.25",
+                         "--certify", "--out-dir", missing)
+    assert code == 1
+    assert err.startswith("error: cannot write ")
+    assert out == ""
 
 
 def test_abs_ppt_bad_inputs(capsys):
