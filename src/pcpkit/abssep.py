@@ -39,6 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg, ordering_data
+from . import tolerances as tol
 from .cldui import extract_pair, partial_transpose
 from .construct import DECOMPOSED, NOT_APPLICABLE, ConstructorOutcome, decompose_comparison
 from .errors import (
@@ -124,15 +125,21 @@ def _slot_positions(ordering: OrderingTable) -> dict[Slot, int]:
 
 
 def _check_spectrum(lambdas, size: int) -> np.ndarray:
+    """The spectrum as a float array, with round-off negatives clamped to zero.
+
+    It must be sorted and non-negative up to ``tolerances.ZERO``.
+    """
     lam = np.asarray(lambdas, dtype=float)
     if lam.ndim != 1 or lam.size != size:
         raise DimensionMismatchError(f"spectrum must have length {size}, got shape {lam.shape}")
     if not np.isfinite(lam).all():
         raise PcpkitError("spectrum entries must be finite")
-    scale = max(1.0, float(np.abs(lam).max()))
-    if np.any(lam[:-1] - lam[1:] < -1e-12 * scale):
+    scale = tol.scale(float(np.abs(lam).max()))
+    if np.any(lam[:-1] - lam[1:] < -tol.ZERO * scale):
         raise NotSortedError("spectrum must be sorted in non-increasing order")
-    return lam
+    if lam.min() < -tol.ZERO:
+        raise PcpkitError(f"spectrum has a negative entry ({lam.min():.3e})")
+    return np.clip(lam, 0.0, None)
 
 
 def _test_matrices(n: int, orderings, lam: np.ndarray) -> np.ndarray:
@@ -151,7 +158,7 @@ def _test_matrices(n: int, orderings, lam: np.ndarray) -> np.ndarray:
 
 
 def l_map_matrix(ordering: OrderingTable, lambdas) -> np.ndarray:
-    """The n x n test matrix of one ordering for a sorted spectrum.
+    """The n x n test matrix of one ordering for a sorted, non-negative spectrum.
 
     The reversed spectrum is laid into the slots (slot m takes the m-th
     smallest eigenvalue); the matrix has 2*value on the diagonal squares and
@@ -178,18 +185,15 @@ def ordering_min_eigenvalues(n: int, lambdas, *,
     All test matrices are built by one gather and diagonalized by one batched
     ``eigvalsh`` call.  Each matrix is judged exactly as ``linalg.is_psd``
     judges it: as a complex Hermitian matrix, passing when its smallest
-    eigenvalue clears -1e-9 * max(1, sum |w|).  Entries of the spectrum may
-    dip to -1e-12 and are clamped; it is sorted internally.
+    eigenvalue clears ``-tolerances.psd_floor``.  Entries of the spectrum may
+    dip below zero by ``tolerances.ZERO`` and are clamped; it is sorted
+    internally.
     """
     if orderings is None:
         orderings = enumerate_orderings(n)
     lam = _check_spectrum(-np.sort(-np.atleast_1d(np.asarray(lambdas, dtype=float))), n * n)
-    if lam.min() < -1e-12:
-        raise PcpkitError(f"spectrum has a negative entry ({lam.min():.3e})")
-    lam = np.clip(lam, 0.0, None)
     w = np.linalg.eigvalsh(_test_matrices(n, orderings, lam).astype(complex))
-    floor = 1e-9 * np.maximum(1.0, np.abs(w).sum(axis=1))
-    return w[:, 0], w[:, 0] >= -floor
+    return w[:, 0], w[:, 0] >= -tol.psd_floor(w)
 
 
 def abs_ppt_check(n: int, lambdas, *,
@@ -198,8 +202,8 @@ def abs_ppt_check(n: int, lambdas, *,
 
     Returns ``(True, None)`` when the test matrix of every realizable ordering
     is positive semidefinite, else ``(False, index_of_first_failure)`` in the
-    canonical listing order.  Entries may dip to -1e-12 and are clamped; the
-    spectrum is sorted internally.
+    canonical listing order.  Entries may dip below zero by
+    ``tolerances.ZERO`` and are clamped; the spectrum is sorted internally.
     """
     _, passing = ordering_min_eigenvalues(n, lambdas, orderings=orderings)
     failing = np.flatnonzero(~passing)
@@ -230,13 +234,13 @@ def special_unitary(ordering: OrderingTable) -> np.ndarray:
             k, l = slot[1], slot[2]
             U[k * n + l, col] = 1.0 / np.sqrt(2.0)
             U[l * n + k, col] = (1.0 if tag == "plus" else -1.0) / np.sqrt(2.0)
-    if not np.allclose(U.T @ U, np.eye(nn), atol=1e-12):
+    if not np.allclose(U.T @ U, np.eye(nn), atol=tol.ZERO):
         raise ConstructionError("distinguished basis is not orthonormal")
     lam = np.arange(nn, 0, -1, dtype=float)
     rho = (U * lam) @ U.T
     idx = [i * n + i for i in range(n)]    # these rows/columns carry the X part
     skeleton = partial_transpose(rho, n)[np.ix_(idx, idx)]
-    if not np.allclose(skeleton, l_map_matrix(ordering, lam) / 2.0, atol=1e-10):
+    if not np.allclose(skeleton, l_map_matrix(ordering, lam) / 2.0, atol=tol.STRUCTURE):
         raise ConstructionError("distinguished basis is inconsistent with the test matrix")
     return U
 
@@ -252,9 +256,6 @@ def certify_special_separable(ordering: OrderingTable, lambdas) -> ConstructorOu
     """
     n = ordering.n
     lam = _check_spectrum(lambdas, n * n)
-    if lam.min() < -1e-12:
-        raise PcpkitError(f"spectrum has a negative entry ({lam.min():.3e})")
-    lam = np.clip(lam, 0.0, None)
     Z = l_map_matrix(ordering, lam)
     if not linalg.is_psd(Z):
         return ConstructorOutcome(
@@ -268,7 +269,7 @@ def certify_special_separable(ordering: OrderingTable, lambdas) -> ConstructorOu
     sigma = partial_transpose(rho, n)
     pair = extract_pair(sigma, n)
     off = pair.X - np.diag(np.diag(pair.X))
-    if off.size and (np.abs(off.imag).max() > 1e-12 or off.real.max() > 1e-12):
+    if off.size and (np.abs(off.imag).max() > tol.ZERO or off.real.max() > tol.ZERO):
         raise ConstructionError("partial transpose left a positive off-diagonal X entry")
     out = decompose_comparison(pair)
     if out.status != DECOMPOSED:

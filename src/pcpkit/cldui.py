@@ -24,6 +24,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from . import linalg
+from . import tolerances as tol
 from .defaults import DEFAULT_SEED
 from .errors import (
     ConditionsViolatedError,
@@ -98,7 +99,7 @@ def extract_pair(rho: np.ndarray, n: int) -> PairXY:
     """Read the coefficient pair back out of a dense matrix.
 
     Every entry outside the invariant zero pattern must be negligible
-    (below 1e-10 times the largest entry magnitude), otherwise the matrix is
+    (below ``tolerances.STRUCTURE`` times the largest entry magnitude), otherwise the matrix is
     not of this family and ``NotClduiError`` reports the first offender
     (1-based flat coordinates).
     """
@@ -111,9 +112,8 @@ def extract_pair(rho: np.ndarray, n: int) -> PairXY:
             allowed[i * n + i, j * n + j] = True
             if i != j:
                 allowed[i * n + j, i * n + j] = True
-    tol = 1e-10 * max(1.0, float(np.abs(rho).max()))
     stray = np.abs(rho) * (~allowed)
-    if stray.max() > tol:
+    if stray.max() > tol.STRUCTURE * tol.scale(float(np.abs(rho).max())):
         r, c = np.unravel_index(int(stray.argmax()), stray.shape)
         raise NotClduiError(
             f"entry ({r + 1}, {c + 1}) = {rho[r, c]:.3e} violates the invariant zero pattern",
@@ -135,12 +135,12 @@ def is_diagonal_unitary_invariant(rho: np.ndarray, n: int, samples: int = 25,
     if rho.shape[0] != n * n:
         raise WrongDimensionError(f"expected a {n * n} x {n * n} matrix, got {rho.shape}")
     rng = np.random.default_rng(seed)
-    scale = max(1.0, float(np.linalg.norm(rho)))
+    scale = tol.scale(float(np.linalg.norm(rho)))
     for _ in range(samples):
         phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=n))
         c = np.kron(phases, phases.conj())
         twisted = (c[:, None] * rho) * c.conj()[None, :]
-        if float(np.linalg.norm(twisted - rho)) > 1e-9 * scale:
+        if float(np.linalg.norm(twisted - rho)) > tol.RESIDUAL * scale:
             return False
     return True
 

@@ -24,8 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from . import abssep, cldui, construct, fileio, linalg
+from . import tolerances as tol
 from .errors import ConditionsViolatedError, NotClduiError, PcpkitError
-from .pairs import PairXY, check_necessary, verify_decomposition
+from .pairs import PairXY, check_necessary, residuals
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -95,23 +96,13 @@ _METHODS = {
 }
 
 
-def _residuals(dec, pair: PairXY) -> tuple[float, float]:
-    from .pairs import reconstruct
-
-    rebuilt = reconstruct(dec)
-    return (
-        float(np.linalg.norm(rebuilt.X - pair.X)),
-        float(np.linalg.norm(rebuilt.Y - pair.Y)),
-    )
-
-
 def cmd_decompose(args) -> int:
     pair, _ = fileio.load_pair_document(args.pair)
 
     if args.verify is not None:
         dec, meta = fileio.load_certificate(args.verify)
-        ok = verify_decomposition(dec, pair, tol=1e-8)
-        rx, ry = _residuals(dec, pair)
+        res = residuals(dec, pair)
+        rx, ry, ok = res.x, res.y, res.within()
         if args.json:
             print(json.dumps({"verified": ok, "residual_x": rx, "residual_y": ry,
                               "m": dec.m, "method": meta.get("method")}, indent=2))
@@ -124,7 +115,7 @@ def cmd_decompose(args) -> int:
     out = _METHODS[args.method](pair, args.perms)
     payload = {"method": out.method, "status": out.status, "reason": out.reason}
     if out.ok:
-        rx, ry = _residuals(out.decomposition, pair)
+        rx, ry, _ = residuals(out.decomposition, pair)
         payload.update({"m": out.decomposition.m, "residual_x": rx, "residual_y": ry})
         if out.permutation is not None:
             payload["permutation"] = list(out.permutation)
@@ -212,7 +203,7 @@ def cmd_check_state(args) -> int:
         dense = state.dense
         pt_psd = linalg.is_psd(cldui.partial_transpose(dense, pair.n))
         r_trace = linalg.trace_norm(cldui.realign_map(dense, pair.n))
-        dense_realign = r_trace <= trace + 1e-8 * max(1.0, trace)
+        dense_realign = r_trace <= trace + tol.GAP * tol.scale(trace)
         lines.append(
             f"dense cross-check: PT PSD {pt_psd} (agrees: {pt_psd == report.holds_d}), "
             f"realigned trace norm {r_trace:.9g} vs trace {trace:.9g} "

@@ -36,6 +36,7 @@ from typing import Any
 import numpy as np
 
 from . import linalg
+from . import tolerances as tol
 from .errors import (
     ComparisonNotPsdError,
     ConstructionError,
@@ -61,7 +62,7 @@ class ConstructorOutcome:
 
     ``status`` is one of ``decomposed``, ``not-applicable``,
     ``conditions-violated``.  A ``decomposed`` outcome always carries a
-    decomposition that has been verified against the input pair at 1e-8.
+    decomposition that has been verified against the input pair at ``tolerances.VERIFY``.
     """
 
     status: str
@@ -87,8 +88,8 @@ def _violated(method: str, report: NecessaryReport, which: list[str]) -> Constru
 
 def _decomposed(pair: PairXY, method: str, V, W, **extra) -> ConstructorOutcome:
     dec = PcpDecomposition(V, W)
-    if not verify_decomposition(dec, pair, 1e-8):
-        raise ConstructionError(f"{method} construction failed verification at 1e-8")
+    if not verify_decomposition(dec, pair):
+        raise ConstructionError(f"{method} construction failed verification")
     perm = extra.pop("permutation", None)
     return ConstructorOutcome(
         status=DECOMPOSED,
@@ -128,7 +129,7 @@ def decompose_diagonal_x(pair: PairXY, *,
     """Decompose a pair whose X is diagonal: n^2 terms, one per position of Y.
 
     Applies whenever conditions (a)-(c) hold and every off-diagonal entry of X
-    is below 1e-10 in magnitude.
+    is below ``tolerances.STRUCTURE`` in magnitude.
     """
     method = "diagonal-x"
     if report is None:
@@ -137,7 +138,7 @@ def decompose_diagonal_x(pair: PairXY, *,
         return _violated(method, report, [c for c in report.failing() if c in "abc"])
     off = pair.X - np.diag(np.diag(pair.X))
     offmax = float(np.abs(off).max()) if pair.n > 1 else 0.0
-    if offmax > 1e-10:
+    if offmax > tol.STRUCTURE:
         return ConstructorOutcome(
             status=NOT_APPLICABLE,
             method=method,
@@ -164,8 +165,8 @@ def decompose_2x2(pair: PairXY, *, report: NecessaryReport | None = None) -> Con
         return _violated(method, report, bad)
 
     X, Y = pair.X, pair.Y
-    scale = max(1.0, float(np.abs(X).max()), float(np.abs(Y).max()))
-    ztol = 1e-12 * scale
+    scale = tol.scale(float(np.abs(X).max()), float(np.abs(Y).max()))
+    ztol = tol.ZERO * scale
     x11 = X[0, 0].real
     x22 = X[1, 1].real
     x21 = X[1, 0]
@@ -178,7 +179,7 @@ def decompose_2x2(pair: PairXY, *, report: NecessaryReport | None = None) -> Con
         return _decomposed(pair, method, V, W)
 
     def root(value: float) -> float:
-        if value < -1e-9 * scale * scale:
+        if value < -tol.RESIDUAL * scale * scale:
             raise ConstructionError(f"negative radicand {value:.3e} in two-by-two route")
         return math.sqrt(max(value, 0.0))
 
@@ -198,8 +199,9 @@ def _attempt_rowwise(X: np.ndarray, Y: np.ndarray, scale: float):
     n = X.shape[0]
     V = np.zeros((n, n), complex)
     W = np.zeros((n, n), complex)
-    neg_tol = 1e-12 * scale
-    res_tol = 1e-9 * scale
+    neg_tol = tol.ZERO * scale
+    res_tol = tol.RESIDUAL * scale
+    pivot_tol = tol.ZERO
     for k in range(n):
         absW = np.abs(W[:, :k]) ** 2
         absVk = np.abs(V[k, :k]) ** 2
@@ -217,7 +219,7 @@ def _attempt_rowwise(X: np.ndarray, Y: np.ndarray, scale: float):
         rad = np.clip(rad, 0.0, None)
         num = X[:, k] - c                     # x_{j,k} residuals over j
         s = math.sqrt(rad[k])
-        if s < 1e-12:
+        if s < pivot_tol:
             # Row k already exhausted: admissible only if nothing is left of it.
             if rad.max() <= res_tol and np.abs(num[k:]).max() <= res_tol:
                 continue
@@ -227,7 +229,7 @@ def _attempt_rowwise(X: np.ndarray, Y: np.ndarray, scale: float):
                 "reason": "vanishing pivot with unexhausted row",
             }
         vkk = num[k] / s
-        if abs(vkk) < 1e-12:
+        if abs(vkk) < pivot_tol:
             return None, None, {
                 "position": (k + 1, k + 1),
                 "radicand": float(rad[k]),
@@ -237,7 +239,7 @@ def _attempt_rowwise(X: np.ndarray, Y: np.ndarray, scale: float):
         W[:, k] = np.sqrt(rad) / vkk
         for j in range(k + 1, n):
             r = math.sqrt(rad[j])
-            if r < 1e-12:
+            if r < pivot_tol:
                 if abs(num[j]) > res_tol:
                     return None, None, {
                         "position": (k + 1, j + 1),
@@ -267,7 +269,7 @@ def decompose_recursive(pair: PairXY, search_permutations: bool = False, *,
         return _violated(method, report, [c for c in report.failing() if c in "abc"])
 
     n = pair.n
-    scale = max(1.0, float(np.abs(pair.X).max()), float(np.abs(pair.Y).max()))
+    scale = tol.scale(float(np.abs(pair.X).max()), float(np.abs(pair.Y).max()))
     capped = search_permutations and n > 7
     if search_permutations and not capped:
         perms = itertools.permutations(range(n))
@@ -297,7 +299,7 @@ def decompose_recursive(pair: PairXY, search_permutations: bool = False, *,
         else:
             V, W = _zero_term(n)
         dec = PcpDecomposition(V, W)
-        if verify_decomposition(dec, pair, 1e-8):
+        if verify_decomposition(dec, pair):
             return ConstructorOutcome(
                 status=DECOMPOSED,
                 method=method,
@@ -356,11 +358,11 @@ def _perron_vector(P: np.ndarray) -> np.ndarray:
     v = U[:, -1]
     lead = np.sign(v[np.argmax(np.abs(v))])
     v = v * (lead if lead != 0 else 1.0)
-    if v.min() <= 1e-12 * max(v.max(), 0.0):
+    if v.min() <= tol.ZERO * max(v.max(), 0.0):
         # Near-degenerate top eigenvalue: a strictly positive perturbation
         # restores a simple Perron pair.
         k = P.shape[0]
-        _, U = np.linalg.eigh(P + 1e-10 * np.ones((k, k)))
+        _, U = np.linalg.eigh(P + tol.PERTURBATION * np.ones((k, k)))
         v = U[:, -1]
         lead = np.sign(v[np.argmax(np.abs(v))])
         v = v * (lead if lead != 0 else 1.0)
@@ -393,7 +395,7 @@ def perron_scaling(X: np.ndarray) -> np.ndarray:
             d[comp] = _perron_vector(P[np.ix_(comp, comp)])
     scaled = np.abs(d[:, None] * X * d[None, :])
     row_off = scaled.sum(axis=1) - np.diag(scaled)
-    slack = 1e-9 * max(1.0, float(scaled.max())) if n else 0.0
+    slack = tol.RESIDUAL * tol.scale(float(scaled.max())) if n else 0.0
     if np.any(np.diag(scaled) + slack < row_off):
         raise ConstructionError("Perron rescaling did not reach diagonal dominance")
     return d
@@ -418,23 +420,21 @@ def decompose_comparison(pair: PairXY, *,
         return _violated(method, report, bad)
 
     n = pair.n
-    M = comparison_matrix(pair.X)
-    if not linalg.is_psd(M):
-        w = np.linalg.eigvalsh(M)
+    try:
+        d = perron_scaling(pair.X)
+    except ComparisonNotPsdError:
         return ConstructorOutcome(
             status=NOT_APPLICABLE,
             method=method,
             reason="comparison matrix of X is not positive semidefinite",
-            info={"min_eigenvalue": float(w.min())},
+            info={"min_eigenvalue": float(np.linalg.eigvalsh(comparison_matrix(pair.X)).min())},
         )
-
-    d = perron_scaling(pair.X)
     Xs = d[:, None] * pair.X * d[None, :]
     Ys = np.clip((d[:, None] * pair.Y * d[None, :]).real, 0.0, None)
     absXs = np.abs(Xs)
     # treat roundoff-level off-diagonal entries of X as zero; their Y mass
     # moves into the slack, their X mass is far below verification tolerance
-    absXs[absXs <= 1e-13 * max(1.0, float(absXs.max()))] = 0.0
+    absXs[absXs <= tol.FLUSH * tol.scale(float(absXs.max()))] = 0.0
 
     Yp = np.zeros((n, n))
     for i in range(n):
@@ -444,10 +444,10 @@ def decompose_comparison(pair: PairXY, *,
         Yp[i, i] = absXs[i, :].sum() - absXs[i, i]
 
     P = Ys - Yp
-    if P.size and P.min() < -1e-9 * max(1.0, float(Ys.max())):
+    if P.size and P.min() < -tol.RESIDUAL * tol.scale(float(Ys.max())):
         raise ConstructionError("negative slack in comparison split")
     # roundoff flotsam in the slack would otherwise turn into spurious columns
-    P[P <= 1e-13 * max(1.0, float(Ys.max()))] = 0.0
+    P[P <= tol.FLUSH * tol.scale(float(Ys.max()))] = 0.0
 
     vs, ws = [], []
     for k in range(n):
@@ -513,8 +513,8 @@ def decompose_isotropic(n: int, a: float, b: float) -> ConstructorOutcome:
         raise PcpkitError("a and b must be finite")
     pair = isotropic_pair(n, a, b)
 
-    tol = 1e-12 * max(1.0, abs(a), abs(b))
-    if a < -tol or b > a + tol or b < -a / n - tol:
+    slack = tol.ZERO * tol.scale(abs(a), abs(b))
+    if a < -slack or b > a + slack or b < -a / n - slack:
         return ConstructorOutcome(
             status=CONDITIONS_VIOLATED,
             method=method,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import tolerances as tol
 from .errors import (
     DimensionMismatchError,
     NotHermitianError,
@@ -46,18 +47,16 @@ def require_square(A: np.ndarray) -> np.ndarray:
 def hermiticity_tolerance(A: np.ndarray) -> float:
     """Absolute tolerance for Hermiticity checks, scaled by the largest entry."""
     amax = float(np.abs(A).max()) if A.size else 0.0
-    return 1e-10 * max(1.0, amax)
+    return tol.STRUCTURE * tol.scale(amax)
 
 
 def hermiticity_defect(A: np.ndarray) -> float:
     return float(np.abs(A - A.conj().T).max()) if A.size else 0.0
 
 
-def is_hermitian(A: np.ndarray, tol: float | None = None) -> bool:
+def is_hermitian(A: np.ndarray) -> bool:
     A = require_square(A)
-    if tol is None:
-        tol = hermiticity_tolerance(A)
-    return hermiticity_defect(A) <= tol
+    return hermiticity_defect(A) <= hermiticity_tolerance(A)
 
 
 def hermitian_eigenvalues(A: np.ndarray) -> np.ndarray:
@@ -74,14 +73,13 @@ def hermitian_eigenvalues(A: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(A)[::-1]
 
 
-def is_psd(A: np.ndarray, scale_tol: float = 1e-9) -> bool:
-    """True iff A is Hermitian (within tolerance) with spectrum >= -scale_tol * max(1, trace norm)."""
+def is_psd(A: np.ndarray) -> bool:
+    """True iff A is Hermitian (within tolerance) with spectrum >= -``tolerances.psd_floor``."""
     A = require_square(A)
     if hermiticity_defect(A) > hermiticity_tolerance(A):
         return False
     w = np.linalg.eigvalsh(A)
-    floor = scale_tol * max(1.0, float(np.abs(w).sum()))
-    return bool(w.min() >= -floor) if w.size else True
+    return bool(w.min() >= -tol.psd_floor(w)) if w.size else True
 
 
 def trace_norm(A: np.ndarray) -> float:
@@ -112,7 +110,7 @@ def hadamard(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u * v
 
 
-def phase_normalize_columns(M: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def phase_normalize_columns(M: np.ndarray) -> np.ndarray:
     """Rotate each column by a global phase so its first non-negligible entry is positive real.
 
     Zero columns are left untouched.  Useful when comparing factorizations that
@@ -122,8 +120,8 @@ def phase_normalize_columns(M: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     for j in range(M.shape[1]):
         col = M[:, j]
         mags = np.abs(col)
-        if mags.size == 0 or mags.max() <= tol:
+        if mags.size == 0 or mags.max() <= tol.ZERO:
             continue
-        lead = col[mags > tol * max(1.0, mags.max())][0]
+        lead = col[mags > tol.ZERO * tol.scale(mags.max())][0]
         M[:, j] = col * (abs(lead) / lead)
     return M

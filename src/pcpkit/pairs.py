@@ -17,11 +17,13 @@ Five cheap necessary conditions, labelled (a)-(e) throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
 from . import linalg
+from . import tolerances as tol
+from .tolerances import VERIFY
 from .errors import (
     ConditionsViolatedError,
     ConstructionError,
@@ -155,19 +157,31 @@ def reconstruct(dec: PcpDecomposition) -> PairXY:
     return PairXY(X, Y)
 
 
-def verify_decomposition(dec: PcpDecomposition, pair: PairXY, tol: float = 1e-8) -> bool:
-    """True iff the decomposition reproduces the pair within ``tol``.
+class Residuals(NamedTuple):
+    """Frobenius norms of the X and Y residuals of a decomposition, and the
+    pair's scale ``tolerances.scale(||X||_F, ||Y||_F)`` they are judged against."""
 
-    The residual is measured in Frobenius norm, relative to
-    max(1, ||X||_F, ||Y||_F).
-    """
+    x: float
+    y: float
+    scale: float
+
+    def within(self, tol: float = VERIFY) -> bool:
+        return max(self.x, self.y) <= tol * self.scale
+
+
+def residuals(dec: PcpDecomposition, pair: PairXY) -> Residuals:
+    """Rebuild the pair of a decomposition and measure it against ``pair``."""
     if dec.n != pair.n:
         raise DimensionMismatchError(f"decomposition is {dec.n}-dimensional, pair is {pair.n}")
     rebuilt = reconstruct(dec)
-    scale = max(1.0, float(np.linalg.norm(pair.X)), float(np.linalg.norm(pair.Y)))
-    rx = float(np.linalg.norm(rebuilt.X - pair.X))
-    ry = float(np.linalg.norm(rebuilt.Y - pair.Y))
-    return max(rx, ry) <= tol * scale
+    return Residuals(float(np.linalg.norm(rebuilt.X - pair.X)),
+                     float(np.linalg.norm(rebuilt.Y - pair.Y)),
+                     tol.scale(float(np.linalg.norm(pair.X)), float(np.linalg.norm(pair.Y))))
+
+
+def verify_decomposition(dec: PcpDecomposition, pair: PairXY, tol: float = VERIFY) -> bool:
+    """True iff the decomposition reproduces the pair within ``tol`` (see :class:`Residuals`)."""
+    return residuals(dec, pair).within(tol)
 
 
 def check_necessary(pair: PairXY) -> NecessaryReport:
@@ -189,7 +203,7 @@ def check_necessary(pair: PairXY) -> NecessaryReport:
             witnesses["a"] = {"min_eigenvalue": float(np.linalg.eigvalsh(X).min())}
 
     absY = np.abs(Y)
-    bound = 1e-12 * np.maximum(1.0, absY)
+    bound = tol.ZERO * np.maximum(1.0, absY)
     bad = np.flatnonzero((np.abs(Y.imag) > bound) | (Y.real < -bound))
     holds_b = bad.size == 0
     if not holds_b:
@@ -197,7 +211,7 @@ def check_necessary(pair: PairXY) -> NecessaryReport:
         witnesses["b"] = {"position": (i + 1, j + 1), "value": complex(Y[i, j])}
 
     xd, yd = np.diag(X), np.diag(Y)
-    bad = np.flatnonzero(np.abs(xd - yd) > 1e-9 * np.maximum(1.0, np.abs(xd)))
+    bad = np.flatnonzero(np.abs(xd - yd) > tol.RESIDUAL * np.maximum(1.0, np.abs(xd)))
     holds_c = bad.size == 0
     if not holds_c:
         i = int(bad[0])
@@ -205,8 +219,8 @@ def check_necessary(pair: PairXY) -> NecessaryReport:
 
     # (d): |x_ij|^2 <= y_ij y_ji with an additive slack
     absX = np.abs(X)
-    scale = max(1.0, float(absX.max()), float(absY.max()))
-    slack = 1e-12 * scale * scale
+    scale = tol.scale(float(absX.max()), float(absY.max()))
+    slack = tol.ZERO * scale * scale
     bad = np.flatnonzero(np.triu(absX ** 2 > (Y * Y.T).real + slack, 1))
     holds_d = bad.size == 0
     if not holds_d:
@@ -216,7 +230,7 @@ def check_necessary(pair: PairXY) -> NecessaryReport:
 
     x_gap = linalg.entrywise_one_norm(X) - linalg.trace_norm(X)
     y_gap = linalg.entrywise_one_norm(Y) - linalg.trace_norm(Y)
-    holds_e = x_gap <= y_gap + 1e-8 * max(1.0, linalg.entrywise_one_norm(Y))
+    holds_e = x_gap <= y_gap + tol.GAP * tol.scale(linalg.entrywise_one_norm(Y))
     if not holds_e:
         witnesses["e"] = {"x_gap": x_gap, "y_gap": y_gap}
 
@@ -249,7 +263,7 @@ def length_lower_bound(pair: PairXY) -> int:
     """Lower bound on the number of terms any joint decomposition needs: rank(X).
 
     Requires conditions (a)-(c); the rank is numerical, at threshold
-    1e-9 times the largest singular value.
+    ``tolerances.RANK`` times the largest singular value.
     """
     report = check_necessary(pair)
     if not report.holds_abc:
@@ -259,4 +273,4 @@ def length_lower_bound(pair: PairXY) -> int:
     s = np.abs(np.linalg.eigvalsh(pair.X))
     if s.size == 0 or s.max() == 0.0:
         return 0
-    return int((s > 1e-9 * s.max()).sum())
+    return int((s > tol.RANK * s.max()).sum())
