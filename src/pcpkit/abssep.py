@@ -40,8 +40,8 @@ import numpy as np
 
 from . import linalg, ordering_data
 from . import tolerances as tol
-from .cldui import extract_pair, partial_transpose
 from .construct import DECOMPOSED, NOT_APPLICABLE, ConstructorOutcome, decompose_comparison
+from .pairs import PairXY
 from .errors import (
     ConstructionError,
     DimensionMismatchError,
@@ -125,10 +125,8 @@ def _slot_positions(ordering: OrderingTable) -> dict[Slot, int]:
 
 
 def _check_spectrum(lambdas, size: int) -> np.ndarray:
-    """The spectrum as a float array, with round-off negatives clamped to zero.
-
-    It must be sorted and non-negative up to ``tolerances.ZERO``.
-    """
+    """The spectrum, which must be sorted and non-negative up to ``tolerances.ZERO``
+    times its largest entry, as a float array with round-off negatives clamped to zero."""
     lam = np.asarray(lambdas, dtype=float)
     if lam.ndim != 1 or lam.size != size:
         raise DimensionMismatchError(f"spectrum must have length {size}, got shape {lam.shape}")
@@ -137,13 +135,15 @@ def _check_spectrum(lambdas, size: int) -> np.ndarray:
     scale = tol.scale(float(np.abs(lam).max()))
     if np.any(lam[:-1] - lam[1:] < -tol.ZERO * scale):
         raise NotSortedError("spectrum must be sorted in non-increasing order")
-    if lam.min() < -tol.ZERO:
+    if lam.min() < -tol.ZERO * scale:
         raise PcpkitError(f"spectrum has a negative entry ({lam.min():.3e})")
     return np.clip(lam, 0.0, None)
 
 
-def _test_matrices(n: int, orderings, lam: np.ndarray) -> np.ndarray:
-    """The stacked test matrices of ``orderings`` for a sorted spectrum."""
+def _test_matrices(n: int, orderings, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked test matrices of ``orderings`` for a sorted spectrum, and the
+    slot values they are built from: one row per ordering, the n squares, then
+    the plus pairs, then the minus pairs (row-major k < l)."""
     if any(t.n != n for t in orderings):
         raise DimensionMismatchError(f"every ordering must be for n = {n}")
     p = n * (n - 1) // 2
@@ -154,7 +154,7 @@ def _test_matrices(n: int, orderings, lam: np.ndarray) -> np.ndarray:
     Z = np.zeros((vals.shape[0], n, n))
     Z[:, d, d] = 2.0 * vals[:, :n]
     Z[:, k, l] = Z[:, l, k] = vals[:, n:n + p] - vals[:, n + p:]
-    return Z
+    return Z, vals
 
 
 def l_map_matrix(ordering: OrderingTable, lambdas) -> np.ndarray:
@@ -186,13 +186,13 @@ def ordering_min_eigenvalues(n: int, lambdas, *,
     ``eigvalsh`` call.  Each matrix is judged exactly as ``linalg.is_psd``
     judges it: as a complex Hermitian matrix, passing when its smallest
     eigenvalue clears ``-tolerances.psd_floor``.  Entries of the spectrum may
-    dip below zero by ``tolerances.ZERO`` and are clamped; it is sorted
-    internally.
+    dip below zero by ``tolerances.ZERO`` times the largest entry and are
+    clamped; it is sorted internally.
     """
     if orderings is None:
         orderings = enumerate_orderings(n)
     lam = _check_spectrum(-np.sort(-np.atleast_1d(np.asarray(lambdas, dtype=float))), n * n)
-    w = np.linalg.eigvalsh(_test_matrices(n, orderings, lam).astype(complex))
+    w = np.linalg.eigvalsh(_test_matrices(n, orderings, lam)[0].astype(complex))
     return w[:, 0], w[:, 0] >= -tol.psd_floor(w)
 
 
@@ -203,7 +203,8 @@ def abs_ppt_check(n: int, lambdas, *,
     Returns ``(True, None)`` when the test matrix of every realizable ordering
     is positive semidefinite, else ``(False, index_of_first_failure)`` in the
     canonical listing order.  Entries may dip below zero by
-    ``tolerances.ZERO`` and are clamped; the spectrum is sorted internally.
+    ``tolerances.ZERO`` times the largest entry and are clamped; the spectrum
+    is sorted internally.
     """
     _, passing = ordering_min_eigenvalues(n, lambdas, orderings=orderings)
     failing = np.flatnonzero(~passing)
@@ -217,8 +218,7 @@ def special_unitary(ordering: OrderingTable) -> np.ndarray:
     with the (m+1)-th smallest product: squares map to e_k (x) e_k, plus and
     minus slots to the normalized symmetric and antisymmetric combinations of
     e_k (x) e_l and e_l (x) e_k.  Every column's first non-zero entry is
-    positive.  Consistency with ``l_map_matrix`` is asserted on a generic
-    spectrum before returning.
+    positive.
     """
     n = ordering.n
     nn = n * n
@@ -236,27 +236,23 @@ def special_unitary(ordering: OrderingTable) -> np.ndarray:
             U[l * n + k, col] = (1.0 if tag == "plus" else -1.0) / np.sqrt(2.0)
     if not np.allclose(U.T @ U, np.eye(nn), atol=tol.ZERO):
         raise ConstructionError("distinguished basis is not orthonormal")
-    lam = np.arange(nn, 0, -1, dtype=float)
-    rho = (U * lam) @ U.T
-    idx = [i * n + i for i in range(n)]    # these rows/columns carry the X part
-    skeleton = partial_transpose(rho, n)[np.ix_(idx, idx)]
-    if not np.allclose(skeleton, l_map_matrix(ordering, lam) / 2.0, atol=tol.STRUCTURE):
-        raise ConstructionError("distinguished basis is inconsistent with the test matrix")
     return U
 
 
 def certify_special_separable(ordering: OrderingTable, lambdas) -> ConstructorOutcome:
     """Build a separability certificate for a spectrum passing one ordering's test.
 
-    Diagonalizes the spectrum in the ordering's distinguished basis, partially
-    transposes, reads the invariant coefficient pair back out, and runs the
-    comparison route (off-diagonal X entries are non-positive here, so the
-    comparison matrix is X itself and PSD follows from the test matrix).
-    Returns ``not-applicable`` when the test matrix fails for this ordering.
+    The spectrum diagonalized in the ordering's distinguished basis and
+    partially transposed is the invariant state of the pair read from the slot
+    values: X = Z / 2 for the test matrix Z, diag Y = diag X, and
+    y_kl = y_lk = (plus + minus) / 2.  The comparison route then certifies it
+    (off-diagonal X entries are non-positive here, so the comparison matrix is
+    X itself and PSD follows from the test matrix).  Returns
+    ``not-applicable`` when the test matrix fails for this ordering.
     """
     n = ordering.n
     lam = _check_spectrum(lambdas, n * n)
-    Z = l_map_matrix(ordering, lam)
+    (Z,), (vals,) = _test_matrices(n, [ordering], lam)
     if not linalg.is_psd(Z):
         return ConstructorOutcome(
             status=NOT_APPLICABLE,
@@ -264,13 +260,13 @@ def certify_special_separable(ordering: OrderingTable, lambdas) -> ConstructorOu
             reason="the test matrix of this ordering is not positive semidefinite",
             info={"min_eigenvalue": float(np.linalg.eigvalsh(Z).min())},
         )
-    U = special_unitary(ordering)
-    rho = (U * lam) @ U.T
-    sigma = partial_transpose(rho, n)
-    pair = extract_pair(sigma, n)
-    off = pair.X - np.diag(np.diag(pair.X))
-    if off.size and (np.abs(off.imag).max() > tol.ZERO or off.real.max() > tol.ZERO):
+    k, l = np.triu_indices(n, 1)
+    X = Z / 2.0
+    if np.any(X[k, l] > 0.0):
         raise ConstructionError("partial transpose left a positive off-diagonal X entry")
+    Y = X.copy()
+    Y[k, l] = Y[l, k] = (vals[n:n + k.size] + vals[n + k.size:]) / 2.0
+    pair = PairXY(X, Y)
     out = decompose_comparison(pair)
     if out.status != DECOMPOSED:
         raise ConstructionError(

@@ -99,33 +99,23 @@ def extract_pair(rho: np.ndarray, n: int) -> PairXY:
     """Read the coefficient pair back out of a dense matrix.
 
     Every entry outside the invariant zero pattern must be negligible
-    (below ``tolerances.STRUCTURE`` times the largest entry magnitude), otherwise the matrix is
-    not of this family and ``NotClduiError`` reports the first offender
-    (1-based flat coordinates).
+    (below ``tolerances.STRUCTURE`` times the largest entry magnitude),
+    otherwise the matrix is not of this family and ``NotClduiError`` reports
+    the first offender (1-based flat coordinates).
     """
     rho = linalg.require_square(rho)
     if rho.shape[0] != n * n:
         raise WrongDimensionError(f"expected a {n * n} x {n * n} matrix, got {rho.shape}")
-    allowed = np.zeros((n * n, n * n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            allowed[i * n + i, j * n + j] = True
-            if i != j:
-                allowed[i * n + j, i * n + j] = True
-    stray = np.abs(rho) * (~allowed)
+    ones = np.ones((n, n))
+    stray = np.abs(rho) * (dense_matrix(PairXY(ones, ones)) == 0.0)
     if stray.max() > tol.STRUCTURE * tol.scale(float(np.abs(rho).max())):
         r, c = np.unravel_index(int(stray.argmax()), stray.shape)
         raise NotClduiError(
             f"entry ({r + 1}, {c + 1}) = {rho[r, c]:.3e} violates the invariant zero pattern",
             coordinate=(int(r) + 1, int(c) + 1),
         )
-    X = np.zeros((n, n), complex)
-    Y = np.zeros((n, n), complex)
-    for i in range(n):
-        for j in range(n):
-            X[i, j] = rho[i * n + i, j * n + j]
-            Y[i, j] = X[i, i] if i == j else rho[i * n + j, i * n + j]
-    return PairXY(X, Y)
+    skeleton = np.arange(n) * (n + 1)        # the flat indices (i, i)
+    return PairXY(rho[np.ix_(skeleton, skeleton)], np.diag(rho).reshape(n, n))
 
 
 def is_diagonal_unitary_invariant(rho: np.ndarray, n: int, samples: int = 25,

@@ -262,7 +262,7 @@ def cmd_abs_ppt(args) -> int:
     minima, passing = abssep.ordering_min_eigenvalues(args.n, lam, orderings=orderings)
     passes = bool(passing.all())
     failing = None if passes else int(np.argmin(passing))
-    lam_sorted = sorted((max(v, 0.0) for v in lam), reverse=True)
+    lam_sorted = sorted(lam, reverse=True)
 
     payload = {"n": args.n, "orderings": len(orderings), "passes": passes,
                "failing_ordering": failing}

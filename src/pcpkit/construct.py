@@ -77,7 +77,14 @@ class ConstructorOutcome:
         return self.status == DECOMPOSED
 
 
-def _violated(method: str, report: NecessaryReport, which: list[str]) -> ConstructorOutcome:
+def _violated(method: str, pair: PairXY, report: NecessaryReport | None,
+              conditions: str) -> ConstructorOutcome | None:
+    """The ``conditions-violated`` outcome when one of ``conditions`` fails, else None."""
+    if report is None:
+        report = check_necessary(pair)
+    which = [c for c in report.failing() if c in conditions]
+    if not which:
+        return None
     return ConstructorOutcome(
         status=CONDITIONS_VIOLATED,
         method=method,
@@ -90,12 +97,10 @@ def _decomposed(pair: PairXY, method: str, V, W, **extra) -> ConstructorOutcome:
     dec = PcpDecomposition(V, W)
     if not verify_decomposition(dec, pair):
         raise ConstructionError(f"{method} construction failed verification")
-    perm = extra.pop("permutation", None)
     return ConstructorOutcome(
         status=DECOMPOSED,
         method=method,
         decomposition=dec,
-        permutation=perm,
         info=extra,
     )
 
@@ -129,16 +134,14 @@ def decompose_diagonal_x(pair: PairXY, *,
     """Decompose a pair whose X is diagonal: n^2 terms, one per position of Y.
 
     Applies whenever conditions (a)-(c) hold and every off-diagonal entry of X
-    is below ``tolerances.STRUCTURE`` in magnitude.
+    is below ``tolerances.STRUCTURE`` times the largest entry of X.
     """
     method = "diagonal-x"
-    if report is None:
-        report = check_necessary(pair)
-    if not report.holds_abc:
-        return _violated(method, report, [c for c in report.failing() if c in "abc"])
+    if violated := _violated(method, pair, report, "abc"):
+        return violated
     off = pair.X - np.diag(np.diag(pair.X))
     offmax = float(np.abs(off).max()) if pair.n > 1 else 0.0
-    if offmax > tol.STRUCTURE:
+    if offmax > tol.STRUCTURE * tol.scale(float(np.abs(pair.X).max())):
         return ConstructorOutcome(
             status=NOT_APPLICABLE,
             method=method,
@@ -158,11 +161,8 @@ def decompose_2x2(pair: PairXY, *, report: NecessaryReport | None = None) -> Con
     method = "two-by-two"
     if pair.n != 2:
         raise WrongDimensionError(f"decompose_2x2 needs n = 2, got n = {pair.n}")
-    if report is None:
-        report = check_necessary(pair)
-    bad = [c for c in report.failing() if c in "abcd"]
-    if bad:
-        return _violated(method, report, bad)
+    if violated := _violated(method, pair, report, "abcd"):
+        return violated
 
     X, Y = pair.X, pair.Y
     scale = tol.scale(float(np.abs(X).max()), float(np.abs(Y).max()))
@@ -201,7 +201,7 @@ def _attempt_rowwise(X: np.ndarray, Y: np.ndarray, scale: float):
     W = np.zeros((n, n), complex)
     neg_tol = tol.ZERO * scale
     res_tol = tol.RESIDUAL * scale
-    pivot_tol = tol.ZERO
+    pivot_tol = tol.ZERO * math.sqrt(scale)     # pivots are square roots of Y entries
     for k in range(n):
         absW = np.abs(W[:, :k]) ** 2
         absVk = np.abs(V[k, :k]) ** 2
@@ -219,17 +219,11 @@ def _attempt_rowwise(X: np.ndarray, Y: np.ndarray, scale: float):
         rad = np.clip(rad, 0.0, None)
         num = X[:, k] - c                     # x_{j,k} residuals over j
         s = math.sqrt(rad[k])
-        if s < pivot_tol:
-            # Row k already exhausted: admissible only if nothing is left of it.
-            if rad.max() <= res_tol and np.abs(num[k:]).max() <= res_tol:
-                continue
-            return None, None, {
-                "position": (k + 1, k + 1),
-                "radicand": float(rad[k]),
-                "reason": "vanishing pivot with unexhausted row",
-            }
-        vkk = num[k] / s
+        vkk = num[k] / s if s >= pivot_tol else 0.0
         if abs(vkk) < pivot_tol:
+            # Row k already exhausted: admissible only if nothing is left of it.
+            if s < pivot_tol and rad.max() <= res_tol and np.abs(num[k:]).max() <= res_tol:
+                continue
             return None, None, {
                 "position": (k + 1, k + 1),
                 "radicand": float(rad[k]),
@@ -263,10 +257,8 @@ def decompose_recursive(pair: PairXY, search_permutations: bool = False, *,
     n <= 7; beyond that only the identity is attempted.
     """
     method = "recursive"
-    if report is None:
-        report = check_necessary(pair)
-    if not report.holds_abc:
-        return _violated(method, report, [c for c in report.failing() if c in "abc"])
+    if violated := _violated(method, pair, report, "abc"):
+        return violated
 
     n = pair.n
     scale = tol.scale(float(np.abs(pair.X).max()), float(np.abs(pair.Y).max()))
@@ -354,18 +346,15 @@ def _graph_components(adjacency: np.ndarray) -> list[np.ndarray]:
 
 def _perron_vector(P: np.ndarray) -> np.ndarray:
     """Positive eigenvector for the largest eigenvalue of a symmetric non-negative matrix."""
-    _, U = np.linalg.eigh(P)
-    v = U[:, -1]
-    lead = np.sign(v[np.argmax(np.abs(v))])
-    v = v * (lead if lead != 0 else 1.0)
-    if v.min() <= tol.ZERO * max(v.max(), 0.0):
-        # Near-degenerate top eigenvalue: a strictly positive perturbation
-        # restores a simple Perron pair.
-        k = P.shape[0]
-        _, U = np.linalg.eigh(P + tol.PERTURBATION * np.ones((k, k)))
+    # A near-degenerate top eigenvalue gets a second try: a strictly
+    # positive perturbation restores a simple Perron pair.
+    for shift in (0.0, tol.PERTURBATION * tol.scale(float(P.max()))):
+        _, U = np.linalg.eigh(P + shift)
         v = U[:, -1]
         lead = np.sign(v[np.argmax(np.abs(v))])
         v = v * (lead if lead != 0 else 1.0)
+        if v.min() > tol.ZERO * max(v.max(), 0.0):
+            break
     v = np.abs(v)
     if v.max() <= 0.0:
         raise ConstructionError("degenerate component vector in Perron rescaling")
@@ -413,11 +402,8 @@ def decompose_comparison(pair: PairXY, *,
     in the result; ``info["core_columns"]`` records how many there are.
     """
     method = "comparison"
-    if report is None:
-        report = check_necessary(pair)
-    bad = [c for c in report.failing() if c in "abcd"]
-    if bad:
-        return _violated(method, report, bad)
+    if violated := _violated(method, pair, report, "abcd"):
+        return violated
 
     n = pair.n
     try:
@@ -432,9 +418,10 @@ def decompose_comparison(pair: PairXY, *,
     Xs = d[:, None] * pair.X * d[None, :]
     Ys = np.clip((d[:, None] * pair.Y * d[None, :]).real, 0.0, None)
     absXs = np.abs(Xs)
-    # treat roundoff-level off-diagonal entries of X as zero; their Y mass
-    # moves into the slack, their X mass is far below verification tolerance
-    absXs[absXs <= tol.FLUSH * tol.scale(float(absXs.max()))] = 0.0
+    # thresholds are relative to the input pair, so they follow its rescaling by d_i d_j;
+    # round-off entries of X count as zero and their Y mass moves into the slack
+    scale = tol.scale(float(np.abs(pair.X).max()), float(np.abs(pair.Y).max())) * np.outer(d, d)
+    absXs[absXs <= tol.FLUSH * scale] = 0.0
 
     Yp = np.zeros((n, n))
     for i in range(n):
@@ -444,10 +431,10 @@ def decompose_comparison(pair: PairXY, *,
         Yp[i, i] = absXs[i, :].sum() - absXs[i, i]
 
     P = Ys - Yp
-    if P.size and P.min() < -tol.RESIDUAL * tol.scale(float(Ys.max())):
+    if np.any(P < -tol.RESIDUAL * scale):
         raise ConstructionError("negative slack in comparison split")
     # roundoff flotsam in the slack would otherwise turn into spurious columns
-    P[P <= tol.FLUSH * tol.scale(float(Ys.max()))] = 0.0
+    P[P <= tol.FLUSH * scale] = 0.0
 
     vs, ws = [], []
     for k in range(n):

@@ -44,19 +44,15 @@ def require_square(A: np.ndarray) -> np.ndarray:
     return A
 
 
-def hermiticity_tolerance(A: np.ndarray) -> float:
-    """Absolute tolerance for Hermiticity checks, scaled by the largest entry."""
-    amax = float(np.abs(A).max()) if A.size else 0.0
-    return tol.STRUCTURE * tol.scale(amax)
-
-
 def hermiticity_defect(A: np.ndarray) -> float:
     return float(np.abs(A - A.conj().T).max()) if A.size else 0.0
 
 
 def is_hermitian(A: np.ndarray) -> bool:
+    """True iff the Hermiticity defect is within ``tolerances.STRUCTURE`` of the largest entry."""
     A = require_square(A)
-    return hermiticity_defect(A) <= hermiticity_tolerance(A)
+    amax = float(np.abs(A).max()) if A.size else 0.0
+    return hermiticity_defect(A) <= tol.STRUCTURE * tol.scale(amax)
 
 
 def hermitian_eigenvalues(A: np.ndarray) -> np.ndarray:
@@ -67,16 +63,15 @@ def hermitian_eigenvalues(A: np.ndarray) -> np.ndarray:
     Hermitian eigensolver, never from a general one.
     """
     A = require_square(A)
-    defect = hermiticity_defect(A)
-    if defect > hermiticity_tolerance(A):
-        raise NotHermitianError(f"matrix is not Hermitian (defect {defect:.3e})")
+    if not is_hermitian(A):
+        raise NotHermitianError(f"matrix is not Hermitian (defect {hermiticity_defect(A):.3e})")
     return np.linalg.eigvalsh(A)[::-1]
 
 
 def is_psd(A: np.ndarray) -> bool:
     """True iff A is Hermitian (within tolerance) with spectrum >= -``tolerances.psd_floor``."""
     A = require_square(A)
-    if hermiticity_defect(A) > hermiticity_tolerance(A):
+    if not is_hermitian(A):
         return False
     w = np.linalg.eigvalsh(A)
     return bool(w.min() >= -tol.psd_floor(w)) if w.size else True
@@ -120,8 +115,8 @@ def phase_normalize_columns(M: np.ndarray) -> np.ndarray:
     for j in range(M.shape[1]):
         col = M[:, j]
         mags = np.abs(col)
-        if mags.size == 0 or mags.max() <= tol.ZERO:
+        if not mags.any():
             continue
-        lead = col[mags > tol.ZERO * tol.scale(mags.max())][0]
+        lead = col[mags > tol.ZERO * mags.max()][0]
         M[:, j] = col * (abs(lead) / lead)
     return M

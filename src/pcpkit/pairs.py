@@ -196,14 +196,14 @@ def check_necessary(pair: PairXY) -> NecessaryReport:
 
     holds_a = linalg.is_psd(X)
     if not holds_a:
-        defect = linalg.hermiticity_defect(X)
-        if defect > linalg.hermiticity_tolerance(X):
-            witnesses["a"] = {"hermiticity_defect": defect}
+        if not linalg.is_hermitian(X):
+            witnesses["a"] = {"hermiticity_defect": linalg.hermiticity_defect(X)}
         else:
             witnesses["a"] = {"min_eigenvalue": float(np.linalg.eigvalsh(X).min())}
 
-    absY = np.abs(Y)
-    bound = tol.ZERO * np.maximum(1.0, absY)
+    absX, absY = np.abs(X), np.abs(Y)
+    scale = tol.scale(float(absX.max()), float(absY.max()))
+    bound = tol.ZERO * scale
     bad = np.flatnonzero((np.abs(Y.imag) > bound) | (Y.real < -bound))
     holds_b = bad.size == 0
     if not holds_b:
@@ -211,15 +211,13 @@ def check_necessary(pair: PairXY) -> NecessaryReport:
         witnesses["b"] = {"position": (i + 1, j + 1), "value": complex(Y[i, j])}
 
     xd, yd = np.diag(X), np.diag(Y)
-    bad = np.flatnonzero(np.abs(xd - yd) > tol.RESIDUAL * np.maximum(1.0, np.abs(xd)))
+    bad = np.flatnonzero(np.abs(xd - yd) > tol.RESIDUAL * scale)
     holds_c = bad.size == 0
     if not holds_c:
         i = int(bad[0])
         witnesses["c"] = {"position": i + 1, "x": complex(xd[i]), "y": complex(yd[i])}
 
     # (d): |x_ij|^2 <= y_ij y_ji with an additive slack
-    absX = np.abs(X)
-    scale = tol.scale(float(absX.max()), float(absY.max()))
     slack = tol.ZERO * scale * scale
     bad = np.flatnonzero(np.triu(absX ** 2 > (Y * Y.T).real + slack, 1))
     holds_d = bad.size == 0
@@ -271,6 +269,4 @@ def length_lower_bound(pair: PairXY) -> int:
             f"conditions {report.failing()} fail; pair is not decomposable", report=report
         )
     s = np.abs(np.linalg.eigvalsh(pair.X))
-    if s.size == 0 or s.max() == 0.0:
-        return 0
     return int((s > tol.RANK * s.max()).sum())

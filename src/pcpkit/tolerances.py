@@ -1,50 +1,32 @@
 """The tolerance policy: every numerical threshold of the package, named once.
 
-Each name is a relative tolerance.  A test multiplies it by the magnitude
-that its docstring names, passed through :func:`scale`.
-
-* ``VERIFY``       certificate residuals (Frobenius), relative to the pair's
-                   Frobenius norms.
-* ``GAP``          slack of condition (e) and of the realignment criterion,
-                   relative to the entrywise 1-norm of Y (or the trace).
-* ``PSD``          floor under the smallest eigenvalue, relative to the sum of
-                   the eigenvalue magnitudes (:func:`psd_floor`).
-* ``RANK``         eigenvalues counted as zero, relative to the largest one.
-* ``STRUCTURE``    entries a structure forces to vanish: the Hermiticity
-                   defect, the off-diagonal of a diagonal X, entries off the
-                   invariant zero pattern; relative to the largest entry.
-* ``RESIDUAL``     a quantity exact arithmetic makes zero after a few
-                   rounding steps: the diagonal mismatch of (c), elimination
-                   and dominance residuals, negative slack; relative to the
-                   largest entry (squared for products).
-* ``ZERO``         round-off zero: entries, pivots and radicands, the slack of
-                   (d) (relative to the squared largest entry), the ordering
-                   checks on spectra.
-* ``FLUSH``        entries the comparison route sets to zero before building
-                   columns, relative to the largest entry.
-* ``PERTURBATION`` the shift that separates a degenerate Perron eigenvalue.
+Each tolerance is relative.  A test multiplies it by the magnitude named
+beside it, taken through :func:`scale`, so that an input and any positive
+multiple of it are judged alike.
 """
-
-from __future__ import annotations
 
 import numpy as np
 
-VERIFY = 1e-8
-GAP = 1e-8
-PSD = 1e-9
-RANK = 1e-9
-STRUCTURE = 1e-10
-RESIDUAL = 1e-9
-ZERO = 1e-12
-FLUSH = 1e-13
-PERTURBATION = 1e-10
+VERIFY = 1e-8         # certificate residuals (Frobenius), per the pair's Frobenius norms
+GAP = 1e-8            # slack of (e) and of the realignment criterion, per ||Y||_1 or the trace
+PSD = 1e-9            # floor under the smallest eigenvalue, per the sum of |eigenvalues|
+RANK = 1e-9           # eigenvalues counted as zero, per the largest eigenvalue
+STRUCTURE = 1e-10     # entries a structure forces to zero, per the largest entry: the
+                      # Hermiticity defect, a diagonal X, the invariant zero pattern
+RESIDUAL = 1e-9       # what exact arithmetic makes zero, per the largest entry (squared for
+                      # products): (c), elimination and dominance residuals, negative slack
+ZERO = 1e-12          # round-off zero, per the largest entry: entries, pivots (per its square
+                      # root), radicands, the slack of (d) (per its square), spectra
+FLUSH = 1e-13         # entries the comparison route drops before building columns
+PERTURBATION = 1e-10  # shift that separates a degenerate Perron eigenvalue
 
 
 def scale(*magnitudes: float) -> float:
-    """The magnitude a relative tolerance multiplies: the largest of ``magnitudes``, at least 1."""
-    return max(1.0, *magnitudes)
+    """The magnitude a tolerance multiplies: the largest of ``magnitudes``, or 1
+    when all vanish (any positive scale judges exact zeros alike)."""
+    return max(magnitudes) or 1.0
 
 
 def psd_floor(w: np.ndarray):
     """How far below zero the smallest of the eigenvalues ``w`` (last axis) may dip."""
-    return PSD * np.maximum(1.0, np.abs(w).sum(axis=-1))
+    return PSD * np.abs(w).sum(axis=-1)

@@ -15,7 +15,7 @@ from pcpkit import (
     verify_decomposition,
 )
 from pcpkit.abssep import OrderingTable, ordering_min_eigenvalues
-from pcpkit.cldui import partial_transpose
+from pcpkit.cldui import extract_pair, partial_transpose
 from pcpkit.errors import (
     DimensionMismatchError,
     InvalidOrderingError,
@@ -284,6 +284,27 @@ def test_certificates_on_passing_spectra():
             np.testing.assert_allclose(
                 np.diag(pair.X).real, np.diag(rho)[[0, 4, 8]].real, atol=1e-12
             )
+
+
+def test_certified_pair_is_the_dense_partial_transpose():
+    """Every ordering's basis turns a spectrum into a state whose partial
+    transpose has the X skeleton l_map_matrix / 2, and a passing spectrum is
+    certified on exactly that state's coefficient pair."""
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 4, 5):
+        d = n * n
+        generic = np.arange(d, 0, -1, dtype=float)
+        near_flat = np.sort(1.0 + 0.05 * rng.uniform(size=d))[::-1] / d
+        skeleton = np.arange(n) * (n + 1)
+        for table in enumerate_orderings(n):
+            U = special_unitary(table)
+            sigma = partial_transpose((U * generic) @ U.T, n)
+            np.testing.assert_allclose(sigma[np.ix_(skeleton, skeleton)],
+                                       l_map_matrix(table, generic) / 2.0, atol=1e-12)
+            pair = certify_special_separable(table, near_flat).info["pair"]
+            dense = extract_pair(partial_transpose((U * near_flat) @ U.T, n), n)
+            np.testing.assert_allclose(pair.X, dense.X, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(pair.Y, dense.Y, rtol=0, atol=1e-15)
 
 
 def test_certify_declines_failing_spectrum():

@@ -219,6 +219,17 @@ def test_comparison_route_diagonally_dominant_complex():
     assert verify_decomposition(out.decomposition, PairXY(X, Y))
 
 
+@pytest.mark.parametrize("eps", [1e-17, 1e-12, 1e-9])
+def test_comparison_route_nearly_decoupled_index(eps):
+    """A weakly coupled third index gets a Perron weight near eps; the round-off
+    flushes must still be judged against the input, not the rescaled pair."""
+    X = np.array([[1, -0.15, eps], [-0.15, 1, eps], [eps, eps, 1]])
+    Y = np.array([[1, 1.15, 1], [1.15, 1, 1], [1, 1, 1]])
+    out = decompose_comparison(PairXY(X, Y))
+    assert out.ok
+    assert verify_decomposition(out.decomposition, PairXY(X, Y))
+
+
 # ---------------------------------------------------------------- isotropic
 
 def test_isotropic_constants_identities():

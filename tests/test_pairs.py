@@ -110,10 +110,11 @@ def loop_witnesses(X, Y):
     """Reference for (b)-(d): the per-entry loops, first offender wins."""
     n = X.shape[0]
     out = {}
+    scale = max(float(np.abs(X).max()), float(np.abs(Y).max())) or 1.0
     for i in range(n):
         for j in range(n):
             y = Y[i, j]
-            bound = 1e-12 * max(1.0, abs(y))
+            bound = 1e-12 * scale
             if abs(y.imag) > bound or y.real < -bound:
                 out["b"] = {"position": (i + 1, j + 1), "value": complex(y)}
                 break
@@ -121,10 +122,9 @@ def loop_witnesses(X, Y):
             break
     for i in range(n):
         xd, yd = X[i, i], Y[i, i]
-        if abs(xd - yd) > 1e-9 * max(1.0, abs(xd)):
+        if abs(xd - yd) > 1e-9 * scale:
             out["c"] = {"position": i + 1, "x": complex(xd), "y": complex(yd)}
             break
-    scale = max(1.0, float(np.abs(X).max()), float(np.abs(Y).max()))
     slack = 1e-12 * scale * scale
     for i in range(n):
         for j in range(i + 1, n):
