@@ -82,7 +82,7 @@ def _violated(method: str, pair: PairXY, report: NecessaryReport | None,
     """The ``conditions-violated`` outcome when one of ``conditions`` fails, else None."""
     if report is None:
         report = check_necessary(pair)
-    which = [c for c in report.failing() if c in conditions]
+    which = [c for c in conditions if not getattr(report, "holds_" + c)]
     if not which:
         return None
     return ConstructorOutcome(
@@ -165,7 +165,7 @@ def decompose_2x2(pair: PairXY, *, report: NecessaryReport | None = None) -> Con
         return violated
 
     X, Y = pair.X, pair.Y
-    scale = tol.scale(float(np.abs(X).max()), float(np.abs(Y).max()))
+    scale = pair.scale
     ztol = tol.ZERO * scale
     x11 = X[0, 0].real
     x22 = X[1, 1].real
@@ -261,7 +261,7 @@ def decompose_recursive(pair: PairXY, search_permutations: bool = False, *,
         return violated
 
     n = pair.n
-    scale = tol.scale(float(np.abs(pair.X).max()), float(np.abs(pair.Y).max()))
+    scale = pair.scale
     capped = search_permutations and n > 7
     if search_permutations and not capped:
         perms = itertools.permutations(range(n))
@@ -420,7 +420,7 @@ def decompose_comparison(pair: PairXY, *,
     absXs = np.abs(Xs)
     # thresholds are relative to the input pair, so they follow its rescaling by d_i d_j;
     # round-off entries of X count as zero and their Y mass moves into the slack
-    scale = tol.scale(float(np.abs(pair.X).max()), float(np.abs(pair.Y).max())) * np.outer(d, d)
+    scale = pair.scale * np.outer(d, d)
     absXs[absXs <= tol.FLUSH * scale] = 0.0
 
     Yp = np.zeros((n, n))

@@ -70,10 +70,9 @@ def hermitian_eigenvalues(A: np.ndarray) -> np.ndarray:
 
 def is_psd(A: np.ndarray) -> bool:
     """True iff A is Hermitian (within tolerance) with spectrum >= -``tolerances.psd_floor``."""
-    A = require_square(A)
     if not is_hermitian(A):
         return False
-    w = np.linalg.eigvalsh(A)
+    w = np.linalg.eigvalsh(np.asarray(A, dtype=np.complex128))
     return bool(w.min() >= -tol.psd_floor(w)) if w.size else True
 
 

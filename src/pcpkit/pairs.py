@@ -17,6 +17,7 @@ Five cheap necessary conditions, labelled (a)-(e) throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -58,6 +59,11 @@ class PairXY:
     @property
     def n(self) -> int:
         return self.X.shape[0]
+
+    @cached_property
+    def scale(self) -> float:
+        """The magnitude pair-level tolerances are relative to: its largest entry."""
+        return tol.scale(float(np.abs(self.X).max()), float(np.abs(self.Y).max()))
 
 
 @dataclass(frozen=True)
@@ -201,9 +207,7 @@ def check_necessary(pair: PairXY) -> NecessaryReport:
         else:
             witnesses["a"] = {"min_eigenvalue": float(np.linalg.eigvalsh(X).min())}
 
-    absX, absY = np.abs(X), np.abs(Y)
-    scale = tol.scale(float(absX.max()), float(absY.max()))
-    bound = tol.ZERO * scale
+    bound = tol.ZERO * pair.scale
     bad = np.flatnonzero((np.abs(Y.imag) > bound) | (Y.real < -bound))
     holds_b = bad.size == 0
     if not holds_b:
@@ -211,15 +215,15 @@ def check_necessary(pair: PairXY) -> NecessaryReport:
         witnesses["b"] = {"position": (i + 1, j + 1), "value": complex(Y[i, j])}
 
     xd, yd = np.diag(X), np.diag(Y)
-    bad = np.flatnonzero(np.abs(xd - yd) > tol.RESIDUAL * scale)
+    bad = np.flatnonzero(np.abs(xd - yd) > tol.RESIDUAL * pair.scale)
     holds_c = bad.size == 0
     if not holds_c:
         i = int(bad[0])
         witnesses["c"] = {"position": i + 1, "x": complex(xd[i]), "y": complex(yd[i])}
 
-    # (d): |x_ij|^2 <= y_ij y_ji with an additive slack
-    slack = tol.ZERO * scale * scale
-    bad = np.flatnonzero(np.triu(absX ** 2 > (Y * Y.T).real + slack, 1))
+    # (d): |x_ij|^2 <= y_ij y_ji with an additive slack, relative to the squared scale
+    slack = tol.ZERO * pair.scale * pair.scale
+    bad = np.flatnonzero(np.triu(np.abs(X) ** 2 > (Y * Y.T).real + slack, 1))
     holds_d = bad.size == 0
     if not holds_d:
         i, j = divmod(int(bad[0]), n)

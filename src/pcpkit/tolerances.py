@@ -11,14 +11,11 @@ VERIFY = 1e-8         # certificate residuals (Frobenius), per the pair's Froben
 GAP = 1e-8            # slack of (e) and of the realignment criterion, per ||Y||_1 or the trace
 PSD = 1e-9            # floor under the smallest eigenvalue, per the sum of |eigenvalues|
 RANK = 1e-9           # eigenvalues counted as zero, per the largest eigenvalue
-STRUCTURE = 1e-10     # entries a structure forces to zero, per the largest entry: the
-                      # Hermiticity defect, a diagonal X, the invariant zero pattern
-RESIDUAL = 1e-9       # what exact arithmetic makes zero, per the largest entry (squared for
-                      # products): (c), elimination and dominance residuals, negative slack
-ZERO = 1e-12          # round-off zero, per the largest entry: entries, pivots (per its square
-                      # root), radicands, the slack of (d) (per its square), spectra
-FLUSH = 1e-13         # entries the comparison route drops before building columns
-PERTURBATION = 1e-10  # shift that separates a degenerate Perron eigenvalue
+STRUCTURE = 1e-10     # structural zeros (Hermiticity, diagonal X, CLDUI pattern), per largest entry
+RESIDUAL = 1e-9       # exact-arithmetic zeros ((c), eliminations, slacks), per largest entry
+ZERO = 1e-12          # round-off zeros (entries, pivots, radicands, (d), spectra), per largest entry
+FLUSH = 1e-13         # entries the comparison route drops, per largest entry
+PERTURBATION = 1e-10  # shift separating a degenerate Perron eigenvalue, per largest entry
 
 
 def scale(*magnitudes: float) -> float:
