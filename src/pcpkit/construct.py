@@ -134,14 +134,14 @@ def decompose_diagonal_x(pair: PairXY, *,
     """Decompose a pair whose X is diagonal: n^2 terms, one per position of Y.
 
     Applies whenever conditions (a)-(c) hold and every off-diagonal entry of X
-    is below ``tolerances.STRUCTURE`` times the largest entry of X.
+    is below ``tolerances.STRUCTURE`` times the pair's scale.
     """
     method = "diagonal-x"
     if violated := _violated(method, pair, report, "abc"):
         return violated
     off = pair.X - np.diag(np.diag(pair.X))
     offmax = float(np.abs(off).max()) if pair.n > 1 else 0.0
-    if offmax > tol.STRUCTURE * tol.scale(float(np.abs(pair.X).max())):
+    if offmax > tol.STRUCTURE * pair.scale:
         return ConstructorOutcome(
             status=NOT_APPLICABLE,
             method=method,
