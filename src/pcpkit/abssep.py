@@ -253,12 +253,13 @@ def certify_special_separable(ordering: OrderingTable, lambdas) -> ConstructorOu
     n = ordering.n
     lam = _check_spectrum(lambdas, n * n)
     (Z,), (vals,) = _test_matrices(n, [ordering], lam)
-    if not linalg.is_psd(Z):
+    psd, lowest = linalg.psd_test(Z)
+    if not psd:
         return ConstructorOutcome(
             status=NOT_APPLICABLE,
             method="abs-ppt-comparison",
             reason="the test matrix of this ordering is not positive semidefinite",
-            info={"min_eigenvalue": float(np.linalg.eigvalsh(Z).min())},
+            info={"min_eigenvalue": lowest},
         )
     k, l = np.triu_indices(n, 1)
     X = Z / 2.0

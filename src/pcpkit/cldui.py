@@ -95,6 +95,13 @@ def build_state(pair: PairXY) -> ClduiState:
     return ClduiState(pair)
 
 
+def _require_dense(rho, n: int) -> np.ndarray:
+    rho = linalg.require_square(rho)
+    if rho.shape[0] != n * n:
+        raise WrongDimensionError(f"expected a {n * n} x {n * n} matrix, got {rho.shape}")
+    return rho
+
+
 def extract_pair(rho: np.ndarray, n: int) -> PairXY:
     """Read the coefficient pair back out of a dense matrix.
 
@@ -103,9 +110,7 @@ def extract_pair(rho: np.ndarray, n: int) -> PairXY:
     otherwise the matrix is not of this family and ``NotClduiError`` reports
     the first offender (1-based flat coordinates).
     """
-    rho = linalg.require_square(rho)
-    if rho.shape[0] != n * n:
-        raise WrongDimensionError(f"expected a {n * n} x {n * n} matrix, got {rho.shape}")
+    rho = _require_dense(rho, n)
     ones = np.ones((n, n))
     stray = np.abs(rho) * (dense_matrix(PairXY(ones, ones)) == 0.0)
     if stray.max() > tol.STRUCTURE * tol.scale(float(np.abs(rho).max())):
@@ -121,9 +126,7 @@ def extract_pair(rho: np.ndarray, n: int) -> PairXY:
 def is_diagonal_unitary_invariant(rho: np.ndarray, n: int, samples: int = 25,
                                   seed: int = DEFAULT_SEED) -> bool:
     """Probabilistic invariance test under U (x) conj(U) for random diagonal unitaries U."""
-    rho = linalg.require_square(rho)
-    if rho.shape[0] != n * n:
-        raise WrongDimensionError(f"expected a {n * n} x {n * n} matrix, got {rho.shape}")
+    rho = _require_dense(rho, n)
     rng = np.random.default_rng(seed)
     scale = tol.scale(float(np.linalg.norm(rho)))
     for _ in range(samples):
@@ -137,17 +140,13 @@ def is_diagonal_unitary_invariant(rho: np.ndarray, n: int, samples: int = 25,
 
 def partial_transpose(rho: np.ndarray, n: int) -> np.ndarray:
     """Transpose the second tensor factor: ((i,k),(j,l)) -> ((i,l),(j,k))."""
-    rho = linalg.require_square(rho)
-    if rho.shape[0] != n * n:
-        raise WrongDimensionError(f"expected a {n * n} x {n * n} matrix, got {rho.shape}")
+    rho = _require_dense(rho, n)
     return rho.reshape(n, n, n, n).transpose(0, 3, 2, 1).reshape(n * n, n * n)
 
 
 def realign_map(rho: np.ndarray, n: int) -> np.ndarray:
     """The realignment rearrangement: R[(i,j),(k,l)] = rho[(i,k),(j,l)]."""
-    rho = linalg.require_square(rho)
-    if rho.shape[0] != n * n:
-        raise WrongDimensionError(f"expected a {n * n} x {n * n} matrix, got {rho.shape}")
+    rho = _require_dense(rho, n)
     return rho.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
 
 

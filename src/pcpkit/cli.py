@@ -339,15 +339,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConditionsViolatedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VIOLATED
-    except NotClduiError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_APPLICABLE
     except PcpkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        if isinstance(exc, ConditionsViolatedError):
+            return EXIT_VIOLATED
+        return EXIT_NOT_APPLICABLE if isinstance(exc, NotClduiError) else EXIT_IO
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ undecidable pair.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Any
@@ -82,7 +82,7 @@ def _violated(method: str, pair: PairXY, report: NecessaryReport | None,
     """The ``conditions-violated`` outcome when one of ``conditions`` fails, else None."""
     if report is None:
         report = check_necessary(pair)
-    which = [c for c in conditions if not getattr(report, "holds_" + c)]
+    which = [c for c in report.failing() if c in conditions]
     if not which:
         return None
     return ConstructorOutcome(
@@ -110,23 +110,15 @@ def _zero_term(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _position_columns(Y: np.ndarray, drop_zero: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Columns v = e_i, w = sqrt(y_ij) e_j over positions (i, j), row-major."""
-    n = Y.shape[0]
+    """Columns v = e_i, w = sqrt(y_ij) e_j over positions (i, j), row-major; with
+    ``drop_zero`` only over positive y_ij, so possibly none."""
     Ynn = np.clip(Y.real, 0.0, None)
-    vs, ws = [], []
-    for i in range(n):
-        for j in range(n):
-            if drop_zero and Ynn[i, j] == 0.0:
-                continue
-            v = np.zeros(n, complex)
-            w = np.zeros(n, complex)
-            v[i] = 1.0
-            w[j] = math.sqrt(Ynn[i, j])
-            vs.append(v)
-            ws.append(w)
-    if not vs:
-        return _zero_term(n)
-    return np.column_stack(vs), np.column_stack(ws)
+    i, j = np.nonzero(Ynn > 0.0) if drop_zero else np.indices(Ynn.shape).reshape(2, -1)
+    V = np.zeros((Ynn.shape[0], i.size), complex)
+    W = np.zeros_like(V)
+    V[i, np.arange(i.size)] = 1.0
+    W[j, np.arange(i.size)] = np.sqrt(Ynn[i, j])
+    return V, W
 
 
 def decompose_diagonal_x(pair: PairXY, *,
@@ -134,14 +126,14 @@ def decompose_diagonal_x(pair: PairXY, *,
     """Decompose a pair whose X is diagonal: n^2 terms, one per position of Y.
 
     Applies whenever conditions (a)-(c) hold and every off-diagonal entry of X
-    is below ``tolerances.STRUCTURE`` times the pair's scale.
+    is below ``tolerances.STRUCTURE`` times X's largest entry.
     """
     method = "diagonal-x"
     if violated := _violated(method, pair, report, "abc"):
         return violated
     off = pair.X - np.diag(np.diag(pair.X))
     offmax = float(np.abs(off).max()) if pair.n > 1 else 0.0
-    if offmax > tol.STRUCTURE * pair.scale:
+    if offmax > tol.STRUCTURE * tol.scale(float(np.abs(pair.X).max())):
         return ConstructorOutcome(
             status=NOT_APPLICABLE,
             method=method,
@@ -154,9 +146,11 @@ def decompose_diagonal_x(pair: PairXY, *,
 def decompose_2x2(pair: PairXY, *, report: NecessaryReport | None = None) -> ConstructorOutcome:
     """Closed-form two-term decomposition for n = 2.
 
-    Conditions (a)-(d) are sufficient at this size.  When the leading entry of
-    X or the upper off-diagonal of Y vanishes, X is forced diagonal and the
-    position-by-position route is used instead.
+    Conditions (a)-(d) are sufficient at this size.  The formula divides by
+    y12, so it is applied to whichever of (X, Y) and (X, Y^T) has the larger
+    y12; a decomposition (V, W) of (X, Y^T) is (W, V) for (X, Y).  When the
+    leading entry of X or both off-diagonals of Y vanish, X is forced diagonal
+    and the position-by-position route is used instead.
     """
     method = "two-by-two"
     if pair.n != 2:
@@ -164,22 +158,22 @@ def decompose_2x2(pair: PairXY, *, report: NecessaryReport | None = None) -> Con
     if violated := _violated(method, pair, report, "abcd"):
         return violated
 
-    X, Y = pair.X, pair.Y
-    scale = pair.scale
-    ztol = tol.ZERO * scale
+    X = pair.X
+    swap = pair.Y[1, 0].real > pair.Y[0, 1].real
+    Y = pair.Y.T if swap else pair.Y
     x11 = X[0, 0].real
     x22 = X[1, 1].real
     x21 = X[1, 0]
     y12 = Y[0, 1].real
     y21 = Y[1, 0].real
 
-    if x11 <= ztol or y12 <= ztol:
+    if x11 <= tol.ZERO * tol.scale(x11, x22) or y12 <= tol.ZERO * pair.scale:
         # PSD and the product condition force the off-diagonal of X to vanish.
         V, W = _position_columns(pair.Y, drop_zero=False)
         return _decomposed(pair, method, V, W)
 
     def root(value: float) -> float:
-        if value < -tol.RESIDUAL * scale * scale:
+        if value < -tol.RESIDUAL * pair.scale:
             raise ConstructionError(f"negative radicand {value:.3e} in two-by-two route")
         return math.sqrt(max(value, 0.0))
 
@@ -187,63 +181,83 @@ def decompose_2x2(pair: PairXY, *, report: NecessaryReport | None = None) -> Con
     w1 = np.array([math.sqrt(x11), math.sqrt(y12)], complex)
     v2 = np.array([0.0, 1.0], complex)
     w2 = np.array([root(y21 - abs(x21) ** 2 / y12), root(x22 - abs(x21) ** 2 / x11)], complex)
-    return _decomposed(pair, method, np.column_stack([v1, v2]), np.column_stack([w1, w2]))
+    V, W = np.column_stack([v1, v2]), np.column_stack([w1, w2])
+    return _decomposed(pair, method, *((W, V) if swap else (V, W)))
 
 
-def _attempt_rowwise(X: np.ndarray, Y: np.ndarray, scale: float):
-    """One pass of the row-by-row elimination.
+def _rowwise_passes(X: np.ndarray, Y: np.ndarray, scale: float, exhaustive: bool):
+    """The row-by-row elimination under every simultaneous ordering of the
+    indices (only the identity unless ``exhaustive``), in lexicographic order.
 
-    Returns ``(V, W, None)`` on success or ``(None, None, witness)`` where the
-    witness records the failing position (1-based) and what went wrong there.
+    Yields ``(order, V, W, None)`` per completed pass, column k holding the k-th
+    pivot's term over the original indices (valid until the next item), and
+    ``(order, None, None, witness)`` per failed one: the failing position
+    (1-based, in the ordering's coordinates) and what went wrong.  Orderings
+    with a common prefix share its steps, and a failed step rules them all out.
     """
     n = X.shape[0]
     V = np.zeros((n, n), complex)
     W = np.zeros((n, n), complex)
+    # |V|^2, |W|^2 and V.W, filled in one column per step
+    absV, absW, A = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n), complex)
     neg_tol = tol.ZERO * scale
     res_tol = tol.RESIDUAL * scale
     pivot_tol = tol.ZERO * math.sqrt(scale)     # pivots are square roots of Y entries
-    for k in range(n):
-        absW = np.abs(W[:, :k]) ** 2
-        absVk = np.abs(V[k, :k]) ** 2
-        d = absW @ absVk                      # d_{k,j} over j
-        A = V[:, :k] * W[:, :k]
-        c = A @ A[k, :].conj()                # c_{j,k} over j
-        rad = Y[k, :].real - d
+    order: list[int] = []
+
+    def step(k: int, i: int, rest: list[int]) -> dict[str, Any] | None:
+        """Eliminate index i as the k-th pivot, ahead of ``rest``; a witness on failure."""
+        def fail(j: int, radicand: float, reason: str) -> dict[str, Any]:
+            return {"position": (k + 1, j + 1), "radicand": float(radicand), "reason": reason}
+        V[:, k] = 0.0                         # columns >= k hold an earlier ordering's steps
+        d = absW[:, :k] @ absV[i, :k]         # d_{i,j} over j
+        c = A[:, :k] @ A[i, :k].conj()        # c_{j,i} over j
+        rad = Y[i, :].real - d
         if rad.min() < -neg_tol:
-            j = int(rad.argmin())
-            return None, None, {
-                "position": (k + 1, j + 1),
-                "radicand": float(rad[j]),
-                "reason": "negative radicand",
-            }
-        rad = np.clip(rad, 0.0, None)
-        num = X[:, k] - c                     # x_{j,k} residuals over j
-        s = math.sqrt(rad[k])
-        vkk = num[k] / s if s >= pivot_tol else 0.0
+            ranked = rad[order + [i] + rest]
+            j = int(ranked.argmin())
+            return fail(j, ranked[j], "negative radicand")
+        rad = np.maximum(rad, 0.0)
+        num = X[:, i] - c                     # x_{j,i} residuals over j
+        s = math.sqrt(rad[i])
+        vkk = num[i] / s if s >= pivot_tol else 0.0
         if abs(vkk) < pivot_tol:
-            # Row k already exhausted: admissible only if nothing is left of it.
-            if s < pivot_tol and rad.max() <= res_tol and np.abs(num[k:]).max() <= res_tol:
-                continue
-            return None, None, {
-                "position": (k + 1, k + 1),
-                "radicand": float(rad[k]),
-                "reason": "vanishing pivot with unexhausted row",
-            }
-        V[k, k] = vkk
+            # Row i already exhausted: admissible only if nothing is left of it.
+            if s < pivot_tol and rad.max() <= res_tol and np.abs(num[[i] + rest]).max() <= res_tol:
+                W[:, k] = absV[:, k] = absW[:, k] = A[:, k] = 0.0
+                return None
+            return fail(k, rad[i], "vanishing pivot with unexhausted row")
+        V[i, k] = vkk
         W[:, k] = np.sqrt(rad) / vkk
-        for j in range(k + 1, n):
+        for m, j in enumerate(rest, k + 1):
             r = math.sqrt(rad[j])
-            if r < pivot_tol:
-                if abs(num[j]) > res_tol:
-                    return None, None, {
-                        "position": (k + 1, j + 1),
-                        "radicand": float(rad[j]),
-                        "reason": "zero denominator under a non-zero residual",
-                    }
-                V[j, k] = 0.0
-            else:
+            if r >= pivot_tol:
                 V[j, k] = num[j] / r
-    return V, W, None
+            elif abs(num[j]) > res_tol:
+                return fail(m, rad[j], "zero denominator under a non-zero residual")
+        absV[:, k] = np.abs(V[:, k]) ** 2
+        absW[:, k] = np.abs(W[:, k]) ** 2
+        A[:, k] = V[:, k] * W[:, k]
+        return None
+
+    stack = [(list(range(n)), list(range(n)) if exhaustive else [0])]   # (unpivoted, untried)
+    while stack:
+        left, untried = stack[-1]
+        if not untried:
+            stack.pop()
+            if order:
+                order.pop()
+            continue
+        i = untried.pop(0)
+        rest = [j for j in left if j != i]
+        witness = step(len(order), i, rest)
+        if witness is not None:
+            yield tuple(order + [i] + rest), None, None, witness
+        elif not rest:
+            yield tuple(order + [i]), V, W, None
+        else:
+            order.append(i)
+            stack.append((rest, rest[:] if exhaustive else rest[:1]))
 
 
 def decompose_recursive(pair: PairXY, search_permutations: bool = False, *,
@@ -254,53 +268,46 @@ def decompose_recursive(pair: PairXY, search_permutations: bool = False, *,
     alone, so with ``search_permutations`` the same pass is retried on
     (PXP*, PYP*) for every simultaneous permutation P (lexicographic order,
     identity first, first success wins).  The search is exhaustive only for
-    n <= 7; beyond that only the identity is attempted.
+    n <= 7; beyond that only the identity is attempted.  When every pass fails,
+    the search runs on (X, Y^T), whose decomposition (V, W) is (W, V) for
+    (X, Y); ``info["transposed"]`` records which orientation succeeded.
     """
     method = "recursive"
     if violated := _violated(method, pair, report, "abc"):
         return violated
 
     n = pair.n
-    scale = pair.scale
     capped = search_permutations and n > 7
-    if search_permutations and not capped:
-        perms = itertools.permutations(range(n))
-    else:
-        perms = iter([tuple(range(n))])
-
     first_witness = None
     attempts = 0
-    for perm in perms:
-        attempts += 1
-        p = np.asarray(perm)
-        Xp = pair.X[np.ix_(p, p)]
-        Yp = pair.Y[np.ix_(p, p)]
-        V0, W0, witness = _attempt_rowwise(Xp, Yp, scale)
-        if witness is not None:
+    for transposed in (False, True):
+        Y = pair.Y.T if transposed else pair.Y
+        for perm, V, W, witness in _rowwise_passes(pair.X, Y, pair.scale,
+                                                   search_permutations and not capped):
+            attempts += 1
+            if witness is not None:
+                if first_witness is None:
+                    first_witness = witness
+                continue
+            if transposed:
+                V, W = W, V
+            # exhausted rows leave dead all-zero terms; drop them
+            live = (np.abs(V).max(axis=0) > 0.0) & (np.abs(W).max(axis=0) > 0.0)
+            if live.any():
+                V, W = V[:, live], W[:, live]
+            else:
+                V, W = _zero_term(n)
+            dec = PcpDecomposition(V, W)
+            if verify_decomposition(dec, pair):
+                return ConstructorOutcome(
+                    status=DECOMPOSED,
+                    method=method,
+                    decomposition=dec,
+                    permutation=tuple(perm),
+                    info={"attempts": attempts, "transposed": transposed},
+                )
             if first_witness is None:
-                first_witness = witness
-            continue
-        V = np.zeros_like(V0)
-        W = np.zeros_like(W0)
-        V[p, :] = V0
-        W[p, :] = W0
-        # exhausted rows leave dead all-zero terms; drop them
-        live = (np.abs(V).max(axis=0) > 0.0) & (np.abs(W).max(axis=0) > 0.0)
-        if live.any():
-            V, W = V[:, live], W[:, live]
-        else:
-            V, W = _zero_term(n)
-        dec = PcpDecomposition(V, W)
-        if verify_decomposition(dec, pair):
-            return ConstructorOutcome(
-                status=DECOMPOSED,
-                method=method,
-                decomposition=dec,
-                permutation=tuple(perm),
-                info={"attempts": attempts},
-            )
-        if first_witness is None:
-            first_witness = {"reason": "completed pass failed verification"}
+                first_witness = {"reason": "completed pass failed verification"}
 
     info: dict[str, Any] = {"attempts": attempts}
     if first_witness is not None:
@@ -369,8 +376,9 @@ def perron_scaling(X: np.ndarray) -> np.ndarray:
     graph, from the top eigenvector of the non-negative part.
     """
     M = comparison_matrix(X)
-    if not linalg.is_psd(M):
-        raise ComparisonNotPsdError("comparison matrix is not positive semidefinite")
+    psd, lowest = linalg.psd_test(M)
+    if not psd:
+        raise ComparisonNotPsdError("comparison matrix is not positive semidefinite", lowest)
     n = M.shape[0]
     alpha = float(np.diag(M).max()) if n else 0.0
     P = alpha * np.eye(n) - M
@@ -408,12 +416,12 @@ def decompose_comparison(pair: PairXY, *,
     n = pair.n
     try:
         d = perron_scaling(pair.X)
-    except ComparisonNotPsdError:
+    except ComparisonNotPsdError as err:
         return ConstructorOutcome(
             status=NOT_APPLICABLE,
             method=method,
             reason="comparison matrix of X is not positive semidefinite",
-            info={"min_eigenvalue": float(np.linalg.eigvalsh(comparison_matrix(pair.X)).min())},
+            info={"min_eigenvalue": err.min_eigenvalue},
         )
     Xs = d[:, None] * pair.X * d[None, :]
     Ys = np.clip((d[:, None] * pair.Y * d[None, :]).real, 0.0, None)
@@ -453,15 +461,10 @@ def decompose_comparison(pair: PairXY, *,
             ws.append(w)
     core = len(vs)
 
-    if P.max() > 0.0:
-        Vs, Ws = _position_columns(P, drop_zero=True)
-        vs += [Vs[:, j] for j in range(Vs.shape[1])]
-        ws += [Ws[:, j] for j in range(Ws.shape[1])]
-    if not vs:
-        Vz, Wz = _zero_term(n)
-        vs, ws = [Vz[:, 0]], [Wz[:, 0]]
-    V = np.column_stack(vs)
-    W = np.column_stack(ws)
+    Vp, Wp = _position_columns(P, drop_zero=True)
+    V, W = np.column_stack(vs + [Vp]), np.column_stack(ws + [Wp])
+    if not V.shape[1]:
+        V, W = _zero_term(n)
 
     unscale = (1.0 / np.sqrt(d))[:, None]
     return _decomposed(pair, method, V * unscale, W * unscale, core_columns=core,
@@ -555,27 +558,14 @@ def decompose_auto(pair: PairXY, search_permutations: bool = True, *,
     if report is None:
         report = check_necessary(pair)
     attempts: dict[str, str] = {}
-
-    def record(out: ConstructorOutcome) -> ConstructorOutcome | None:
+    routes = [decompose_diagonal_x, *([decompose_2x2] if pair.n == 2 else []),
+              decompose_comparison,
+              functools.partial(decompose_recursive, search_permutations=search_permutations)]
+    for route in routes:
+        out = route(pair, report=report)
         if out.ok:
             return out
         attempts[out.method] = out.reason or out.status
-        return None
-
-    out = record(decompose_diagonal_x(pair, report=report))
-    if out:
-        return out
-    if pair.n == 2:
-        out = record(decompose_2x2(pair, report=report))
-        if out:
-            return out
-    out = record(decompose_comparison(pair, report=report))
-    if out:
-        return out
-    out = record(decompose_recursive(pair, search_permutations=search_permutations,
-                                     report=report))
-    if out:
-        return out
 
     # a failing necessary condition settles the question even when the
     # individual routes only reported themselves inapplicable

@@ -38,6 +38,10 @@ class ConditionsViolatedError(PcpkitError):
 class ComparisonNotPsdError(PcpkitError):
     """The comparison matrix of X is not positive semidefinite."""
 
+    def __init__(self, message: str, min_eigenvalue: float | None = None):
+        super().__init__(message)
+        self.min_eigenvalue = min_eigenvalue
+
 
 class NotClduiError(PcpkitError):
     """A dense matrix does not have the locally diagonal-unitary invariant zero pattern."""

@@ -6,6 +6,8 @@ Everything targets desk-scale dense matrices, n up to ~100.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import tolerances as tol
@@ -68,12 +70,19 @@ def hermitian_eigenvalues(A: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(A)[::-1]
 
 
-def is_psd(A: np.ndarray) -> bool:
-    """True iff A is Hermitian (within tolerance) with spectrum >= -``tolerances.psd_floor``."""
+def psd_test(A: np.ndarray) -> tuple[bool, float]:
+    """Whether A is Hermitian (within tolerance) with spectrum >= -``tolerances.psd_floor``,
+    and its smallest eigenvalue: nan when A is not Hermitian, inf when A is empty."""
     if not is_hermitian(A):
-        return False
+        return False, math.nan
     w = np.linalg.eigvalsh(np.asarray(A, dtype=np.complex128))
-    return bool(w.min() >= -tol.psd_floor(w)) if w.size else True
+    lowest = float(w.min()) if w.size else math.inf
+    return bool(lowest >= -tol.psd_floor(w)), lowest
+
+
+def is_psd(A: np.ndarray) -> bool:
+    """True iff A is positive semidefinite as :func:`psd_test` judges it."""
+    return psd_test(A)[0]
 
 
 def trace_norm(A: np.ndarray) -> float:

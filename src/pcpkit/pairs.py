@@ -62,7 +62,11 @@ class PairXY:
 
     @cached_property
     def scale(self) -> float:
-        """The magnitude pair-level tolerances are relative to: its largest entry."""
+        """The magnitude of tests that compare X with Y: the largest entry of either.
+
+        A test of X alone or of Y alone is relative to that matrix's own
+        magnitude instead, so a large entry of one never loosens a test of the other.
+        """
         return tol.scale(float(np.abs(self.X).max()), float(np.abs(self.Y).max()))
 
 
@@ -130,21 +134,15 @@ class NecessaryReport:
 
     @property
     def all_hold(self) -> bool:
-        return self.holds_a and self.holds_b and self.holds_c and self.holds_d and self.holds_e
+        return not self.failing()
 
     @property
     def holds_abc(self) -> bool:
         return self.holds_a and self.holds_b and self.holds_c
 
     def failing(self) -> list[str]:
-        flags = {
-            "a": self.holds_a,
-            "b": self.holds_b,
-            "c": self.holds_c,
-            "d": self.holds_d,
-            "e": self.holds_e,
-        }
-        return [k for k, ok in flags.items() if not ok]
+        """The labels of the conditions that fail, in order."""
+        return [c for c in "abcde" if not getattr(self, "holds_" + c)]
 
 
 def reconstruct(dec: PcpDecomposition) -> PairXY:
@@ -200,14 +198,15 @@ def check_necessary(pair: PairXY) -> NecessaryReport:
     X, Y, n = pair.X, pair.Y, pair.n
     witnesses: dict[str, dict[str, Any]] = {}
 
-    holds_a = linalg.is_psd(X)
+    holds_a, lowest = linalg.psd_test(X)
     if not holds_a:
-        if not linalg.is_hermitian(X):
+        if np.isnan(lowest):
             witnesses["a"] = {"hermiticity_defect": linalg.hermiticity_defect(X)}
         else:
-            witnesses["a"] = {"min_eigenvalue": float(np.linalg.eigvalsh(X).min())}
+            witnesses["a"] = {"min_eigenvalue": lowest}
 
-    bound = tol.ZERO * pair.scale
+    # (b) and (c) are relative to Y and to the two diagonals, not to the whole pair
+    bound = tol.ZERO * tol.scale(float(np.abs(Y).max()))
     bad = np.flatnonzero((np.abs(Y.imag) > bound) | (Y.real < -bound))
     holds_b = bad.size == 0
     if not holds_b:
@@ -215,7 +214,8 @@ def check_necessary(pair: PairXY) -> NecessaryReport:
         witnesses["b"] = {"position": (i + 1, j + 1), "value": complex(Y[i, j])}
 
     xd, yd = np.diag(X), np.diag(Y)
-    bad = np.flatnonzero(np.abs(xd - yd) > tol.RESIDUAL * pair.scale)
+    bound = tol.RESIDUAL * tol.scale(float(np.abs(xd).max()), float(np.abs(yd).max()))
+    bad = np.flatnonzero(np.abs(xd - yd) > bound)
     holds_c = bad.size == 0
     if not holds_c:
         i = int(bad[0])

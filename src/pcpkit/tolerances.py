@@ -2,7 +2,8 @@
 
 Each tolerance is relative.  A test multiplies it by the magnitude named
 beside it, taken through :func:`scale`, so that an input and any positive
-multiple of it are judged alike.
+multiple of it are judged alike.  That magnitude is the one of the values
+the test compares: a test of X alone is relative to X, never to the pair.
 """
 
 import numpy as np

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from pcpkit import (
     reconstruct,
     verify_decomposition,
 )
+from pcpkit.construct import _position_columns, _rowwise_passes
 from pcpkit.errors import ComparisonNotPsdError, WrongDimensionError
 from pcpkit.linalg import phase_normalize_columns
 from pcpkit.pairs import length_lower_bound
@@ -47,10 +51,34 @@ def test_diagonal_route_basic():
     assert verify_decomposition(out.decomposition, pair)
 
 
+@pytest.mark.parametrize("drop_zero", [False, True])
+def test_position_columns_match_loop_reference(drop_zero):
+    """One column pair per position (i, j), row-major: v = e_i, w = sqrt(y_ij) e_j."""
+    rng = np.random.default_rng(5)
+    for Y in (rng.uniform(0.0, 2.0, (4, 4)) * (rng.random((4, 4)) < 0.5), np.zeros((3, 3))):
+        n = Y.shape[0]
+        V, W = _position_columns(Y, drop_zero)
+        cols = [(i, j) for i in range(n) for j in range(n) if not (drop_zero and Y[i, j] == 0.0)]
+        assert V.shape == W.shape == (n, len(cols))
+        for c, (i, j) in enumerate(cols):
+            assert np.array_equal(V[:, c], np.eye(n)[i])
+            assert np.array_equal(W[:, c], math.sqrt(Y[i, j]) * np.eye(n)[j])
+
+
 def test_diagonal_route_declines_nondiagonal():
     out = decompose_diagonal_x(PairXY(REG_X, REG_Y))
     assert out.status == "not-applicable"
     assert "off-diagonal" in out.reason
+
+
+def test_diagonal_route_judges_x_against_x():
+    """A large entry of Y must not let the route drop X's off-diagonal entries."""
+    X = np.array([[1.0, 0.5], [0.5, 1.0]])
+    pair = PairXY(X, np.array([[1.0, 1e10], [1e-9, 1.0]]))
+    assert decompose_diagonal_x(pair).status == "not-applicable"
+    out = decompose_auto(pair)
+    assert out.ok
+    assert np.linalg.norm(reconstruct(out.decomposition).X - X) <= 1e-8 * np.linalg.norm(X)
 
 
 def test_diagonal_route_flags_bad_pair():
@@ -79,6 +107,31 @@ def test_2x2_closed_form_sweep():
 def test_2x2_degenerate_corner():
     # vanishing leading entry forces a diagonal X
     pair = PairXY(np.diag([0.0, 2.0]), np.array([[0.0, 1.5], [0.5, 2.0]]))
+    out = decompose_2x2(pair)
+    assert out.ok
+    assert verify_decomposition(out.decomposition, pair)
+
+
+def test_2x2_small_y12_is_not_read_as_zero():
+    """y12 = 1e-9 is tiny beside y21 = 1e10, yet (d) leaves room for x12 = 0.5:
+    the formula runs on (X, Y^T) and the certificate reproduces X itself."""
+    X = np.array([[1.0, 0.5], [0.5, 1.0]])
+    pair = PairXY(X, np.array([[1.0, 1e-9], [1e10, 1.0]]))
+    out = decompose_2x2(pair)
+    assert out.ok
+    rebuilt = reconstruct(out.decomposition)
+    assert np.linalg.norm(rebuilt.X - X) <= 1e-8 * np.linalg.norm(X)
+    assert np.linalg.norm(rebuilt.Y - pair.Y) <= 1e-8 * np.linalg.norm(pair.Y)
+
+
+@pytest.mark.parametrize("s", [1e-100, 1e-20, 1.0, 1e20, 1e100])
+def test_2x2_boundary_pair_at_every_scale(s):
+    """Rank-one X with |x12|^2 = y12 y21: both radicands vanish up to round-off,
+    which must be judged in the units of the entries at every scale."""
+    a = np.array([1.3 - 0.2j, 0.4 + 0.9j])
+    X = np.outer(a, a.conj())
+    Y = np.array([[X[0, 0], abs(X[0, 1])], [abs(X[0, 1]), X[1, 1]]])
+    pair = PairXY(s * X, s * Y)
     out = decompose_2x2(pair)
     assert out.ok
     assert verify_decomposition(out.decomposition, pair)
@@ -125,6 +178,49 @@ def test_recursive_permutation_retry():
     assert out.permutation == (1, 0, 2)      # first working ordering, lexicographic
     assert out.decomposition.m == 3
     assert verify_decomposition(out.decomposition, pair)
+
+
+def test_recursive_tries_the_transposed_orientation():
+    """(X, Y^T) is decomposed by (W, V) when (X, Y) is by (V, W).  The identity
+    pass succeeds on this Y and fails on Y^T, so the route reaches Y^T's
+    certificate through its second, transposed pass."""
+    X = np.array([[1, 2, 1], [2, 5, 3], [1, 3, 6]], float)
+    Y = np.array([[1, 4, 1], [5, 5, 2], [6, 6, 6]], float)
+    direct = decompose_recursive(PairXY(X, Y))
+    assert direct.ok and not direct.info["transposed"] and direct.info["attempts"] == 1
+    pair = PairXY(X, Y.T)
+    out = decompose_recursive(pair)
+    assert out.ok and out.info["transposed"] and out.info["attempts"] == 2
+    assert verify_decomposition(out.decomposition, pair)
+
+
+def test_search_matches_one_pass_per_permutation():
+    """The search shares the steps of orderings with a common prefix and skips
+    those a failed step rules out; it must complete exactly the orderings whose
+    own identity pass completes, with the same V and W.  Sparse, rank-deficient
+    pairs make some orderings fail and some rows exhaust early."""
+    rng = np.random.default_rng(71)
+    for _ in range(40):
+        n, m = int(rng.integers(3, 6)), int(rng.integers(1, 4))
+        F = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+        F[rng.random((n, m)) < 0.3] = 0.0
+        pair = reconstruct(PcpDecomposition(F, rng.standard_normal((n, m)) + 0.5j))
+        X, Y = pair.X, pair.Y
+        searched = [(order, V.copy(), W.copy())
+                    for order, V, W, witness in _rowwise_passes(X, Y, pair.scale, True)
+                    if witness is None]
+        reference = []
+        for perm in itertools.permutations(range(n)):
+            p = np.asarray(perm)
+            _, V0, W0, witness = next(_rowwise_passes(X[np.ix_(p, p)], Y[np.ix_(p, p)],
+                                                      pair.scale, False))
+            if witness is None:
+                V, W = np.zeros_like(V0), np.zeros_like(W0)
+                V[p, :], W[p, :] = V0, W0
+                reference.append((perm, V, W))
+        assert [o for o, _, _ in searched] == [o for o, _, _ in reference]
+        for (_, V, W), (_, V_ref, W_ref) in zip(searched, reference):
+            assert np.array_equal(V, V_ref) and np.array_equal(W, W_ref)
 
 
 def test_recursive_permutation_cap():
@@ -174,8 +270,9 @@ def test_perron_scaling_reaches_dominance():
 
 
 def test_perron_scaling_rejects_indefinite_comparison():
-    with pytest.raises(ComparisonNotPsdError):
+    with pytest.raises(ComparisonNotPsdError) as err:
         perron_scaling(np.ones((3, 3)))
+    assert err.value.min_eigenvalue == pytest.approx(-1.0)
 
 
 def test_comparison_route_worked_example():
@@ -199,7 +296,7 @@ def test_comparison_route_worked_example():
 def test_comparison_route_declines_indefinite():
     out = decompose_comparison(cyclic_pair(1.0))
     assert out.status == "not-applicable"
-    assert out.info["min_eigenvalue"] < -0.5
+    assert out.info["min_eigenvalue"] == pytest.approx(-1.0)
 
 
 def test_comparison_route_slack_columns():

@@ -110,11 +110,14 @@ def loop_witnesses(X, Y):
     """Reference for (b)-(d): the per-entry loops, first offender wins."""
     n = X.shape[0]
     out = {}
+    # (b) is relative to Y, (c) to the two diagonals, (d) to the whole pair
+    y_scale = float(np.abs(Y).max()) or 1.0
+    diag_scale = max(max(abs(X[i, i]), abs(Y[i, i])) for i in range(n)) or 1.0
     scale = max(float(np.abs(X).max()), float(np.abs(Y).max())) or 1.0
     for i in range(n):
         for j in range(n):
             y = Y[i, j]
-            bound = 1e-12 * scale
+            bound = 1e-12 * y_scale
             if abs(y.imag) > bound or y.real < -bound:
                 out["b"] = {"position": (i + 1, j + 1), "value": complex(y)}
                 break
@@ -122,7 +125,7 @@ def loop_witnesses(X, Y):
             break
     for i in range(n):
         xd, yd = X[i, i], Y[i, i]
-        if abs(xd - yd) > 1e-9 * scale:
+        if abs(xd - yd) > 1e-9 * diag_scale:
             out["c"] = {"position": i + 1, "x": complex(xd), "y": complex(yd)}
             break
     slack = 1e-12 * scale * scale

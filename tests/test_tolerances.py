@@ -13,6 +13,8 @@ from pcpkit import (
     PairXY,
     abs_ppt_check,
     certify_special_separable,
+    check_necessary,
+    decompose_auto,
     enumerate_orderings,
     separability_verdict,
     verify_decomposition,
@@ -79,6 +81,17 @@ def test_verdict_is_scale_invariant(pair, s):
         assert verify_decomposition(scaled.certificate, scaled_pair, tol=1e-8)
 
 
+def test_a_large_entry_of_y_does_not_loosen_the_tests_of_x():
+    """(b) is judged against Y, (c) against the two diagonals: neither against
+    the whole pair, whose scale a single large entry of Y can set."""
+    # y11 = 6 cannot come from any decomposition of a pair with x11 = 1
+    bad_c = PairXY(np.eye(2), [[6.0, 1e10], [1e-10, 1.0]])
+    assert not check_necessary(bad_c).holds_c
+    assert not decompose_auto(bad_c).ok
+    bad_b = PairXY(np.diag([1e10, 1.0]), [[1.0, 0.0], [-1e-3, 1.0]])
+    assert check_necessary(bad_b).witnesses["b"]["position"] == (2, 1)
+
+
 def symmetric_images(pair: PairXY, rng) -> dict[str, PairXY]:
     n = pair.n
     p = rng.permutation(n)
@@ -98,19 +111,21 @@ def test_verdict_is_invariant_under_the_symmetries(pair, seed):
     base = separability_verdict(pair)
     for name, image in symmetric_images(pair, rng).items():
         out = separability_verdict(image)
-        if base.verdict == "entangled":
-            assert (out.verdict, out.criterion) == (base.verdict, base.criterion), name
-        elif name == "Y transpose":
-            # the row-by-row route builds upper-triangular v-vectors and is not
-            # symmetric in v and w, so it may decide only one of the two pairs
-            assert out.verdict in ("separable", "inconclusive"), name
-        else:
-            assert out.verdict == base.verdict, name
+        assert (out.verdict, out.criterion) == (base.verdict, base.criterion), name
     # (e) is not invariant under positive diagonal scaling: only a flip
     # between separable and entangled would be wrong
     d = rng.uniform(0.2, 5.0, pair.n)
     scaled = separability_verdict(PairXY(d[:, None] * pair.X * d, d[:, None] * pair.Y * d))
     assert {base.verdict, scaled.verdict} != {"separable", "entangled"}
+
+
+def test_transposing_y_keeps_every_verdict():
+    """A single row-by-row search decides some of these pairs in only one
+    orientation of Y (seeds 65, 97 and 123): the route must search both."""
+    for seed in range(150):
+        pair = seeded_pair("decomposable", 4 + seed % 3, seed)
+        base = separability_verdict(pair).verdict
+        assert separability_verdict(PairXY(pair.X, pair.Y.T)).verdict == base, seed
 
 
 def seeded_spectrum(n: int, kind: int, seed: int) -> np.ndarray:
