@@ -27,7 +27,7 @@ Each ordering also determines one distinguished eigenbasis (columns indexed by
 eigenvalue rank, built from e_k (x) e_k and the symmetric/antisymmetric pair
 combinations).  For a spectrum passing an ordering's test, diagonalizing in
 that basis and partially transposing lands inside the invariant family of
-``cldui`` with non-positive off-diagonal X, where the comparison route of
+``cldui`` with non-positive off-diagonal X, where the comparison split of
 ``construct`` produces an explicit separability certificate.
 """
 
@@ -38,9 +38,9 @@ from functools import cached_property
 
 import numpy as np
 
-from . import linalg, ordering_data
+from . import ordering_data
 from . import tolerances as tol
-from .construct import DECOMPOSED, NOT_APPLICABLE, ConstructorOutcome, decompose_comparison
+from .construct import ConstructorOutcome, comparison_split
 from .pairs import PairXY
 from .errors import (
     ConstructionError,
@@ -245,32 +245,22 @@ def certify_special_separable(ordering: OrderingTable, lambdas) -> ConstructorOu
     The spectrum diagonalized in the ordering's distinguished basis and
     partially transposed is the invariant state of the pair read from the slot
     values: X = Z / 2 for the test matrix Z, diag Y = diag X, and
-    y_kl = y_lk = (plus + minus) / 2.  The comparison route then certifies it
-    (off-diagonal X entries are non-positive here, so the comparison matrix is
-    X itself and PSD follows from the test matrix).  Returns
-    ``not-applicable`` when the test matrix fails for this ordering.
+    y_kl = y_lk = (plus + minus) / 2.  Conditions (a)-(d) hold by
+    construction: (a) is the ordering's test, and (b)-(d) follow from the
+    non-negative slot values.  So the comparison split of ``construct`` runs
+    without the necessary-condition gate, and its comparison matrix is X
+    itself, whose off-diagonal entries are non-positive for a realizable
+    ordering.  Returns the split's ``not-applicable`` when that matrix is not
+    positive semidefinite; ``info["min_eigenvalue"]`` is then the smallest
+    eigenvalue of X = Z / 2, half that of the test matrix.
     """
     n = ordering.n
     lam = _check_spectrum(lambdas, n * n)
     (Z,), (vals,) = _test_matrices(n, [ordering], lam)
-    psd, lowest = linalg.psd_test(Z)
-    if not psd:
-        return ConstructorOutcome(
-            status=NOT_APPLICABLE,
-            method="abs-ppt-comparison",
-            reason="the test matrix of this ordering is not positive semidefinite",
-            info={"min_eigenvalue": lowest},
-        )
     k, l = np.triu_indices(n, 1)
     X = Z / 2.0
-    if np.any(X[k, l] > 0.0):
-        raise ConstructionError("partial transpose left a positive off-diagonal X entry")
     Y = X.copy()
     Y[k, l] = Y[l, k] = (vals[n:n + k.size] + vals[n + k.size:]) / 2.0
     pair = PairXY(X, Y)
-    out = decompose_comparison(pair)
-    if out.status != DECOMPOSED:
-        raise ConstructionError(
-            f"comparison route unexpectedly failed on a passing spectrum: {out.reason}"
-        )
+    out = comparison_split(pair)
     return replace(out, method="abs-ppt-comparison", info={**out.info, "pair": pair})

@@ -115,8 +115,8 @@ def cmd_decompose(args) -> int:
     out = _METHODS[args.method](pair, args.perms)
     payload = {"method": out.method, "status": out.status, "reason": out.reason}
     if out.ok:
-        rx, ry, _ = residuals(out.decomposition, pair)
-        payload.update({"m": out.decomposition.m, "residual_x": rx, "residual_y": ry})
+        payload.update({"m": out.decomposition.m, "residual_x": out.residuals.x,
+                        "residual_y": out.residuals.y})
         if out.permutation is not None:
             payload["permutation"] = list(out.permutation)
         if args.out:
@@ -154,13 +154,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_check_state(args) -> int:
-    if fileio.is_dense_document(args.state):
-        rho, n = fileio.load_dense_state(args.state)
-        pair = cldui.extract_pair(rho, n)
-        source = "dense"
-    else:
-        pair, _ = fileio.load_pair_document(args.state)
-        source = "pair"
+    pair, source = fileio.load_state(args.state)
 
     if args.normalize:
         weight = cldui.ClduiState(pair).trace

@@ -47,8 +47,9 @@ from .pairs import (
     NecessaryReport,
     PairXY,
     PcpDecomposition,
+    Residuals,
     check_necessary,
-    verify_decomposition,
+    residuals,
 )
 
 DECOMPOSED = "decomposed"
@@ -62,7 +63,8 @@ class ConstructorOutcome:
 
     ``status`` is one of ``decomposed``, ``not-applicable``,
     ``conditions-violated``.  A ``decomposed`` outcome always carries a
-    decomposition that has been verified against the input pair at ``tolerances.VERIFY``.
+    decomposition verified against the input pair at ``tolerances.VERIFY``,
+    and in ``residuals`` the :func:`~pcpkit.pairs.residuals` of that one check.
     """
 
     status: str
@@ -71,6 +73,7 @@ class ConstructorOutcome:
     permutation: tuple[int, ...] | None = None
     reason: str | None = None
     info: dict[str, Any] = field(default_factory=dict)
+    residuals: Residuals | None = None
 
     @property
     def ok(self) -> bool:
@@ -93,16 +96,20 @@ def _violated(method: str, pair: PairXY, report: NecessaryReport | None,
     )
 
 
+def _verified(pair: PairXY, method: str, dec: PcpDecomposition,
+              **fields) -> ConstructorOutcome | None:
+    """The ``decomposed`` outcome of ``dec`` if it verifies against ``pair``, else None."""
+    res = residuals(dec, pair)
+    if not res.within():
+        return None
+    return ConstructorOutcome(DECOMPOSED, method, dec, residuals=res, **fields)
+
+
 def _decomposed(pair: PairXY, method: str, V, W, **extra) -> ConstructorOutcome:
-    dec = PcpDecomposition(V, W)
-    if not verify_decomposition(dec, pair):
+    out = _verified(pair, method, PcpDecomposition(V, W), info=extra)
+    if out is None:
         raise ConstructionError(f"{method} construction failed verification")
-    return ConstructorOutcome(
-        status=DECOMPOSED,
-        method=method,
-        decomposition=dec,
-        info=extra,
-    )
+    return out
 
 
 def _zero_term(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -297,15 +304,10 @@ def decompose_recursive(pair: PairXY, search_permutations: bool = False, *,
                 V, W = V[:, live], W[:, live]
             else:
                 V, W = _zero_term(n)
-            dec = PcpDecomposition(V, W)
-            if verify_decomposition(dec, pair):
-                return ConstructorOutcome(
-                    status=DECOMPOSED,
-                    method=method,
-                    decomposition=dec,
-                    permutation=tuple(perm),
-                    info={"attempts": attempts, "transposed": transposed},
-                )
+            out = _verified(pair, method, PcpDecomposition(V, W), permutation=tuple(perm),
+                            info={"attempts": attempts, "transposed": transposed})
+            if out is not None:
+                return out
             if first_witness is None:
                 first_witness = {"reason": "completed pass failed verification"}
 
@@ -400,19 +402,25 @@ def perron_scaling(X: np.ndarray) -> np.ndarray:
 
 def decompose_comparison(pair: PairXY, *,
                          report: NecessaryReport | None = None) -> ConstructorOutcome:
-    """Comparison-matrix route.
+    """Comparison-matrix route: gated on (a)-(d), then :func:`comparison_split`."""
+    if violated := _violated("comparison", pair, report, "abcd"):
+        return violated
+    return comparison_split(pair)
 
-    Requires (a)-(d) plus a positive semidefinite comparison matrix of X.
-    The pair is rescaled so X becomes diagonally dominant, split into a core
-    part (one column per unordered index pair, carrying the off-diagonal
-    entries of X exactly) and a non-negative slack part handled position by
-    position, and the columns are rescaled back.  The core columns come first
-    in the result; ``info["core_columns"]`` records how many there are.
+
+def comparison_split(pair: PairXY) -> ConstructorOutcome:
+    """The comparison route on a pair already known to satisfy (b)-(d).
+
+    Declines (``not-applicable``, with ``info["min_eigenvalue"]`` of the
+    comparison matrix) unless the comparison matrix of X is positive
+    semidefinite, which implies (a).  The pair is rescaled so X becomes
+    diagonally dominant, split into a core part (one column per unordered
+    index pair, carrying the off-diagonal entries of X exactly) and a
+    non-negative slack part handled position by position, and the columns
+    are rescaled back.  The core columns come first in the result;
+    ``info["core_columns"]`` records how many there are.
     """
     method = "comparison"
-    if violated := _violated(method, pair, report, "abcd"):
-        return violated
-
     n = pair.n
     try:
         d = perron_scaling(pair.X)

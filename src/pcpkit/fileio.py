@@ -13,6 +13,7 @@ from typing import Any
 
 import numpy as np
 
+from .cldui import extract_pair
 from .errors import PcpkitError
 from .pairs import PairXY, PcpDecomposition
 
@@ -57,15 +58,18 @@ def _emit_matrix(M: np.ndarray):
     return [[_emit_scalar(M[i, j]) for j in range(M.shape[1])] for i in range(M.shape[0])]
 
 
-def _load_json(path) -> Any:
+def _load_json(path) -> dict[str, Any]:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise PcpkitError(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise PcpkitError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise PcpkitError(f"{path}: top level must be an object")
+    return doc
 
 
 def _write_json(path, doc: dict) -> None:
@@ -77,9 +81,10 @@ def _write_json(path, doc: dict) -> None:
 
 def load_pair_document(path) -> tuple[PairXY, dict[str, Any]]:
     """Read a pair file: ``{"n": int, "X": rows, "Y": rows}`` plus free metadata."""
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise PcpkitError(f"{path}: top level must be an object")
+    return _pair_document(_load_json(path), path)
+
+
+def _pair_document(doc: dict[str, Any], path) -> tuple[PairXY, dict[str, Any]]:
     for key in ("n", "X", "Y"):
         if key not in doc:
             raise PcpkitError(f"{path}: missing required field {key!r}")
@@ -102,11 +107,8 @@ def save_pair_document(path, pair: PairXY, **meta) -> None:
     _write_json(path, doc)
 
 
-def load_dense_state(path) -> tuple[np.ndarray, int]:
-    """Read a dense state file: ``{"n": int, "rho": rows}`` with an n^2 x n^2 matrix."""
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise PcpkitError(f"{path}: top level must be an object")
+def _dense_state(doc: dict[str, Any], path) -> tuple[np.ndarray, int]:
+    """A dense state document ``{"n": int, "rho": rows}`` with an n^2 x n^2 matrix."""
     for key in ("n", "rho"):
         if key not in doc:
             raise PcpkitError(f"{path}: missing required field {key!r}")
@@ -119,9 +121,13 @@ def load_dense_state(path) -> tuple[np.ndarray, int]:
     return rho, n
 
 
-def is_dense_document(path) -> bool:
+def load_state(path) -> tuple[PairXY, str]:
+    """Read a state file once: the coefficient pair of a dense state file (one
+    with a ``rho`` field) and ``"dense"``, or of a pair file and ``"pair"``."""
     doc = _load_json(path)
-    return isinstance(doc, dict) and "rho" in doc
+    if "rho" in doc:
+        return extract_pair(*_dense_state(doc, path)), "dense"
+    return _pair_document(doc, path)[0], "pair"
 
 
 def save_certificate(path, dec: PcpDecomposition, method: str,
@@ -140,8 +146,6 @@ def save_certificate(path, dec: PcpDecomposition, method: str,
 
 def load_certificate(path) -> tuple[PcpDecomposition, dict[str, Any]]:
     doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise PcpkitError(f"{path}: top level must be an object")
     for key in ("vs", "ws"):
         if key not in doc or not isinstance(doc[key], list) or not doc[key]:
             raise PcpkitError(f"{path}: missing or empty field {key!r}")

@@ -24,6 +24,7 @@ from pcpkit.errors import (
     UnsupportedDimensionError,
 )
 from pcpkit.linalg import hermitian_eigenvalues, is_psd
+from pcpkit.pairs import residuals
 
 S = 1.0 / np.sqrt(2.0)
 
@@ -265,7 +266,7 @@ def test_pure_state_always_fails():
         assert failing is not None
 
 
-def test_certificates_on_passing_spectra():
+def test_certificates_on_passing_spectra(necessary_calls):
     spectra = [
         np.full(9, 1.0 / 9.0),
         (1.0 + 0.05 * np.arange(9)[::-1]) / (9.0 + 0.05 * 36.0),
@@ -278,30 +279,41 @@ def test_certificates_on_passing_spectra():
             assert out.method == "abs-ppt-comparison"
             pair = out.info["pair"]
             assert verify_decomposition(out.decomposition, pair, tol=1e-8)
+            assert out.residuals == residuals(out.decomposition, pair)
             # the certified pair really is the rotated, transposed spectrum
             U = special_unitary(table)
             rho = partial_transpose((U * lam) @ U.T, 3)
             np.testing.assert_allclose(
                 np.diag(pair.X).real, np.diag(rho)[[0, 4, 8]].real, atol=1e-12
             )
+    # (a)-(d) hold by construction, so the comparison split runs without the gate
+    assert not necessary_calls
 
 
 def test_certified_pair_is_the_dense_partial_transpose():
-    """Every ordering's basis turns a spectrum into a state whose partial
-    transpose has the X skeleton l_map_matrix / 2, and a passing spectrum is
-    certified on exactly that state's coefficient pair."""
+    """Every slot assignment's basis turns a spectrum into a state whose
+    partial transpose has the X skeleton l_map_matrix / 2, and a passing
+    spectrum is certified on exactly that state's coefficient pair.  The
+    extra n = 3 assignment, which swaps the plus and minus slots of (0, 1),
+    is realized by no alpha and leaves x12 > 0: it is certified or declined
+    all the same, never raised."""
     rng = np.random.default_rng(5)
+    first = enumerate_orderings(3)[0]
+    swap = {("plus", 0, 1): ("minus", 0, 1), ("minus", 0, 1): ("plus", 0, 1)}
+    unrealizable = OrderingTable(3, tuple(swap.get(s, s) for s in first.slots), first.witness)
     for n in (2, 3, 4, 5):
         d = n * n
         generic = np.arange(d, 0, -1, dtype=float)
         near_flat = np.sort(1.0 + 0.05 * rng.uniform(size=d))[::-1] / d
         skeleton = np.arange(n) * (n + 1)
-        for table in enumerate_orderings(n):
+        for table in enumerate_orderings(n) + ([unrealizable] if n == 3 else []):
             U = special_unitary(table)
             sigma = partial_transpose((U * generic) @ U.T, n)
             np.testing.assert_allclose(sigma[np.ix_(skeleton, skeleton)],
                                        l_map_matrix(table, generic) / 2.0, atol=1e-12)
-            pair = certify_special_separable(table, near_flat).info["pair"]
+            out = certify_special_separable(table, near_flat)
+            pair = out.info["pair"]
+            assert out.ok and verify_decomposition(out.decomposition, pair)
             dense = extract_pair(partial_transpose((U * near_flat) @ U.T, n), n)
             np.testing.assert_allclose(pair.X, dense.X, rtol=0, atol=1e-15)
             np.testing.assert_allclose(pair.Y, dense.Y, rtol=0, atol=1e-15)
@@ -316,6 +328,9 @@ def test_certify_declines_failing_spectrum():
     assert out.status == "not-applicable"
     assert out.decomposition is None
     assert out.info["min_eigenvalue"] < -1e-6
+    # the split tests X = Z / 2, so it reports half the test matrix's eigenvalue
+    lowest = hermitian_eigenvalues(l_map_matrix(table, lam))[-1]
+    assert out.info["min_eigenvalue"] == pytest.approx(lowest / 2.0, rel=1e-12)
 
 
 def test_input_validation():

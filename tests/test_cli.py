@@ -5,6 +5,8 @@ import sys
 import numpy as np
 import pytest
 
+import pcpkit.fileio
+import pcpkit.pairs
 from pcpkit import PairXY, reconstruct, verify_decomposition
 from pcpkit.cli import main
 from pcpkit.errors import PcpkitError
@@ -99,12 +101,17 @@ def test_decompose_verify_shipped_certificate(capsys):
     assert payload["method"] == "recursive"
 
 
-def test_decompose_comparison_route(capsys):
+def test_decompose_comparison_route(capsys, monkeypatch):
+    rebuilt = []
+    monkeypatch.setattr(pcpkit.pairs, "reconstruct",
+                        lambda dec: rebuilt.append(dec) or reconstruct(dec))
     code, payload = run_json(capsys, "decompose", FIXTURES / "comparison_pair.json",
                              "--method", "comparison")
     assert code == 0
     assert payload["method"] == "comparison"
     assert payload["residual_x"] < 1e-8
+    # the residuals printed are those of the route's own verification
+    assert len(rebuilt) == 1
 
 
 def test_decompose_rejects_violated_pair(capsys):
@@ -170,6 +177,27 @@ def test_check_state_dense_input(capsys):
     assert code == 0
     assert payload["form"] == "dense"
     assert payload["verdict"] == "separable"
+
+
+def test_check_state_reads_its_file_once(capsys, monkeypatch):
+    reads = []
+    load = pcpkit.fileio._load_json
+    monkeypatch.setattr(pcpkit.fileio, "_load_json", lambda path: reads.append(path) or load(path))
+    for name in ("isotropic_n3.json", "dense_state_n2.json"):
+        reads.clear()
+        code, _ = run_json(capsys, "check-state", FIXTURES / name)
+        assert code == 0
+        assert reads == [str(FIXTURES / name)]
+
+
+def test_check_state_ppt_failure_beside_a_large_entry(capsys, tmp_path):
+    state = tmp_path / "state.json"
+    save_pair_document(state, PairXY([[1.0, 0.9, 0.0], [0.9, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                                     [[1.0, 1e10, 1.0], [1e-20, 1.0, 1.0], [1.0, 1.0, 1.0]]))
+    code, payload = run_json(capsys, "check-state", state)
+    assert code == 2
+    assert (payload["verdict"], payload["criterion"]) == ("entangled", "ppt")
+    assert payload["witnesses"]["d"]["position"] == [1, 2]
 
 
 def test_check_state_dense_crosscheck(capsys):

@@ -24,7 +24,7 @@ from pcpkit import (
 from pcpkit.construct import _position_columns, _rowwise_passes
 from pcpkit.errors import ComparisonNotPsdError, WrongDimensionError
 from pcpkit.linalg import phase_normalize_columns
-from pcpkit.pairs import length_lower_bound
+from pcpkit.pairs import length_lower_bound, residuals
 
 from conftest import (
     cyclic_pair,
@@ -431,6 +431,24 @@ def test_routes_accept_a_precomputed_report(necessary_calls):
             given = route(pair, report=report)
             assert not necessary_calls, expected
             assert _same_outcome(route(pair), given), expected
+
+
+def test_decomposed_outcomes_carry_their_residuals():
+    """Each route keeps the residuals of the one verification it passed."""
+    routes = [decompose_diagonal_x, decompose_2x2, decompose_comparison, decompose_recursive,
+              lambda pair: decompose_recursive(pair, search_permutations=True), decompose_auto]
+    outcomes = [(route(pair), pair) for pair in verdict_cases().values()
+                for route in routes if pair.n == 2 or route is not decompose_2x2]
+    outcomes += [(decompose_isotropic(4, 1.0, b), isotropic_pair(4, 1.0, b))
+                 for b in (-0.25, 0.0, 0.6, 1.0, 2.0)]
+    methods = set()
+    for out, pair in outcomes:
+        if out.ok:
+            methods.add(out.method)
+            assert out.residuals == residuals(out.decomposition, pair), out.method
+        else:
+            assert out.residuals is None, out.method
+    assert methods == {"diagonal-x", "two-by-two", "comparison", "recursive", "isotropic"}
 
 
 def test_auto_conditions_violated():

@@ -82,14 +82,21 @@ def test_verdict_is_scale_invariant(pair, s):
 
 
 def test_a_large_entry_of_y_does_not_loosen_the_tests_of_x():
-    """(b) is judged against Y, (c) against the two diagonals: neither against
-    the whole pair, whose scale a single large entry of Y can set."""
+    """(b) is judged against Y, (c) against the two diagonals and (d) against
+    the products it compares: none against the whole pair, whose scale a
+    single large entry of Y can set."""
     # y11 = 6 cannot come from any decomposition of a pair with x11 = 1
     bad_c = PairXY(np.eye(2), [[6.0, 1e10], [1e-10, 1.0]])
     assert not check_necessary(bad_c).holds_c
     assert not decompose_auto(bad_c).ok
     bad_b = PairXY(np.diag([1e10, 1.0]), [[1.0, 0.0], [-1e-3, 1.0]])
     assert check_necessary(bad_b).witnesses["b"]["position"] == (2, 1)
+    # |x12|^2 = 0.81 against y12 y21 = 1e-10, beside y12 = 1e10
+    bad_d = PairXY([[1.0, 0.9, 0.0], [0.9, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                   [[1.0, 1e10, 1.0], [1e-20, 1.0, 1.0], [1.0, 1.0, 1.0]])
+    verdict = separability_verdict(bad_d)
+    assert (verdict.verdict, verdict.criterion) == ("entangled", "ppt")
+    assert verdict.witness["position"] == (1, 2)
 
 
 def symmetric_images(pair: PairXY, rng) -> dict[str, PairXY]:
