@@ -280,7 +280,7 @@ def decompose_recursive(pair: PairXY, search_permutations: bool = False, *,
     (X, Y); ``info["transposed"]`` records which orientation succeeded.
     """
     method = "recursive"
-    if violated := _violated(method, pair, report, "abc"):
+    if violated := _violated(method, pair, report, "abcd"):
         return violated
 
     n = pair.n

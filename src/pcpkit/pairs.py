@@ -221,14 +221,13 @@ def check_necessary(pair: PairXY) -> NecessaryReport:
         i = int(bad[0])
         witnesses["c"] = {"position": i + 1, "x": complex(xd[i]), "y": complex(yd[i])}
 
-    # (d): |x_ij|^2 <= y_ij y_ji with an additive slack, relative to the values compared
-    iu = np.triu_indices(n, 1)
-    lhs, rhs = np.abs(X[iu]) ** 2, Y[iu] * Y.T[iu]
-    slack = tol.ZERO * tol.scale(float(lhs.max(initial=0.0)), float(np.abs(rhs).max(initial=0.0)))
-    bad = np.flatnonzero(lhs > rhs.real + slack)
+    # (d): |x_ij|^2 <= y_ij y_ji up to a slack relative to max x_ii^2, which bounds |x_ij|^2
+    # for a PSD X whatever Y holds; a product that round-off in Y makes negative counts as 0
+    slack = tol.ZERO * tol.scale(float(np.abs(xd).max())) ** 2
+    bad = np.flatnonzero(np.triu(np.abs(X) ** 2 > np.maximum((Y * Y.T).real, 0.0) + slack, 1))
     holds_d = bad.size == 0
     if not holds_d:
-        i, j = int(iu[0][bad[0]]), int(iu[1][bad[0]])
+        i, j = divmod(int(bad[0]), n)
         witnesses["d"] = {"position": (i + 1, j + 1), "lhs": abs(X[i, j]) ** 2,
                           "rhs": (Y[i, j] * Y[j, i]).real}
 

@@ -190,7 +190,9 @@ def test_check_state_reads_its_file_once(capsys, monkeypatch):
         assert reads == [str(FIXTURES / name)]
 
 
-def test_check_state_ppt_failure_beside_a_large_entry(capsys, tmp_path):
+def test_pair_failing_d_beside_a_large_entry(capsys, tmp_path):
+    """check-state calls the pair entangled, and no decompose route certifies
+    it, however small its Y residual would be beside y12 = 1e10."""
     state = tmp_path / "state.json"
     save_pair_document(state, PairXY([[1.0, 0.9, 0.0], [0.9, 1.0, 0.0], [0.0, 0.0, 1.0]],
                                      [[1.0, 1e10, 1.0], [1e-20, 1.0, 1.0], [1.0, 1.0, 1.0]]))
@@ -198,6 +200,12 @@ def test_check_state_ppt_failure_beside_a_large_entry(capsys, tmp_path):
     assert code == 2
     assert (payload["verdict"], payload["criterion"]) == ("entangled", "ppt")
     assert payload["witnesses"]["d"]["position"] == [1, 2]
+    for extra in ((), ("--method", "recursive", "--perms")):
+        code, payload = run_json(capsys, "decompose", state, *extra,
+                                 "--out", tmp_path / "cert.json")
+        assert code == 2
+        assert payload["status"] == "conditions-violated"
+    assert not (tmp_path / "cert.json").exists()
 
 
 def test_check_state_dense_crosscheck(capsys):

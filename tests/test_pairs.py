@@ -110,12 +110,10 @@ def loop_witnesses(X, Y):
     """Reference for (b)-(d): the per-entry loops, first offender wins."""
     n = X.shape[0]
     out = {}
-    # (b) is relative to Y, (c) to the two diagonals, (d) to the values it compares
+    # (b) is relative to Y, (c) to the two diagonals, (d) to X's largest diagonal entry
     y_scale = float(np.abs(Y).max()) or 1.0
     diag_scale = max(max(abs(X[i, i]), abs(Y[i, i])) for i in range(n)) or 1.0
-    d_scale = max([abs(X[i, j]) ** 2 for i in range(n) for j in range(i + 1, n)]
-                  + [abs(Y[i, j] * Y[j, i]) for i in range(n) for j in range(i + 1, n)],
-                  default=0.0) or 1.0
+    x_diag = max(abs(X[i, i]) for i in range(n)) or 1.0
     for i in range(n):
         for j in range(n):
             y = Y[i, j]
@@ -130,12 +128,12 @@ def loop_witnesses(X, Y):
         if abs(xd - yd) > 1e-9 * diag_scale:
             out["c"] = {"position": i + 1, "x": complex(xd), "y": complex(yd)}
             break
-    slack = 1e-12 * d_scale
+    slack = 1e-12 * x_diag * x_diag
     for i in range(n):
         for j in range(i + 1, n):
             lhs = abs(X[i, j]) ** 2
             rhs = (Y[i, j] * Y[j, i]).real
-            if lhs > rhs + slack:
+            if lhs > max(rhs, 0.0) + slack:
                 out["d"] = {"position": (i + 1, j + 1), "lhs": lhs, "rhs": rhs}
                 return out
     return out

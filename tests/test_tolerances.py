@@ -5,6 +5,7 @@ import ast
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -83,7 +84,7 @@ def test_verdict_is_scale_invariant(pair, s):
 
 def test_a_large_entry_of_y_does_not_loosen_the_tests_of_x():
     """(b) is judged against Y, (c) against the two diagonals and (d) against
-    the products it compares: none against the whole pair, whose scale a
+    X's largest diagonal entry: none against the whole pair, whose scale a
     single large entry of Y can set."""
     # y11 = 6 cannot come from any decomposition of a pair with x11 = 1
     bad_c = PairXY(np.eye(2), [[6.0, 1e10], [1e-10, 1.0]])
@@ -97,6 +98,24 @@ def test_a_large_entry_of_y_does_not_loosen_the_tests_of_x():
     verdict = separability_verdict(bad_d)
     assert (verdict.verdict, verdict.criterion) == ("entangled", "ppt")
     assert verdict.witness["position"] == (1, 2)
+    assert decompose_auto(bad_d).status == "conditions-violated"
+
+
+@pytest.mark.parametrize("X, Y", [
+    # x12 = 1e-17 against y12 y21 = 0
+    ([[1.0, 1e-17], [1e-17, 1.0]], [[1.0, 0.0], [1.0, 1.0]]),
+    # y12 = -1e-17, which (b) accepts as a round-off zero, against x12 = 0
+    (np.eye(2), [[1.0, -1e-17], [1e-17, 1.0]]),
+    (np.eye(2), [[1.0, -1e-17], [1e10, 1.0]]),
+])
+def test_round_off_does_not_fail_condition_d(X, Y):
+    """(d) tolerates the round-off that (a), (b) and the diagonal-X route
+    tolerate, so a round-off entry never makes a separable pair entangled."""
+    pair = PairXY(X, Y)
+    assert check_necessary(pair).holds_d
+    verdict = separability_verdict(pair)
+    assert verdict.verdict == "separable"
+    assert verify_decomposition(verdict.certificate, pair)
 
 
 def symmetric_images(pair: PairXY, rng) -> dict[str, PairXY]:
