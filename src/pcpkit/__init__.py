@@ -39,10 +39,8 @@ from .construct import (
     NOT_APPLICABLE,
     ConstructorOutcome,
     comparison_matrix,
-    decompose_2x2,
     decompose_auto,
     decompose_comparison,
-    decompose_diagonal_x,
     decompose_isotropic,
     decompose_recursive,
     isotropic_constants,

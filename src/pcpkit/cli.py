@@ -89,8 +89,6 @@ def cmd_check_pair(args) -> int:
 
 _METHODS = {
     "auto": lambda pair, perms: construct.decompose_auto(pair, search_permutations=perms),
-    "diag": lambda pair, perms: construct.decompose_diagonal_x(pair),
-    "2x2": lambda pair, perms: construct.decompose_2x2(pair),
     "recursive": lambda pair, perms: construct.decompose_recursive(pair, search_permutations=perms),
     "comparison": lambda pair, perms: construct.decompose_comparison(pair),
 }
@@ -296,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="run a construction route")
     p.add_argument("pair", help="pair JSON file")
-    p.add_argument("--method", choices=sorted(_METHODS), default="auto")
+    p.add_argument("--method", choices=sorted(_METHODS), default="auto",
+                   help="comparison split, row-by-row elimination, or both in that order (auto)")
     p.add_argument("--perms", action="store_true",
                    help="retry the row-by-row route under permutations")
     p.add_argument("--out", help="write the certificate to this JSON file")

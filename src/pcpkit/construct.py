@@ -1,16 +1,14 @@
 """Constructive decomposition routes for matrix pairs.
 
-Four sufficient constructions, each packaged as a function returning a
+Two sufficient constructions, each packaged as a function returning a
 :class:`ConstructorOutcome`:
 
-* ``decompose_diagonal_x``  -- X diagonal: one term per matrix position.
-* ``decompose_2x2``         -- closed form for n = 2 under conditions (a)-(d).
-* ``decompose_recursive``   -- row-by-row elimination, optionally retried under
-                               simultaneous row/column permutations.
 * ``decompose_comparison``  -- comparison-matrix route: Perron rescaling to a
                                diagonally dominant X, then an explicit
                                pair-of-columns factorization plus a diagonal
                                slack term.
+* ``decompose_recursive``   -- row-by-row elimination, optionally retried under
+                               simultaneous row/column permutations.
 
 ``decompose_isotropic`` handles the two-parameter family (aI + bJ, bI + aJ)
 by mixing closed-form decompositions of the two extreme members, and
@@ -116,80 +114,15 @@ def _zero_term(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros((n, 1), complex), np.zeros((n, 1), complex)
 
 
-def _position_columns(Y: np.ndarray, drop_zero: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Columns v = e_i, w = sqrt(y_ij) e_j over positions (i, j), row-major; with
-    ``drop_zero`` only over positive y_ij, so possibly none."""
-    Ynn = np.clip(Y.real, 0.0, None)
-    i, j = np.nonzero(Ynn > 0.0) if drop_zero else np.indices(Ynn.shape).reshape(2, -1)
-    V = np.zeros((Ynn.shape[0], i.size), complex)
+def _position_columns(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Columns v = e_i, w = sqrt(y_ij) e_j over the positions (i, j) of the
+    positive entries of the real matrix Y, row-major; possibly none."""
+    i, j = np.nonzero(Y > 0.0)
+    V = np.zeros((Y.shape[0], i.size), complex)
     W = np.zeros_like(V)
     V[i, np.arange(i.size)] = 1.0
-    W[j, np.arange(i.size)] = np.sqrt(Ynn[i, j])
+    W[j, np.arange(i.size)] = np.sqrt(Y[i, j])
     return V, W
-
-
-def decompose_diagonal_x(pair: PairXY, *,
-                         report: NecessaryReport | None = None) -> ConstructorOutcome:
-    """Decompose a pair whose X is diagonal: n^2 terms, one per position of Y.
-
-    Applies whenever conditions (a)-(c) hold and every off-diagonal entry of X
-    is below ``tolerances.STRUCTURE`` times X's largest entry.
-    """
-    method = "diagonal-x"
-    if violated := _violated(method, pair, report, "abc"):
-        return violated
-    off = pair.X - np.diag(np.diag(pair.X))
-    offmax = float(np.abs(off).max()) if pair.n > 1 else 0.0
-    if offmax > tol.STRUCTURE * tol.scale(float(np.abs(pair.X).max())):
-        return ConstructorOutcome(
-            status=NOT_APPLICABLE,
-            method=method,
-            reason=f"X is not diagonal (largest off-diagonal magnitude {offmax:.3e})",
-        )
-    V, W = _position_columns(pair.Y, drop_zero=False)
-    return _decomposed(pair, method, V, W)
-
-
-def decompose_2x2(pair: PairXY, *, report: NecessaryReport | None = None) -> ConstructorOutcome:
-    """Closed-form two-term decomposition for n = 2.
-
-    Conditions (a)-(d) are sufficient at this size.  The formula divides by
-    y12, so it is applied to whichever of (X, Y) and (X, Y^T) has the larger
-    y12; a decomposition (V, W) of (X, Y^T) is (W, V) for (X, Y).  When the
-    leading entry of X or both off-diagonals of Y vanish, X is forced diagonal
-    and the position-by-position route is used instead.
-    """
-    method = "two-by-two"
-    if pair.n != 2:
-        raise WrongDimensionError(f"decompose_2x2 needs n = 2, got n = {pair.n}")
-    if violated := _violated(method, pair, report, "abcd"):
-        return violated
-
-    X = pair.X
-    swap = pair.Y[1, 0].real > pair.Y[0, 1].real
-    Y = pair.Y.T if swap else pair.Y
-    x11 = X[0, 0].real
-    x22 = X[1, 1].real
-    x21 = X[1, 0]
-    y12 = Y[0, 1].real
-    y21 = Y[1, 0].real
-
-    if x11 <= tol.ZERO * tol.scale(x11, x22) or y12 <= tol.ZERO * pair.scale:
-        # PSD and the product condition force the off-diagonal of X to vanish.
-        V, W = _position_columns(pair.Y, drop_zero=False)
-        return _decomposed(pair, method, V, W)
-
-    def root(value: float) -> float:
-        if value < -tol.RESIDUAL * pair.scale:
-            raise ConstructionError(f"negative radicand {value:.3e} in two-by-two route")
-        return math.sqrt(max(value, 0.0))
-
-    v1 = np.array([1.0, x21 / math.sqrt(x11 * y12)], complex)
-    w1 = np.array([math.sqrt(x11), math.sqrt(y12)], complex)
-    v2 = np.array([0.0, 1.0], complex)
-    w2 = np.array([root(y21 - abs(x21) ** 2 / y12), root(x22 - abs(x21) ** 2 / x11)], complex)
-    V, W = np.column_stack([v1, v2]), np.column_stack([w1, w2])
-    return _decomposed(pair, method, *((W, V) if swap else (V, W)))
 
 
 def _rowwise_passes(X: np.ndarray, Y: np.ndarray, scale: float, exhaustive: bool):
@@ -378,7 +311,7 @@ def perron_scaling(X: np.ndarray) -> np.ndarray:
     graph, from the top eigenvector of the non-negative part.
     """
     M = comparison_matrix(X)
-    psd, lowest = linalg.psd_test(M)
+    psd, lowest, _ = linalg.psd_test(M)
     if not psd:
         raise ComparisonNotPsdError("comparison matrix is not positive semidefinite", lowest)
     n = M.shape[0]
@@ -415,10 +348,14 @@ def comparison_split(pair: PairXY) -> ConstructorOutcome:
     comparison matrix) unless the comparison matrix of X is positive
     semidefinite, which implies (a).  The pair is rescaled so X becomes
     diagonally dominant, split into a core part (one column per unordered
-    index pair, carrying the off-diagonal entries of X exactly) and a
-    non-negative slack part handled position by position, and the columns
-    are rescaled back.  The core columns come first in the result;
+    index pair, carrying the off-diagonal entries of X) and a non-negative
+    slack part handled position by position, and the columns are rescaled
+    back.  The core columns come first in the result;
     ``info["core_columns"]`` records how many there are.
+
+    Conditions (c) and (d) hold only up to their slacks, so |x_ij| is clamped
+    to sqrt(y_ij y_ji) and negative slack is dropped; the verification judges
+    what that leaves out, and a split that fails it declines.
     """
     method = "comparison"
     n = pair.n
@@ -438,18 +375,18 @@ def comparison_split(pair: PairXY) -> ConstructorOutcome:
     # round-off entries of X count as zero and their Y mass moves into the slack
     scale = pair.scale * np.outer(d, d)
     absXs[absXs <= tol.FLUSH * scale] = 0.0
+    # off the diagonal the clamp keeps the slack non-negative; on it, it cancels out of Yp
+    absXs = np.minimum(absXs, np.sqrt(Ys) * np.sqrt(Ys.T))
 
     Yp = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
-            if i != j and Ys[j, i] > 0.0 and absXs[i, j] > 0.0:
+            if i != j and absXs[i, j] > 0.0:       # so y_ji > 0 after the clamp
                 Yp[i, j] = absXs[i, j] * math.sqrt(Ys[i, j] / Ys[j, i])
         Yp[i, i] = absXs[i, :].sum() - absXs[i, i]
 
     P = Ys - Yp
-    if np.any(P < -tol.RESIDUAL * scale):
-        raise ConstructionError("negative slack in comparison split")
-    # roundoff flotsam in the slack would otherwise turn into spurious columns
+    # round-off flotsam of either sign in the slack would otherwise turn into spurious columns
     P[P <= tol.FLUSH * scale] = 0.0
 
     vs, ws = [], []
@@ -469,14 +406,15 @@ def comparison_split(pair: PairXY) -> ConstructorOutcome:
             ws.append(w)
     core = len(vs)
 
-    Vp, Wp = _position_columns(P, drop_zero=True)
+    Vp, Wp = _position_columns(P)
     V, W = np.column_stack(vs + [Vp]), np.column_stack(ws + [Wp])
     if not V.shape[1]:
         V, W = _zero_term(n)
 
     unscale = (1.0 / np.sqrt(d))[:, None]
-    return _decomposed(pair, method, V * unscale, W * unscale, core_columns=core,
-                       scaling=tuple(float(x) for x in d))
+    info = {"core_columns": core, "scaling": tuple(float(x) for x in d)}
+    return _verified(pair, method, PcpDecomposition(V * unscale, W * unscale), info=info) or \
+        ConstructorOutcome(NOT_APPLICABLE, method, reason="comparison split failed verification")
 
 
 def isotropic_constants(n: int) -> tuple[float, float]:
@@ -557,7 +495,8 @@ def decompose_auto(pair: PairXY, search_permutations: bool = True, *,
                    report: NecessaryReport | None = None) -> ConstructorOutcome:
     """Try every general-purpose route in order of cost; first success wins.
 
-    Order: diagonal X, the n = 2 closed form, the comparison route, then the
+    Order: the comparison route, which covers every diagonal X and every n = 2
+    pair meeting (a)-(d) (their comparison matrices are PSD), then the
     row-by-row elimination (with permutation retries).  When nothing applies,
     the per-method reasons are collected in ``info["methods"]``.  Conditions
     (a)-(e) are evaluated once, or read from ``report`` when given, and that
@@ -566,8 +505,7 @@ def decompose_auto(pair: PairXY, search_permutations: bool = True, *,
     if report is None:
         report = check_necessary(pair)
     attempts: dict[str, str] = {}
-    routes = [decompose_diagonal_x, *([decompose_2x2] if pair.n == 2 else []),
-              decompose_comparison,
+    routes = [decompose_comparison,
               functools.partial(decompose_recursive, search_permutations=search_permutations)]
     for route in routes:
         out = route(pair, report=report)

@@ -70,14 +70,15 @@ def hermitian_eigenvalues(A: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(A)[::-1]
 
 
-def psd_test(A: np.ndarray) -> tuple[bool, float]:
+def psd_test(A: np.ndarray) -> tuple[bool, float, np.ndarray | None]:
     """Whether A is Hermitian (within tolerance) with spectrum >= -``tolerances.psd_floor``,
-    and its smallest eigenvalue: nan when A is not Hermitian, inf when A is empty."""
+    its smallest eigenvalue (nan when A is not Hermitian, inf when A is empty),
+    and its eigenvalues in ascending order (None when A is not Hermitian)."""
     if not is_hermitian(A):
-        return False, math.nan
+        return False, math.nan, None
     w = np.linalg.eigvalsh(np.asarray(A, dtype=np.complex128))
     lowest = float(w.min()) if w.size else math.inf
-    return bool(lowest >= -tol.psd_floor(w)), lowest
+    return bool(lowest >= -tol.psd_floor(w)), lowest, w
 
 
 def is_psd(A: np.ndarray) -> bool:

@@ -162,15 +162,16 @@ def reconstruct(dec: PcpDecomposition) -> PairXY:
 
 
 class Residuals(NamedTuple):
-    """Frobenius norms of the X and Y residuals of a decomposition, and the
-    pair's scale ``tolerances.scale(||X||_F, ||Y||_F)`` they are judged against."""
+    """Frobenius norms of the X and Y residuals of a decomposition, and the scales
+    ``tolerances.scale(||X||_F)``, ``tolerances.scale(||Y||_F)`` each is judged against."""
 
     x: float
     y: float
-    scale: float
+    x_scale: float
+    y_scale: float
 
     def within(self, tol: float = VERIFY) -> bool:
-        return max(self.x, self.y) <= tol * self.scale
+        return self.x <= tol * self.x_scale and self.y <= tol * self.y_scale
 
 
 def residuals(dec: PcpDecomposition, pair: PairXY) -> Residuals:
@@ -180,7 +181,8 @@ def residuals(dec: PcpDecomposition, pair: PairXY) -> Residuals:
     rebuilt = reconstruct(dec)
     return Residuals(float(np.linalg.norm(rebuilt.X - pair.X)),
                      float(np.linalg.norm(rebuilt.Y - pair.Y)),
-                     tol.scale(float(np.linalg.norm(pair.X)), float(np.linalg.norm(pair.Y))))
+                     tol.scale(float(np.linalg.norm(pair.X))),
+                     tol.scale(float(np.linalg.norm(pair.Y))))
 
 
 def verify_decomposition(dec: PcpDecomposition, pair: PairXY, tol: float = VERIFY) -> bool:
@@ -198,7 +200,7 @@ def check_necessary(pair: PairXY) -> NecessaryReport:
     X, Y, n = pair.X, pair.Y, pair.n
     witnesses: dict[str, dict[str, Any]] = {}
 
-    holds_a, lowest = linalg.psd_test(X)
+    holds_a, lowest, spectrum = linalg.psd_test(X)
     if not holds_a:
         if np.isnan(lowest):
             witnesses["a"] = {"hermiticity_defect": linalg.hermiticity_defect(X)}
@@ -231,7 +233,9 @@ def check_necessary(pair: PairXY) -> NecessaryReport:
         witnesses["d"] = {"position": (i + 1, j + 1), "lhs": abs(X[i, j]) ** 2,
                           "rhs": (Y[i, j] * Y[j, i]).real}
 
-    x_gap = linalg.entrywise_one_norm(X) - linalg.trace_norm(X)
+    # a Hermitian X's trace norm is the sum of |eigenvalues|, which (a) has computed already
+    x_trace = float(np.abs(spectrum).sum()) if spectrum is not None else linalg.trace_norm(X)
+    x_gap = linalg.entrywise_one_norm(X) - x_trace
     y_gap = linalg.entrywise_one_norm(Y) - linalg.trace_norm(Y)
     holds_e = x_gap <= y_gap + tol.GAP * tol.scale(linalg.entrywise_one_norm(Y))
     if not holds_e:

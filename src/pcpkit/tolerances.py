@@ -8,7 +8,7 @@ the test compares: a test of X alone is relative to X, never to the pair.
 
 import numpy as np
 
-VERIFY = 1e-8         # certificate residuals (Frobenius), per the pair's Frobenius norms
+VERIFY = 1e-8         # certificate residuals (Frobenius), each per its own matrix's norm
 GAP = 1e-8            # slack of (e) and of the realignment criterion, per ||Y||_1 or the trace
 PSD = 1e-9            # floor under the smallest eigenvalue, per the sum of |eigenvalues|
 RANK = 1e-9           # eigenvalues counted as zero, per the largest eigenvalue

@@ -79,20 +79,21 @@ def necessary_calls(monkeypatch) -> list:
     return calls
 
 
-def verdict_cases() -> dict[tuple[str, str | None], PairXY]:
-    """One pair per (verdict, criterion) outcome of ``separability_verdict``,
-    covering every construction route that can certify."""
+def verdict_cases() -> list[tuple[tuple[str, str | None], PairXY]]:
+    """``((verdict, criterion), pair)`` covering every outcome of
+    ``separability_verdict`` and every construction route that can certify,
+    with a diagonal X and an n = 2 pair among the comparison route's."""
     inconclusive, _ = load_pair_document(FIXTURES / "inconclusive_pair.json")
-    return {
-        ("separable", "diagonal-x"): PairXY(np.diag([2.0, 1.0]),
-                                            np.array([[2.0, 3.0], [0.5, 1.0]])),
-        ("separable", "two-by-two"): PairXY(np.array([[2.0, 1.0j], [-1.0j, 3.0]]),
-                                            np.array([[2.0, 2.0], [1.0, 3.0]])),
-        ("separable", "comparison"): PairXY(np.array([[2, 1, -1], [1, 8, 1], [-1, 1, 4]]),
-                                            np.array([[2, 1, 3], [2, 8, 1], [1, 2, 4]])),
-        ("separable", "recursive"): PairXY(np.ones((3, 3)), np.ones((3, 3))),
-        ("entangled", "ppt"): PairXY(np.array([[1.0, 0.9], [0.9, 1.0]]),
-                                     np.array([[1.0, 0.5], [0.5, 1.0]])),
-        ("entangled", "realignment"): cyclic_pair(2.0),
-        ("inconclusive", None): inconclusive,
-    }
+    return [
+        (("separable", "comparison"), PairXY(np.diag([2.0, 1.0]),
+                                             np.array([[2.0, 3.0], [0.5, 1.0]]))),
+        (("separable", "comparison"), PairXY(np.array([[2.0, 1.0j], [-1.0j, 3.0]]),
+                                             np.array([[2.0, 2.0], [1.0, 3.0]]))),
+        (("separable", "comparison"), PairXY(np.array([[2, 1, -1], [1, 8, 1], [-1, 1, 4]]),
+                                             np.array([[2, 1, 3], [2, 8, 1], [1, 2, 4]]))),
+        (("separable", "recursive"), PairXY(np.ones((3, 3)), np.ones((3, 3)))),
+        (("entangled", "ppt"), PairXY(np.array([[1.0, 0.9], [0.9, 1.0]]),
+                                      np.array([[1.0, 0.5], [0.5, 1.0]]))),
+        (("entangled", "realignment"), cyclic_pair(2.0)),
+        (("inconclusive", None), inconclusive),
+    ]

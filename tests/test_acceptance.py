@@ -16,7 +16,7 @@ from pcpkit import (
     build_state,
     certify_special_separable,
     check_necessary,
-    decompose_2x2,
+    decompose_auto,
     decompose_comparison,
     decompose_isotropic,
     decompose_recursive,
@@ -156,7 +156,7 @@ def test_criterion_06_two_by_two_completeness():
         rng = np.random.default_rng(23456)
         for _ in range(1000):
             pair = random_2x2_abcd_pair(rng)
-            out = decompose_2x2(pair)
+            out = decompose_auto(pair)
             assert out.ok
             assert verify_decomposition(out.decomposition, pair, tol=1e-8)
 

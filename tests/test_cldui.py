@@ -195,6 +195,29 @@ def test_separable_never_flagged_entangled():
         assert separability_verdict(pair).verdict != "entangled"
 
 
+def test_wide_y_certificates_reproduce_x():
+    """Scaling one y_ij by 1e4..1e12 keeps a pair decomposable (it adds the term
+    v = e_i, w = sqrt(c) e_j), and every certificate must still reproduce X on
+    X's own scale, not on the one that y_ij sets."""
+    separable = 0
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        n = 3 + seed % 3
+        pair = random_decomposable_pair(rng, n)
+        Y = pair.Y.copy()
+        i, j = rng.choice(n, size=2, replace=False)
+        Y[i, j] *= 10.0 ** rng.uniform(4.0, 12.0)
+        pair = PairXY(pair.X, Y)
+        v = separability_verdict(pair)
+        assert v.verdict != "entangled", seed
+        if v.verdict == "separable":
+            separable += 1
+            rebuilt = reconstruct(v.certificate)
+            assert np.linalg.norm(rebuilt.X - pair.X) <= 1e-8 * np.linalg.norm(pair.X), seed
+            assert np.linalg.norm(rebuilt.Y - pair.Y) <= 1e-8 * np.linalg.norm(pair.Y), seed
+    assert separable >= 290
+
+
 def test_verdicts_on_known_families():
     v = separability_verdict(cyclic_pair(2.0))
     assert v.verdict == "entangled" and v.criterion == "realignment"
@@ -213,7 +236,7 @@ def test_verdicts_on_known_families():
 
 
 def test_verdict_evaluates_conditions_once(necessary_calls):
-    for expected, pair in verdict_cases().items():
+    for expected, pair in verdict_cases():
         necessary_calls.clear()
         v = separability_verdict(pair)
         assert (v.verdict, v.criterion) == expected
@@ -221,7 +244,7 @@ def test_verdict_evaluates_conditions_once(necessary_calls):
 
 
 def test_criteria_read_the_report():
-    for expected, pair in verdict_cases().items():
+    for expected, pair in verdict_cases():
         report = check_necessary(pair)
         assert ppt_check(pair) == (report.holds_d, report.witnesses.get("d"))
         assert tuple(realignment_check(pair)) == (report.x_gap, report.y_gap, report.holds_e)

@@ -124,7 +124,7 @@ def test_decompose_auto_inconclusive(capsys):
     code, payload = run_json(capsys, "decompose", FIXTURES / "inconclusive_pair.json")
     assert code == 3
     assert payload["status"] == "not-applicable"
-    assert set(payload["methods"]) == {"diagonal-x", "comparison", "recursive"}
+    assert set(payload["methods"]) == {"comparison", "recursive"}
 
 
 def test_decompose_isotropic_pair(capsys, tmp_path):
@@ -170,6 +170,14 @@ def test_check_state_inconclusive(capsys):
     code, payload = run_json(capsys, "check-state", FIXTURES / "inconclusive_pair.json")
     assert code == 4
     assert payload["verdict"] == "inconclusive"
+
+
+def test_check_state_extreme_ratio_pair(capsys):
+    """The comparison split declines this pair instead of raising, and the
+    row-by-row route certifies it."""
+    code, payload = run_json(capsys, "check-state", FIXTURES / "extreme_ratio_pair.json")
+    assert code == 0
+    assert payload["verdict"] == "separable"
 
 
 def test_check_state_dense_input(capsys):

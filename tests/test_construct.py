@@ -9,10 +9,8 @@ from pcpkit import (
     PcpDecomposition,
     check_necessary,
     comparison_matrix,
-    decompose_2x2,
     decompose_auto,
     decompose_comparison,
-    decompose_diagonal_x,
     decompose_isotropic,
     decompose_recursive,
     isotropic_constants,
@@ -22,8 +20,9 @@ from pcpkit import (
     verify_decomposition,
 )
 from pcpkit.construct import _position_columns, _rowwise_passes
-from pcpkit.errors import ComparisonNotPsdError, WrongDimensionError
+from pcpkit.errors import ComparisonNotPsdError
 from pcpkit.linalg import phase_normalize_columns
+from pcpkit.fileio import load_pair_document
 from pcpkit.pairs import length_lower_bound, residuals
 
 from conftest import (
@@ -40,58 +39,67 @@ CMP_X = np.array([[2, 1, -1], [1, 3, 2j], [-1, -2j, 3]], complex)
 CMP_Y = np.array([[2, 1, 2], [1, 3, 4], [0.5, 1, 3]], complex)
 
 
-# ---------------------------------------------------------------- diagonal X
+# ------------------------------------------ diagonal X and n = 2, by comparison
 
 def test_diagonal_route_basic():
+    """A diagonal X is its own comparison matrix: no core column, and one slack
+    term per positive entry of Y."""
     Y = np.array([[2.0, 3.0], [0.5, 1.0]])
     pair = PairXY(np.diag([2.0, 1.0]), Y)
-    out = decompose_diagonal_x(pair)
-    assert out.ok and out.method == "diagonal-x"
+    out = decompose_comparison(pair)
+    assert out.ok and out.method == "comparison"
+    assert out.info["core_columns"] == 0
     assert out.decomposition.m == 4      # one term per position of Y
     assert verify_decomposition(out.decomposition, pair)
 
 
-@pytest.mark.parametrize("drop_zero", [False, True])
-def test_position_columns_match_loop_reference(drop_zero):
-    """One column pair per position (i, j), row-major: v = e_i, w = sqrt(y_ij) e_j."""
+def test_position_columns_match_loop_reference():
+    """One column pair per positive y_ij, row-major: v = e_i, w = sqrt(y_ij) e_j."""
     rng = np.random.default_rng(5)
     for Y in (rng.uniform(0.0, 2.0, (4, 4)) * (rng.random((4, 4)) < 0.5), np.zeros((3, 3))):
         n = Y.shape[0]
-        V, W = _position_columns(Y, drop_zero)
-        cols = [(i, j) for i in range(n) for j in range(n) if not (drop_zero and Y[i, j] == 0.0)]
+        V, W = _position_columns(Y)
+        cols = [(i, j) for i in range(n) for j in range(n) if Y[i, j] > 0.0]
         assert V.shape == W.shape == (n, len(cols))
         for c, (i, j) in enumerate(cols):
             assert np.array_equal(V[:, c], np.eye(n)[i])
             assert np.array_equal(W[:, c], math.sqrt(Y[i, j]) * np.eye(n)[j])
 
 
-def test_diagonal_route_declines_nondiagonal():
-    out = decompose_diagonal_x(PairXY(REG_X, REG_Y))
-    assert out.status == "not-applicable"
-    assert "off-diagonal" in out.reason
-
-
 def test_diagonal_route_judges_x_against_x():
     """A large entry of Y must not let the route drop X's off-diagonal entries."""
     X = np.array([[1.0, 0.5], [0.5, 1.0]])
     pair = PairXY(X, np.array([[1.0, 1e10], [1e-9, 1.0]]))
-    assert decompose_diagonal_x(pair).status == "not-applicable"
-    out = decompose_auto(pair)
-    assert out.ok
-    assert np.linalg.norm(reconstruct(out.decomposition).X - X) <= 1e-8 * np.linalg.norm(X)
+    for out in (decompose_comparison(pair), decompose_auto(pair)):
+        assert out.ok and out.method == "comparison"
+        assert np.linalg.norm(reconstruct(out.decomposition).X - X) <= 1e-8 * np.linalg.norm(X)
 
 
 def test_diagonal_route_flags_bad_pair():
     pair = PairXY(np.diag([1.0, 1.0]), np.array([[1.0, -2.0], [1.0, 1.0]]))
-    out = decompose_diagonal_x(pair)
+    out = decompose_comparison(pair)
     assert out.status == "conditions-violated"
 
 
-# ------------------------------------------------------------------- n = 2
-
-def test_2x2_requires_dimension():
-    with pytest.raises(WrongDimensionError):
-        decompose_2x2(PairXY(np.eye(3), np.eye(3)))
+def test_diagonal_x_sweep():
+    """Every diagonal-X pair meeting (a)-(c) decomposes, also when X carries
+    round-off off-diagonals that (d) admits only within its slack and the
+    ratios y_ij / y_ji reach 1e24."""
+    rng = np.random.default_rng(103)
+    for trial in range(280):
+        n = 1 + trial % 7
+        X = np.diag(rng.uniform(0.5, 2.0, n)).astype(complex)
+        if trial % 2:
+            E = np.triu(10.0 ** rng.uniform(-13.5, -10.2, (n, n))
+                        * np.exp(2j * np.pi * rng.random((n, n))), 1)
+            X += E + E.conj().T
+        Y = 10.0 ** rng.uniform(-12.0, 12.0, (n, n))
+        np.fill_diagonal(Y, np.diag(X).real)
+        out = decompose_auto(PairXY(X, Y))
+        assert out.ok and out.method == "comparison", (trial, out.info.get("methods"))
+        rebuilt = reconstruct(out.decomposition)
+        assert np.linalg.norm(rebuilt.X - X) <= 1e-8 * np.linalg.norm(X)
+        assert np.linalg.norm(rebuilt.Y - Y) <= 1e-8 * np.linalg.norm(Y)
 
 
 def test_2x2_closed_form_sweep():
@@ -99,25 +107,25 @@ def test_2x2_closed_form_sweep():
     rng = np.random.default_rng(61)
     for _ in range(300):
         pair = random_2x2_abcd_pair(rng)
-        out = decompose_2x2(pair)
-        assert out.ok, (pair.X, pair.Y, out.reason)
+        out = decompose_auto(pair)
+        assert out.ok, (pair.X, pair.Y, out.info.get("methods"))
         assert verify_decomposition(out.decomposition, pair)
 
 
 def test_2x2_degenerate_corner():
     # vanishing leading entry forces a diagonal X
     pair = PairXY(np.diag([0.0, 2.0]), np.array([[0.0, 1.5], [0.5, 2.0]]))
-    out = decompose_2x2(pair)
+    out = decompose_auto(pair)
     assert out.ok
     assert verify_decomposition(out.decomposition, pair)
 
 
 def test_2x2_small_y12_is_not_read_as_zero():
-    """y12 = 1e-9 is tiny beside y21 = 1e10, yet (d) leaves room for x12 = 0.5:
-    the formula runs on (X, Y^T) and the certificate reproduces X itself."""
+    """y12 = 1e-9 is tiny beside y21 = 1e10, yet (d) leaves room for x12 = 0.5,
+    and the certificate reproduces X itself."""
     X = np.array([[1.0, 0.5], [0.5, 1.0]])
     pair = PairXY(X, np.array([[1.0, 1e-9], [1e10, 1.0]]))
-    out = decompose_2x2(pair)
+    out = decompose_auto(pair)
     assert out.ok
     rebuilt = reconstruct(out.decomposition)
     assert np.linalg.norm(rebuilt.X - X) <= 1e-8 * np.linalg.norm(X)
@@ -126,13 +134,13 @@ def test_2x2_small_y12_is_not_read_as_zero():
 
 @pytest.mark.parametrize("s", [1e-100, 1e-20, 1.0, 1e20, 1e100])
 def test_2x2_boundary_pair_at_every_scale(s):
-    """Rank-one X with |x12|^2 = y12 y21: both radicands vanish up to round-off,
+    """Rank-one X with |x12|^2 = y12 y21: the slack vanishes up to round-off,
     which must be judged in the units of the entries at every scale."""
     a = np.array([1.3 - 0.2j, 0.4 + 0.9j])
     X = np.outer(a, a.conj())
     Y = np.array([[X[0, 0], abs(X[0, 1])], [abs(X[0, 1]), X[1, 1]]])
     pair = PairXY(s * X, s * Y)
-    out = decompose_2x2(pair)
+    out = decompose_auto(pair)
     assert out.ok
     assert verify_decomposition(out.decomposition, pair)
 
@@ -140,7 +148,7 @@ def test_2x2_boundary_pair_at_every_scale(s):
 def test_2x2_rejects_condition_violation():
     pair = PairXY(np.array([[1.0, 0.9], [0.9, 1.0]]),
                   np.array([[1.0, 0.5], [0.5, 1.0]]))
-    out = decompose_2x2(pair)
+    out = decompose_auto(pair)
     assert out.status == "conditions-violated"
     assert "d" in out.reason
 
@@ -327,6 +335,28 @@ def test_comparison_route_nearly_decoupled_index(eps):
     assert verify_decomposition(out.decomposition, PairXY(X, Y))
 
 
+def test_comparison_split_declines_rather_than_raises(fixtures):
+    """(d) admits |x_ij|^2 above y_ij y_ji within its slack.  With a very uneven
+    ratio y_ij / y_ji the split cannot carry such an x_ij: it clamps |x_ij| to
+    sqrt(y_ij y_ji) and leaves the verdict on what that drops to the
+    verification, so a pair passing (a)-(e) is certified or declined, never
+    raised on."""
+    found, _ = load_pair_document(fixtures / "extreme_ratio_pair.json")
+    X = np.eye(3, dtype=complex)
+    X[0, 1] = X[1, 0] = 1e-11
+    Y = np.ones((3, 3))
+    Y[0, 1], Y[1, 0] = 1e-2, 1e-22           # ratio 1e20, product below |x12|^2
+    diagonal = PairXY(X, Y)
+    for pair in (found, diagonal):
+        assert check_necessary(pair).all_hold
+        for out in (decompose_comparison(pair), decompose_auto(pair)):
+            assert out.status in ("decomposed", "not-applicable")
+            if out.ok:
+                rebuilt = reconstruct(out.decomposition)
+                assert np.linalg.norm(rebuilt.X - pair.X) <= 1e-8 * np.linalg.norm(pair.X)
+    assert decompose_comparison(diagonal).ok     # the clamp drops only 1e-11
+
+
 # ---------------------------------------------------------------- isotropic
 
 def test_isotropic_constants_identities():
@@ -375,11 +405,11 @@ def test_isotropic_zero():
 # --------------------------------------------------------------------- auto
 
 def test_auto_dispatch_order():
-    assert decompose_auto(PairXY(np.diag([1.0, 2.0]), np.array([[1.0, 1], [1, 2]]))).method == "diagonal-x"
+    assert decompose_auto(PairXY(np.diag([1.0, 2.0]), np.array([[1.0, 1], [1, 2]]))).method == "comparison"
     rng = np.random.default_rng(73)
     pair = random_2x2_abcd_pair(rng)
     out = decompose_auto(pair)
-    assert out.ok
+    assert out.ok and out.method == "comparison"
     out = decompose_auto(PairXY(CMP_X, CMP_Y))
     assert out.method == "comparison"
     # the regression pair is diagonally dominant, so it resolves before recursion
@@ -391,12 +421,10 @@ def test_auto_dispatch_order():
 
 
 def test_auto_collects_reasons(fixtures):
-    from pcpkit.fileio import load_pair_document
-
     pair, _ = load_pair_document(fixtures / "inconclusive_pair.json")
     out = decompose_auto(pair)
     assert out.status == "not-applicable"
-    assert set(out.info["methods"]) == {"diagonal-x", "comparison", "recursive"}
+    assert set(out.info["methods"]) == {"comparison", "recursive"}
     # a pair refuted by the norm-gap condition alone is reported as violated,
     # not merely out of reach of the routes
     out = decompose_auto(cyclic_pair(2.0))
@@ -405,7 +433,7 @@ def test_auto_collects_reasons(fixtures):
 
 
 def test_auto_evaluates_conditions_once(necessary_calls):
-    for expected, pair in verdict_cases().items():
+    for expected, pair in verdict_cases():
         necessary_calls.clear()
         decompose_auto(pair)
         assert len(necessary_calls) == 1, expected
@@ -421,12 +449,12 @@ def _same_outcome(a, b) -> bool:
 
 
 def test_routes_accept_a_precomputed_report(necessary_calls):
-    routes = [decompose_diagonal_x, decompose_comparison, decompose_recursive,
+    routes = [decompose_comparison, decompose_recursive,
               lambda pair, **kw: decompose_recursive(pair, search_permutations=True, **kw),
               decompose_auto]
-    for expected, pair in verdict_cases().items():
+    for expected, pair in verdict_cases():
         report = check_necessary(pair)
-        for route in routes + ([decompose_2x2] if pair.n == 2 else []):
+        for route in routes:
             necessary_calls.clear()
             given = route(pair, report=report)
             assert not necessary_calls, expected
@@ -435,10 +463,9 @@ def test_routes_accept_a_precomputed_report(necessary_calls):
 
 def test_decomposed_outcomes_carry_their_residuals():
     """Each route keeps the residuals of the one verification it passed."""
-    routes = [decompose_diagonal_x, decompose_2x2, decompose_comparison, decompose_recursive,
+    routes = [decompose_comparison, decompose_recursive,
               lambda pair: decompose_recursive(pair, search_permutations=True), decompose_auto]
-    outcomes = [(route(pair), pair) for pair in verdict_cases().values()
-                for route in routes if pair.n == 2 or route is not decompose_2x2]
+    outcomes = [(route(pair), pair) for _, pair in verdict_cases() for route in routes]
     outcomes += [(decompose_isotropic(4, 1.0, b), isotropic_pair(4, 1.0, b))
                  for b in (-0.25, 0.0, 0.6, 1.0, 2.0)]
     methods = set()
@@ -448,7 +475,7 @@ def test_decomposed_outcomes_carry_their_residuals():
             assert out.residuals == residuals(out.decomposition, pair), out.method
         else:
             assert out.residuals is None, out.method
-    assert methods == {"diagonal-x", "two-by-two", "comparison", "recursive", "isotropic"}
+    assert methods == {"comparison", "recursive", "isotropic"}
 
 
 def test_auto_conditions_violated():
@@ -468,7 +495,7 @@ def test_closure_under_diagonal_append():
         out = decompose_auto(pair)
         assert out.ok
         P = np.abs(rng.standard_normal((n, n)))
-        extra = decompose_diagonal_x(PairXY(np.diag(np.diag(P)), P))
+        extra = decompose_comparison(PairXY(np.diag(np.diag(P)), P))
         assert extra.ok
         joined = PcpDecomposition(
             np.hstack([out.decomposition.V, extra.decomposition.V]),
