@@ -193,8 +193,21 @@ def cmd_check_state(args) -> int:
 
     if args.dense_crosscheck:
         dense = state.dense
-        pt_psd = linalg.is_psd(cldui.partial_transpose(dense, pair.n))
-        r_trace = linalg.trace_norm(cldui.realign_map(dense, pair.n))
+        # the partial transpose holds X's diagonal at (ii, ii) and 2x2 blocks on {ij, ji}; a
+        # unit-determinant diagonal congruence balances each block, so its eigenvalues are
+        # accurate however uneven y_ij / y_ji is, and their product is held to (d)'s slack
+        n = pair.n
+        pt = cldui.partial_transpose(dense, n)
+        diag = pt.diagonal().real
+        i, j = np.triu_indices(n, 1)
+        ij, ji = i * n + j, j * n + i
+        blocks = np.zeros((i.size, 2, 2), complex)
+        blocks[:, 0, 0] = blocks[:, 1, 1] = np.sqrt(np.maximum(diag[ij] * diag[ji], 0.0))
+        blocks[:, 1, 0] = pt[ji, ij]
+        det = np.linalg.eigvalsh(blocks).prod(axis=-1)
+        slack = tol.ZERO * tol.scale(float(diag[::n + 1].max())) ** 2
+        pt_psd = bool(diag.min() >= -tol.psd_floor(diag) and np.all(det >= -slack))
+        r_trace = linalg.trace_norm(cldui.realign_map(dense, n))
         dense_realign = r_trace <= trace + tol.GAP * tol.scale(trace)
         lines.append(
             f"dense cross-check: PT PSD {pt_psd} (agrees: {pt_psd == report.holds_d}), "

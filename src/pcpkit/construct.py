@@ -114,17 +114,6 @@ def _zero_term(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros((n, 1), complex), np.zeros((n, 1), complex)
 
 
-def _position_columns(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Columns v = e_i, w = sqrt(y_ij) e_j over the positions (i, j) of the
-    positive entries of the real matrix Y, row-major; possibly none."""
-    i, j = np.nonzero(Y > 0.0)
-    V = np.zeros((Y.shape[0], i.size), complex)
-    W = np.zeros_like(V)
-    V[i, np.arange(i.size)] = 1.0
-    W[j, np.arange(i.size)] = np.sqrt(Y[i, j])
-    return V, W
-
-
 def _rowwise_passes(X: np.ndarray, Y: np.ndarray, scale: float, exhaustive: bool):
     """The row-by-row elimination under every simultaneous ordering of the
     indices (only the identity unless ``exhaustive``), in lexicographic order.
@@ -266,24 +255,14 @@ def comparison_matrix(A: np.ndarray) -> np.ndarray:
 
 
 def _graph_components(adjacency: np.ndarray) -> list[np.ndarray]:
+    """The vertex sets of the connected components of a symmetric adjacency matrix."""
     n = adjacency.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in np.flatnonzero(adjacency[u]):
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(int(v))
-        comps.append(np.array(sorted(comp)))
-    return comps
+    reach = (adjacency | np.eye(n, dtype=bool)).astype(float)
+    for _ in range((n - 1).bit_length()):      # paths of up to 2^k edges after k squarings
+        reach = ((reach @ reach) > 0.0).astype(float)
+    # label each vertex by the lowest-numbered vertex it reaches
+    first = np.where(reach > 0.0, np.arange(n), n).min(axis=1, initial=n)
+    return [np.flatnonzero(first == f) for f in np.unique(first)]
 
 
 def _perron_vector(P: np.ndarray) -> np.ndarray:
@@ -349,8 +328,9 @@ def comparison_split(pair: PairXY) -> ConstructorOutcome:
     semidefinite, which implies (a).  The pair is rescaled so X becomes
     diagonally dominant, split into a core part (one column per unordered
     index pair, carrying the off-diagonal entries of X) and a non-negative
-    slack part handled position by position, and the columns are rescaled
-    back.  The core columns come first in the result;
+    slack part (one column per row: v = e_i, w = sqrt of row i of the slack,
+    which puts the slack's diagonal entry in X and its row in Y), and the
+    columns are rescaled back.  The core columns come first in the result;
     ``info["core_columns"]`` records how many there are.
 
     Conditions (c) and (d) hold only up to their slacks, so |x_ij| is clamped
@@ -368,46 +348,38 @@ def comparison_split(pair: PairXY) -> ConstructorOutcome:
             reason="comparison matrix of X is not positive semidefinite",
             info={"min_eigenvalue": err.min_eigenvalue},
         )
-    Xs = d[:, None] * pair.X * d[None, :]
-    Ys = np.clip((d[:, None] * pair.Y * d[None, :]).real, 0.0, None)
+    dd = np.outer(d, d)
+    Xs = dd * pair.X
+    Ys = np.clip((dd * pair.Y).real, 0.0, None)
     absXs = np.abs(Xs)
-    # thresholds are relative to the input pair, so they follow its rescaling by d_i d_j;
-    # round-off entries of X count as zero and their Y mass moves into the slack
-    scale = pair.scale * np.outer(d, d)
-    absXs[absXs <= tol.FLUSH * scale] = 0.0
-    # off the diagonal the clamp keeps the slack non-negative; on it, it cancels out of Yp
-    absXs = np.minimum(absXs, np.sqrt(Ys) * np.sqrt(Ys.T))
+    # round-off entries of X count as zero and their Y mass moves into the slack;
+    # X's threshold follows the rescaling by d_i d_j
+    absXs[absXs <= tol.FLUSH * tol.scale(float(np.abs(pair.X).max())) * dd] = 0.0
+    # the clamp keeps the off-diagonal slack non-negative
+    rootY = np.sqrt(Ys)
+    absXs = np.minimum(absXs, rootY * rootY.T)
+    np.fill_diagonal(absXs, 0.0)
 
-    Yp = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j and absXs[i, j] > 0.0:       # so y_ji > 0 after the clamp
-                Yp[i, j] = absXs[i, j] * math.sqrt(Ys[i, j] / Ys[j, i])
-        Yp[i, i] = absXs[i, :].sum() - absXs[i, i]
-
+    # y'_ij = |x_ij| sqrt(y_ij / y_ji) off the diagonal (y_ji > 0 after the clamp),
+    # and the row sums of |x_ij| on it
+    Yp = absXs * np.divide(rootY, rootY.T, out=np.zeros_like(Ys), where=absXs > 0.0)
+    np.fill_diagonal(Yp, absXs.sum(axis=1))
     P = Ys - Yp
-    # round-off flotsam of either sign in the slack would otherwise turn into spurious columns
-    P[P <= tol.FLUSH * scale] = 0.0
+    # each slack entry is what Yp leaves of a Y entry, so its round-off is relative to that entry
+    P[P <= tol.FLUSH * Ys] = 0.0
 
-    vs, ws = [], []
-    for k in range(n):
-        for l in range(k + 1, n):
-            if max(Yp[k, l], Yp[l, k]) == 0.0:
-                continue
-            x = Xs[k, l]
-            sgn = x / abs(x) if abs(x) > 0 else 1.0
-            v = np.zeros(n, complex)
-            w = np.zeros(n, complex)
-            v[k] = sgn * Yp[k, l] ** 0.25
-            v[l] = Yp[l, k] ** 0.25
-            w[k] = Yp[l, k] ** 0.25
-            w[l] = Yp[k, l] ** 0.25
-            vs.append(v)
-            ws.append(w)
-    core = len(vs)
-
-    Vp, Wp = _position_columns(P)
-    V, W = np.column_stack(vs + [Vp]), np.column_stack(ws + [Wp])
+    k, l = np.nonzero(np.triu(np.maximum(Yp, Yp.T), 1))
+    rows = np.flatnonzero((P > 0.0).any(axis=1))
+    core = k.size
+    cols = np.arange(core)
+    sgn = np.exp(1j * np.angle(Xs[k, l]))
+    q = Yp ** 0.25
+    V = np.zeros((n, core + rows.size), complex)
+    W = np.zeros_like(V)
+    V[k, cols], V[l, cols] = sgn * q[k, l], q[l, k]
+    W[k, cols], W[l, cols] = q[l, k], q[k, l]
+    V[rows, core + np.arange(rows.size)] = 1.0
+    W[:, core:] = np.sqrt(P[rows]).T
     if not V.shape[1]:
         V, W = _zero_term(n)
 

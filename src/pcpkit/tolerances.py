@@ -15,7 +15,7 @@ RANK = 1e-9           # eigenvalues counted as zero, per the largest eigenvalue
 STRUCTURE = 1e-10     # structural zeros (Hermiticity, diagonal X, CLDUI pattern), per largest entry
 RESIDUAL = 1e-9       # exact-arithmetic zeros ((c), eliminations, slacks), per largest entry
 ZERO = 1e-12          # round-off zeros (entries, pivots, radicands, (d), spectra), per largest entry
-FLUSH = 1e-13         # entries the comparison route drops, per largest entry
+FLUSH = 1e-13         # round-off the comparison split drops: |x_ij| per largest x_ij, slack per y_ij
 PERTURBATION = 1e-10  # shift separating a degenerate Perron eigenvalue, per largest entry
 
 
