@@ -184,15 +184,15 @@ def ordering_min_eigenvalues(n: int, lambdas, *,
 
     All test matrices are built by one gather and diagonalized by one batched
     ``eigvalsh`` call.  Each matrix is judged exactly as ``linalg.is_psd``
-    judges it: as a complex Hermitian matrix, passing when its smallest
-    eigenvalue clears ``-tolerances.psd_floor``.  Entries of the spectrum may
-    dip below zero by ``tolerances.ZERO`` times the largest entry and are
-    clamped; it is sorted internally.
+    judges it: in real arithmetic, as the matrix is real, passing when its
+    smallest eigenvalue clears ``-tolerances.psd_floor``.  Entries of the
+    spectrum may dip below zero by ``tolerances.ZERO`` times the largest entry
+    and are clamped; it is sorted internally.
     """
     if orderings is None:
         orderings = enumerate_orderings(n)
     lam = _check_spectrum(-np.sort(-np.atleast_1d(np.asarray(lambdas, dtype=float))), n * n)
-    w = np.linalg.eigvalsh(_test_matrices(n, orderings, lam)[0].astype(complex))
+    w = np.linalg.eigvalsh(_test_matrices(n, orderings, lam)[0])
     return w[:, 0], w[:, 0] >= -tol.psd_floor(w)
 
 

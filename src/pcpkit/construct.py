@@ -123,6 +123,11 @@ def _rowwise_passes(X: np.ndarray, Y: np.ndarray, scale: float, exhaustive: bool
     ``(order, None, None, witness)`` per failed one: the failing position
     (1-based, in the ordering's coordinates) and what went wrong.  Orderings
     with a common prefix share its steps, and a failed step rules them all out.
+
+    A step is whole-vector array code: the indices not yet pivoted are a boolean
+    mask, and no Python loop visits them.  The products with earlier terms stay
+    row-dot products ``M[:, :k] @ x``, which round each entry the same wherever
+    it sits, so a search and a pass on the permuted pair agree bitwise.
     """
     n = X.shape[0]
     V = np.zeros((n, n), complex)
@@ -133,40 +138,51 @@ def _rowwise_passes(X: np.ndarray, Y: np.ndarray, scale: float, exhaustive: bool
     res_tol = tol.RESIDUAL * scale
     pivot_tol = tol.ZERO * math.sqrt(scale)     # pivots are square roots of Y entries
     order: list[int] = []
+    unpivoted = np.ones(n, bool)                # every index not in ``order``
+
+    def fail(k: int, m: int, radicand: float, reason: str) -> dict[str, Any]:
+        return {"position": (k + 1, m + 1), "radicand": float(radicand), "reason": reason}
 
     def step(k: int, i: int, rest: list[int]) -> dict[str, Any] | None:
-        """Eliminate index i as the k-th pivot, ahead of ``rest``; a witness on failure."""
-        def fail(j: int, radicand: float, reason: str) -> dict[str, Any]:
-            return {"position": (k + 1, j + 1), "radicand": float(radicand), "reason": reason}
-        V[:, k] = 0.0                         # columns >= k hold an earlier ordering's steps
-        d = absW[:, :k] @ absV[i, :k]         # d_{i,j} over j
-        c = A[:, :k] @ A[i, :k].conj()        # c_{j,i} over j
-        rad = Y[i, :].real - d
-        if rad.min() < -neg_tol:
+        """Eliminate index i as the k-th pivot, ahead of ``rest``; a witness on failure.
+
+        ``unpivoted`` masks i and ``rest``.  ``rest`` is ascending, so the first
+        of its indices to fail is the lowest failing one in the mask.  A step
+        that succeeds writes its columns whole, since columns >= k may hold an
+        earlier ordering's steps.
+        """
+        rad = Y[i].real - absW[:, :k] @ absV[i, :k]     # y_{i,j} - d_{i,j} over j
+        lowest = np.minimum.reduce(rad)
+        if lowest < -neg_tol:
             ranked = rad[order + [i] + rest]
-            j = int(ranked.argmin())
-            return fail(j, ranked[j], "negative radicand")
-        rad = np.maximum(rad, 0.0)
-        num = X[:, i] - c                     # x_{j,i} residuals over j
-        s = math.sqrt(rad[i])
+            m = int(ranked.argmin())
+            return fail(k, m, ranked[m], "negative radicand")
+        if lowest < 0.0:                                # round-off below zero
+            np.maximum(rad, 0.0, out=rad)
+        num = X[:, i] - A[:, :k] @ A[i, :k].conj()      # x_{j,i} - c_{j,i} over j
+        root = np.sqrt(rad)
+        s = float(root[i])
         vkk = num[i] / s if s >= pivot_tol else 0.0
         if abs(vkk) < pivot_tol:
             # Row i already exhausted: admissible only if nothing is left of it.
-            if s < pivot_tol and rad.max() <= res_tol and np.abs(num[[i] + rest]).max() <= res_tol:
-                W[:, k] = absV[:, k] = absW[:, k] = A[:, k] = 0.0
+            if s < pivot_tol and rad.max() <= res_tol and np.abs(num[unpivoted]).max() <= res_tol:
+                V[:, k] = W[:, k] = absV[:, k] = absW[:, k] = A[:, k] = 0.0
                 return None
-            return fail(k, rad[i], "vanishing pivot with unexhausted row")
-        V[i, k] = vkk
-        W[:, k] = np.sqrt(rad) / vkk
-        for m, j in enumerate(rest, k + 1):
-            r = math.sqrt(rad[j])
-            if r >= pivot_tol:
-                V[j, k] = num[j] / r
-            elif abs(num[j]) > res_tol:
-                return fail(m, rad[j], "zero denominator under a non-zero residual")
-        absV[:, k] = np.abs(V[:, k]) ** 2
-        absW[:, k] = np.abs(W[:, k]) ** 2
-        A[:, k] = V[:, k] * W[:, k]
+            return fail(k, k, rad[i], "vanishing pivot with unexhausted row")
+        live = unpivoted
+        small = root < pivot_tol                        # not i, whose root is s
+        if np.count_nonzero(small):
+            live = unpivoted & ~small
+            bad = np.flatnonzero(unpivoted & small & (np.abs(num) > res_tol))
+            if bad.size:
+                j = int(bad[0])
+                return fail(k, k + 1 + rest.index(j), rad[j],
+                            "zero denominator under a non-zero residual")
+        v = np.divide(num, root, out=np.zeros(n, complex), where=live)    # v[i] = vkk
+        w = root / vkk
+        V[:, k], W[:, k], A[:, k] = v, w, v * w
+        absV[:, k] = np.square(np.abs(v))
+        absW[:, k] = np.square(np.abs(w))
         return None
 
     stack = [(list(range(n)), list(range(n)) if exhaustive else [0])]   # (unpivoted, untried)
@@ -175,10 +191,11 @@ def _rowwise_passes(X: np.ndarray, Y: np.ndarray, scale: float, exhaustive: bool
         if not untried:
             stack.pop()
             if order:
-                order.pop()
+                unpivoted[order.pop()] = True
             continue
         i = untried.pop(0)
-        rest = [j for j in left if j != i]
+        p = left.index(i)
+        rest = left[:p] + left[p + 1:]
         witness = step(len(order), i, rest)
         if witness is not None:
             yield tuple(order + [i] + rest), None, None, witness
@@ -186,6 +203,7 @@ def _rowwise_passes(X: np.ndarray, Y: np.ndarray, scale: float, exhaustive: bool
             yield tuple(order + [i]), V, W, None
         else:
             order.append(i)
+            unpivoted[i] = False
             stack.append((rest, rest[:] if exhaustive else rest[:1]))
 
 

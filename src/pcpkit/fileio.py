@@ -7,6 +7,7 @@ imaginary part is exactly zero, keeping fixtures human-diffable.
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 from typing import Any
@@ -42,8 +43,16 @@ def _parse_matrix(rows, where: str) -> np.ndarray:
 
 
 def _parse_vector(entries, where: str) -> np.ndarray:
+    """A list of scalars as a complex vector, converted by one array call when
+    every entry has an exact JSON number type; otherwise scalar by scalar, which
+    names the first malformed entry."""
     if not isinstance(entries, list) or not entries:
         raise PcpkitError(f"{where}: expected a non-empty list of entries")
+    pairs = [e for e in entries if type(e) is list]
+    # exact types: isinstance would take a bool for an int
+    if set(map(type, entries)) <= {int, float, list} and set(map(len, pairs)) <= {2} and \
+            set(map(type, itertools.chain.from_iterable(pairs))) <= {int, float}:
+        return np.array([complex(*e) if type(e) is list else e for e in entries], complex)
     return np.array([_parse_scalar(v, f"{where}[{k + 1}]") for k, v in enumerate(entries)])
 
 
@@ -151,6 +160,11 @@ def load_certificate(path) -> tuple[PcpDecomposition, dict[str, Any]]:
             raise PcpkitError(f"{path}: missing or empty field {key!r}")
     vs = [_parse_vector(v, f"{path}: vs[{k + 1}]") for k, v in enumerate(doc["vs"])]
     ws = [_parse_vector(w, f"{path}: ws[{k + 1}]") for k, w in enumerate(doc["ws"])]
+    n = len(vs[0])
+    for key, vectors in (("vs", vs), ("ws", ws)):
+        for k, v in enumerate(vectors):
+            if len(v) != n:
+                raise PcpkitError(f"{path}: {key}[{k + 1}] has {len(v)} entries, expected {n}")
     dec = PcpDecomposition.from_vectors(vs, ws)
     meta = {k: v for k, v in doc.items() if k not in ("vs", "ws")}
     return dec, meta

@@ -1,6 +1,9 @@
 """Dense complex matrix helpers: spectra, the two norms, Hadamard products.
 
-All functions are pure and act on plain numpy arrays (coerced to complex128).
+All functions are pure and act on plain numpy arrays, coerced to complex128.
+The spectra and the trace norm come from LAPACK in real arithmetic whenever
+the matrix's imaginary part is exactly zero, which at n = 100 costs about half
+as much as complex arithmetic; the rule is :func:`_lapack_operand`.
 Everything targets desk-scale dense matrices, n up to ~100.
 """
 
@@ -39,6 +42,12 @@ def as_complex_vector(a) -> np.ndarray:
     return arr
 
 
+def _lapack_operand(A: np.ndarray) -> np.ndarray:
+    """A's real part when its imaginary part is exactly zero, else A: what the
+    eigenvalue and singular value routines factorize."""
+    return A.real if A.dtype.kind == "c" and not np.count_nonzero(A.imag) else A
+
+
 def require_square(A: np.ndarray) -> np.ndarray:
     A = as_complex_matrix(A)
     if A.shape[0] != A.shape[1]:
@@ -67,7 +76,7 @@ def hermitian_eigenvalues(A: np.ndarray) -> np.ndarray:
     A = require_square(A)
     if not is_hermitian(A):
         raise NotHermitianError(f"matrix is not Hermitian (defect {hermiticity_defect(A):.3e})")
-    return np.linalg.eigvalsh(A)[::-1]
+    return np.linalg.eigvalsh(_lapack_operand(A))[::-1]
 
 
 def psd_test(A: np.ndarray) -> tuple[bool, float, np.ndarray | None]:
@@ -76,7 +85,7 @@ def psd_test(A: np.ndarray) -> tuple[bool, float, np.ndarray | None]:
     and its eigenvalues in ascending order (None when A is not Hermitian)."""
     if not is_hermitian(A):
         return False, math.nan, None
-    w = np.linalg.eigvalsh(np.asarray(A, dtype=np.complex128))
+    w = np.linalg.eigvalsh(_lapack_operand(np.asarray(A)))
     lowest = float(w.min()) if w.size else math.inf
     return bool(lowest >= -tol.psd_floor(w)), lowest, w
 
@@ -96,7 +105,7 @@ def trace_norm(A: np.ndarray) -> float:
     A = as_complex_matrix(A)
     if A.size == 0:
         return 0.0
-    return float(np.linalg.svd(A, compute_uv=False).sum())
+    return float(np.linalg.svd(_lapack_operand(A), compute_uv=False).sum())
 
 
 def entrywise_one_norm(A: np.ndarray) -> float:

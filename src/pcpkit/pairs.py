@@ -235,9 +235,10 @@ def check_necessary(pair: PairXY) -> NecessaryReport:
 
     # a Hermitian X's trace norm is the sum of |eigenvalues|, which (a) has computed already
     x_trace = float(np.abs(spectrum).sum()) if spectrum is not None else linalg.trace_norm(X)
+    y_one = linalg.entrywise_one_norm(Y)
     x_gap = linalg.entrywise_one_norm(X) - x_trace
-    y_gap = linalg.entrywise_one_norm(Y) - linalg.trace_norm(Y)
-    holds_e = x_gap <= y_gap + tol.GAP * tol.scale(linalg.entrywise_one_norm(Y))
+    y_gap = y_one - linalg.trace_norm(Y)
+    holds_e = x_gap <= y_gap + tol.GAP * tol.scale(y_one)
     if not holds_e:
         witnesses["e"] = {"x_gap": x_gap, "y_gap": y_gap}
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+from typing import Any
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from pcpkit import (
     isotropic_pair,
     perron_scaling,
     reconstruct,
+    tolerances,
     verify_decomposition,
 )
 from pcpkit.construct import _rowwise_passes
@@ -236,6 +238,128 @@ def test_search_matches_one_pass_per_permutation():
         assert [o for o, _, _ in searched] == [o for o, _, _ in reference]
         for (_, V, W), (_, V_ref, W_ref) in zip(searched, reference):
             assert np.array_equal(V, V_ref) and np.array_equal(W, W_ref)
+
+
+def _elimination_pair(rng, n) -> PairXY:
+    """A sparse, often rank-deficient pair, some of it damaged, whose elimination
+    meets every failure and exhausted rows."""
+    m = int(rng.integers(1, 2 * n))
+    F = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    F[rng.random((n, m)) < 0.3] = 0.0
+    F[rng.random(n) < 0.2] = 0.0                  # zero rows exhaust
+    pair = reconstruct(PcpDecomposition(F, rng.standard_normal((n, m)) + 0.5j))
+    X, Y = pair.X.copy(), pair.Y.copy()
+    for i, j in rng.integers(0, n, (int(rng.integers(0, 3)), 2)):
+        if i == j:
+            # a zero pivot with x_ii left over
+            X[i, :] = X[:, i] = Y[i, :] = 0.0
+            X[i, i] = 1.0
+        else:
+            # a zero denominator, or a zero pivot with its row unexhausted
+            Y[i, j] = 1.0 if Y[i, i] == 0.0 else 0.0
+    return PairXY(X, Y)
+
+
+def test_rowwise_step_matches_loop_reference():
+    """The whole-vector step yields the scalar loop's items, in its order, with
+    the same witnesses and bitwise the same V and W: the exhaustive search at
+    n = 3..7 and identity passes at n = 8 and 30, over pairs that reach every
+    failure reason and exhausted rows in both groups."""
+    rng = np.random.default_rng(83)
+    reached = {True: set(), False: set()}
+    for n, exhaustive, count in [(3, True, 10), (4, True, 10), (5, True, 8), (6, True, 4),
+                                 (7, True, 1), (8, False, 40), (30, False, 40)]:
+        for _ in range(count):
+            pair = _elimination_pair(rng, n)
+            args = (pair.X, pair.Y, pair.scale, exhaustive)
+            for got, want in itertools.zip_longest(_rowwise_passes(*args),
+                                                   _rowwise_passes_loop(*args)):
+                assert got[0] == want[0] and got[3] == want[3]
+                if want[3] is None:
+                    assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+                    if not np.abs(want[1]).max(axis=0).all():
+                        reached[exhaustive].add("exhausted row")
+                else:
+                    reached[exhaustive].add(want[3]["reason"])
+    for group in reached.values():
+        assert group == {"exhausted row", "negative radicand",
+                         "vanishing pivot with unexhausted row",
+                         "zero denominator under a non-zero residual"}
+
+
+def _rowwise_passes_loop(X: np.ndarray, Y: np.ndarray, scale: float, exhaustive: bool):
+    """The reference for ``_rowwise_passes``: the same search, with a scalar
+    loop over the remaining indices of each step.
+
+    Yields ``(order, V, W, None)`` per completed pass, column k holding the k-th
+    pivot's term over the original indices (valid until the next item), and
+    ``(order, None, None, witness)`` per failed one: the failing position
+    (1-based, in the ordering's coordinates) and what went wrong.  Orderings
+    with a common prefix share its steps, and a failed step rules them all out.
+    """
+    n = X.shape[0]
+    V = np.zeros((n, n), complex)
+    W = np.zeros((n, n), complex)
+    # |V|^2, |W|^2 and V.W, filled in one column per step
+    absV, absW, A = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n), complex)
+    neg_tol = tolerances.ZERO * scale
+    res_tol = tolerances.RESIDUAL * scale
+    pivot_tol = tolerances.ZERO * math.sqrt(scale)     # pivots are square roots of Y entries
+    order: list[int] = []
+
+    def step(k: int, i: int, rest: list[int]) -> dict[str, Any] | None:
+        """Eliminate index i as the k-th pivot, ahead of ``rest``; a witness on failure."""
+        def fail(j: int, radicand: float, reason: str) -> dict[str, Any]:
+            return {"position": (k + 1, j + 1), "radicand": float(radicand), "reason": reason}
+        V[:, k] = 0.0                         # columns >= k hold an earlier ordering's steps
+        d = absW[:, :k] @ absV[i, :k]         # d_{i,j} over j
+        c = A[:, :k] @ A[i, :k].conj()        # c_{j,i} over j
+        rad = Y[i, :].real - d
+        if rad.min() < -neg_tol:
+            ranked = rad[order + [i] + rest]
+            j = int(ranked.argmin())
+            return fail(j, ranked[j], "negative radicand")
+        rad = np.maximum(rad, 0.0)
+        num = X[:, i] - c                     # x_{j,i} residuals over j
+        s = math.sqrt(rad[i])
+        vkk = num[i] / s if s >= pivot_tol else 0.0
+        if abs(vkk) < pivot_tol:
+            # Row i already exhausted: admissible only if nothing is left of it.
+            if s < pivot_tol and rad.max() <= res_tol and np.abs(num[[i] + rest]).max() <= res_tol:
+                W[:, k] = absV[:, k] = absW[:, k] = A[:, k] = 0.0
+                return None
+            return fail(k, rad[i], "vanishing pivot with unexhausted row")
+        V[i, k] = vkk
+        W[:, k] = np.sqrt(rad) / vkk
+        for m, j in enumerate(rest, k + 1):
+            r = math.sqrt(rad[j])
+            if r >= pivot_tol:
+                V[j, k] = num[j] / r
+            elif abs(num[j]) > res_tol:
+                return fail(m, rad[j], "zero denominator under a non-zero residual")
+        absV[:, k] = np.abs(V[:, k]) ** 2
+        absW[:, k] = np.abs(W[:, k]) ** 2
+        A[:, k] = V[:, k] * W[:, k]
+        return None
+
+    stack = [(list(range(n)), list(range(n)) if exhaustive else [0])]   # (unpivoted, untried)
+    while stack:
+        left, untried = stack[-1]
+        if not untried:
+            stack.pop()
+            if order:
+                order.pop()
+            continue
+        i = untried.pop(0)
+        rest = [j for j in left if j != i]
+        witness = step(len(order), i, rest)
+        if witness is not None:
+            yield tuple(order + [i] + rest), None, None, witness
+        elif not rest:
+            yield tuple(order + [i]), V, W, None
+        else:
+            order.append(i)
+            stack.append((rest, rest[:] if exhaustive else rest[:1]))
 
 
 def test_recursive_permutation_cap():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from pcpkit import linalg
 from pcpkit.errors import DimensionMismatchError, NotHermitianError, NotSquareError
+from pcpkit.tolerances import psd_floor
 
 from conftest import cyclic_norms, cyclic_pair
 
@@ -54,6 +55,48 @@ def test_is_psd_examples():
 def test_is_psd_rejects_nonhermitian_quietly():
     # not an error, simply not PSD
     assert not linalg.is_psd(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+def test_real_data_runs_real_lapack_with_the_complex_decisions(monkeypatch):
+    """Matrices held as complex128 whose imaginary part is exactly zero are
+    factorized in real arithmetic, with the decisions and spectra of the
+    complex path; some have their lowest eigenvalue within 10x of the PSD
+    floor, on either side.  A Hermitian matrix with an imaginary part stays complex."""
+    dtypes = []
+    for name in ("eigvalsh", "svd"):
+        routine = getattr(np.linalg, name)
+
+        def recorded(A, *args, _routine=routine, **kwargs):
+            dtypes.append(np.asarray(A).dtype)
+            return _routine(A, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recorded)
+
+    rng = np.random.default_rng(29)
+    for trial in range(60):
+        n = int(rng.integers(2, 40))
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        w = np.append(0.0, rng.uniform(0.1, 10.0, n - 1))
+        floor = psd_floor(w)
+        factor = [0.1, -0.1, 0.3, -0.3, 3.0, -3.0, 10.0, -10.0][trial % 8]
+        w[0] = factor * floor
+        A = (Q * w) @ Q.T
+        A = ((A + A.T) / 2).astype(complex)
+        if trial % 10 == 9:
+            H = rng.standard_normal((n, n))
+            A = A + 1j * (H - H.T) * 1e-3
+        dtypes.clear()
+        psd, lowest, spectrum = linalg.psd_test(A)
+        eigenvalues = linalg.hermitian_eigenvalues(A)
+        norm = linalg.trace_norm(A)
+        assert dtypes == [np.complex128 if A.imag.any() else np.float64] * 3
+        reference = np.linalg.eigvalsh(A)
+        assert psd == (reference.min() >= -psd_floor(reference))
+        assert psd == (factor > -1.0) or A.imag.any()
+        bound = 1e-13 * np.abs(reference).max()
+        assert np.abs(spectrum - reference).max() <= bound
+        assert np.abs(eigenvalues[::-1] - reference).max() <= bound
+        assert abs(lowest - reference.min()) <= bound
+        assert abs(norm - np.linalg.svd(A, compute_uv=False).sum()) <= 1e-13 * n * norm
 
 
 def test_trace_norm_all_ones():
