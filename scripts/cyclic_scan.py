@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from pcpkit import PairXY, check_necessary, separability_verdict
+from pcpkit import PairXY, separability_verdict
 from pcpkit.linalg import entrywise_one_norm, trace_norm
 
 
@@ -41,7 +41,7 @@ def run_scan(cfg: ScanConfig) -> None:
           f"{'(a)-(d)':>8} {'(e)':>5}   verdict")
     for a in cfg.values:
         pair = cyclic_pair(a)
-        report = check_necessary(pair)
+        report = pair.report
         one_c, tr_c = closed_forms(a)
         err = max(abs(entrywise_one_norm(pair.Y) - one_c),
                   abs(trace_norm(pair.Y) - tr_c))

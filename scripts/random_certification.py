@@ -19,7 +19,8 @@ from pcpkit import (
     enumerate_orderings,
     reconstruct,
 )
-from pcpkit.defaults import DEFAULT_SEED
+
+DEFAULT_SEED = 12345
 
 
 @dataclass

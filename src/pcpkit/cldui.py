@@ -25,19 +25,13 @@ import numpy as np
 
 from . import linalg
 from . import tolerances as tol
-from .defaults import DEFAULT_SEED
 from .errors import (
     ConditionsViolatedError,
     NotClduiError,
     WrongDimensionError,
 )
 from .construct import ConstructorOutcome, decompose_auto
-from .pairs import (
-    NecessaryReport,
-    PairXY,
-    PcpDecomposition,
-    check_necessary,
-)
+from .pairs import NecessaryReport, PairXY, PcpDecomposition
 
 SEPARABLE = "separable"
 ENTANGLED = "entangled"
@@ -80,7 +74,7 @@ class ClduiState:
 
 def _state_report(pair: PairXY) -> NecessaryReport:
     """The report on (a)-(e); raises unless (a)-(c) hold, as the state must be positive."""
-    report = check_necessary(pair)
+    report = pair.report
     if not report.holds_abc:
         raise ConditionsViolatedError(
             f"conditions {report.failing()} fail; the pair does not describe a state",
@@ -102,40 +96,46 @@ def _require_dense(rho, n: int) -> np.ndarray:
     return rho
 
 
+def _stray_entry(rho: np.ndarray, n: int) -> tuple[int, int] | None:
+    """The (0-based) largest entry outside the invariant zero pattern, or None when
+    every such entry is below ``tolerances.STRUCTURE`` times the largest entry magnitude."""
+    ones = np.ones((n, n))
+    stray = np.abs(rho) * (dense_matrix(PairXY(ones, ones)) == 0.0)
+    if stray.max() <= tol.STRUCTURE * tol.scale(float(np.abs(rho).max())):
+        return None
+    r, c = np.unravel_index(int(stray.argmax()), stray.shape)
+    return int(r), int(c)
+
+
 def extract_pair(rho: np.ndarray, n: int) -> PairXY:
     """Read the coefficient pair back out of a dense matrix.
 
     Every entry outside the invariant zero pattern must be negligible
     (below ``tolerances.STRUCTURE`` times the largest entry magnitude),
     otherwise the matrix is not of this family and ``NotClduiError`` reports
-    the first offender (1-based flat coordinates).
+    the largest offender (1-based flat coordinates).
     """
     rho = _require_dense(rho, n)
-    ones = np.ones((n, n))
-    stray = np.abs(rho) * (dense_matrix(PairXY(ones, ones)) == 0.0)
-    if stray.max() > tol.STRUCTURE * tol.scale(float(np.abs(rho).max())):
-        r, c = np.unravel_index(int(stray.argmax()), stray.shape)
+    if (stray := _stray_entry(rho, n)) is not None:
+        r, c = stray
         raise NotClduiError(
             f"entry ({r + 1}, {c + 1}) = {rho[r, c]:.3e} violates the invariant zero pattern",
-            coordinate=(int(r) + 1, int(c) + 1),
+            coordinate=(r + 1, c + 1),
         )
     skeleton = np.arange(n) * (n + 1)        # the flat indices (i, i)
     return PairXY(rho[np.ix_(skeleton, skeleton)], np.diag(rho).reshape(n, n))
 
 
-def is_diagonal_unitary_invariant(rho: np.ndarray, n: int, samples: int = 25,
-                                  seed: int = DEFAULT_SEED) -> bool:
-    """Probabilistic invariance test under U (x) conj(U) for random diagonal unitaries U."""
-    rho = _require_dense(rho, n)
-    rng = np.random.default_rng(seed)
-    scale = tol.scale(float(np.linalg.norm(rho)))
-    for _ in range(samples):
-        phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=n))
-        c = np.kron(phases, phases.conj())
-        twisted = (c[:, None] * rho) * c.conj()[None, :]
-        if float(np.linalg.norm(twisted - rho)) > tol.RESIDUAL * scale:
-            return False
-    return True
+def is_diagonal_unitary_invariant(rho: np.ndarray, n: int) -> bool:
+    """Whether U (x) conj(U) rho (U (x) conj(U))* = rho for every diagonal unitary U.
+
+    For U = diag(exp(i t)) the conjugation multiplies rho[(i,k),(j,l)] by
+    exp(i (t_i - t_k - t_j + t_l)), which is 1 for every t exactly when
+    {i, l} = {j, k}: the invariant zero pattern.  So the test is exact, and
+    asks what :func:`extract_pair` asks: that no entry off that pattern is
+    above its negligibility threshold.
+    """
+    return _stray_entry(_require_dense(rho, n), n) is None
 
 
 def partial_transpose(rho: np.ndarray, n: int) -> np.ndarray:
@@ -208,7 +208,7 @@ def separability_verdict(pair: PairXY, search_permutations: bool = True) -> Sepa
     if not report.holds_e:
         return SeparabilityVerdict(ENTANGLED, criterion="realignment", report=report,
                                    witness=report.witnesses["e"])
-    outcome = decompose_auto(pair, search_permutations=search_permutations, report=report)
+    outcome = decompose_auto(pair, search_permutations=search_permutations)
     if outcome.ok:
         return SeparabilityVerdict(
             SEPARABLE,

@@ -26,7 +26,7 @@ import numpy as np
 from . import abssep, cldui, construct, fileio, linalg
 from . import tolerances as tol
 from .errors import ConditionsViolatedError, NotClduiError, PcpkitError
-from .pairs import PairXY, check_necessary, residuals
+from .pairs import PairXY, residuals
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -68,7 +68,7 @@ def _report_payload(report) -> dict:
 
 def cmd_check_pair(args) -> int:
     pair, _ = fileio.load_pair_document(args.pair)
-    report = check_necessary(pair)
+    report = pair.report
     if args.json:
         print(json.dumps({"n": pair.n, **_report_payload(report)}, indent=2))
     else:
@@ -160,14 +160,10 @@ def cmd_check_state(args) -> int:
             raise PcpkitError("cannot normalize: the state has non-positive trace")
         pair = PairXY(pair.X / weight, pair.Y / weight)
 
-    try:
-        verdict = cldui.separability_verdict(pair)
-        report = verdict.report
-    except ConditionsViolatedError as exc:
-        verdict, report = None, exc.report
+    report = pair.report
     lines = [f"state: {args.state} ({source} form, n = {pair.n})"]
     payload = {"n": pair.n, "form": source, **_report_payload(report)}
-    if verdict is None:
+    if not report.holds_abc:
         message = f"not a state: conditions {report.failing()} fail"
         if args.json:
             payload["verdict"] = "invalid"
@@ -176,6 +172,7 @@ def cmd_check_state(args) -> int:
             print("\n".join(lines + [message]))
         return EXIT_VIOLATED
 
+    verdict = cldui.separability_verdict(pair)
     state = cldui.ClduiState(pair)
     trace = state.trace
     lines.append(f"trace: {trace:.9g}")

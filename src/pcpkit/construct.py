@@ -14,9 +14,9 @@ Two sufficient constructions, each packaged as a function returning a
 by mixing closed-form decompositions of the two extreme members, and
 ``decompose_auto`` tries the general routes in order of cost.
 
-Each general route takes a keyword-only ``report``, the pair's
-:func:`~pcpkit.pairs.check_necessary` result, and evaluates (a)-(e) itself
-only when it is omitted.
+Each general route is gated on the pair's necessary conditions, which it
+reads from ``pair.report``: a pair evaluates (a)-(e) once, however many
+routes and criteria read them.
 
 A constructor never raises on an unsuitable pair; it reports why it does not
 apply.  Raised errors are reserved for malformed input and for internal
@@ -41,14 +41,7 @@ from .errors import (
     PcpkitError,
     WrongDimensionError,
 )
-from .pairs import (
-    NecessaryReport,
-    PairXY,
-    PcpDecomposition,
-    Residuals,
-    check_necessary,
-    residuals,
-)
+from .pairs import PairXY, PcpDecomposition, Residuals, residuals
 
 DECOMPOSED = "decomposed"
 NOT_APPLICABLE = "not-applicable"
@@ -78,11 +71,9 @@ class ConstructorOutcome:
         return self.status == DECOMPOSED
 
 
-def _violated(method: str, pair: PairXY, report: NecessaryReport | None,
-              conditions: str) -> ConstructorOutcome | None:
+def _violated(method: str, pair: PairXY, conditions: str) -> ConstructorOutcome | None:
     """The ``conditions-violated`` outcome when one of ``conditions`` fails, else None."""
-    if report is None:
-        report = check_necessary(pair)
+    report = pair.report
     which = [c for c in report.failing() if c in conditions]
     if not which:
         return None
@@ -207,8 +198,7 @@ def _rowwise_passes(X: np.ndarray, Y: np.ndarray, scale: float, exhaustive: bool
             stack.append((rest, rest[:] if exhaustive else rest[:1]))
 
 
-def decompose_recursive(pair: PairXY, search_permutations: bool = False, *,
-                        report: NecessaryReport | None = None) -> ConstructorOutcome:
+def decompose_recursive(pair: PairXY, search_permutations: bool = False) -> ConstructorOutcome:
     """Row-by-row elimination with upper-triangular v-vectors.
 
     The elimination can fail on a decomposable pair for ordering reasons
@@ -220,7 +210,7 @@ def decompose_recursive(pair: PairXY, search_permutations: bool = False, *,
     (X, Y); ``info["transposed"]`` records which orientation succeeded.
     """
     method = "recursive"
-    if violated := _violated(method, pair, report, "abcd"):
+    if violated := _violated(method, pair, "abcd"):
         return violated
 
     n = pair.n
@@ -330,10 +320,9 @@ def perron_scaling(X: np.ndarray) -> np.ndarray:
     return d
 
 
-def decompose_comparison(pair: PairXY, *,
-                         report: NecessaryReport | None = None) -> ConstructorOutcome:
+def decompose_comparison(pair: PairXY) -> ConstructorOutcome:
     """Comparison-matrix route: gated on (a)-(d), then :func:`comparison_split`."""
-    if violated := _violated("comparison", pair, report, "abcd"):
+    if violated := _violated("comparison", pair, "abcd"):
         return violated
     return comparison_split(pair)
 
@@ -481,37 +470,26 @@ def decompose_isotropic(n: int, a: float, b: float) -> ConstructorOutcome:
                        mixture=t, c_plus=c_plus, c_minus=c_minus)
 
 
-def decompose_auto(pair: PairXY, search_permutations: bool = True, *,
-                   report: NecessaryReport | None = None) -> ConstructorOutcome:
+def decompose_auto(pair: PairXY, search_permutations: bool = True) -> ConstructorOutcome:
     """Try every general-purpose route in order of cost; first success wins.
 
-    Order: the comparison route, which covers every diagonal X and every n = 2
-    pair meeting (a)-(d) (their comparison matrices are PSD), then the
+    A pair failing any of (a)-(e) is ``conditions-violated`` before any route
+    runs, as :func:`~pcpkit.cldui.separability_verdict` has it.  Otherwise the
+    order is the comparison route, which covers every diagonal X and every
+    n = 2 pair meeting (a)-(d) (their comparison matrices are PSD), then the
     row-by-row elimination (with permutation retries).  When nothing applies,
-    the per-method reasons are collected in ``info["methods"]``.  Conditions
-    (a)-(e) are evaluated once, or read from ``report`` when given, and that
-    one report is passed to every route.
+    the per-method reasons are collected in ``info["methods"]``.
     """
-    if report is None:
-        report = check_necessary(pair)
+    if violated := _violated("auto", pair, "abcde"):
+        return violated
     attempts: dict[str, str] = {}
     routes = [decompose_comparison,
               functools.partial(decompose_recursive, search_permutations=search_permutations)]
     for route in routes:
-        out = route(pair, report=report)
+        out = route(pair)
         if out.ok:
             return out
         attempts[out.method] = out.reason or out.status
-
-    # a failing necessary condition settles the question even when the
-    # individual routes only reported themselves inapplicable
-    if not report.all_hold:
-        return ConstructorOutcome(
-            status=CONDITIONS_VIOLATED,
-            method="auto",
-            reason=f"necessary conditions {report.failing()} fail",
-            info={"methods": attempts, "report": report},
-        )
     return ConstructorOutcome(
         status=NOT_APPLICABLE,
         method="auto",

@@ -33,13 +33,10 @@ def _parse_matrix(rows, where: str) -> np.ndarray:
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise PcpkitError(f"{where}: expected a non-empty list of rows")
     width = len(rows[0])
-    out = np.zeros((len(rows), width), complex)
     for i, row in enumerate(rows):
         if len(row) != width:
             raise PcpkitError(f"{where}: row {i + 1} has length {len(row)}, expected {width}")
-        for j, value in enumerate(row):
-            out[i, j] = _parse_scalar(value, f"{where}[{i + 1}][{j + 1}]")
-    return out
+    return np.array([_parse_vector(row, f"{where}[{i + 1}]") for i, row in enumerate(rows)])
 
 
 def _parse_vector(entries, where: str) -> np.ndarray:

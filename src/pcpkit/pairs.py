@@ -69,6 +69,11 @@ class PairXY:
         """
         return tol.scale(float(np.abs(self.X).max()), float(np.abs(self.Y).max()))
 
+    @cached_property
+    def report(self) -> NecessaryReport:
+        """The pair's :func:`check_necessary` report, evaluated on first use and then kept."""
+        return check_necessary(self)
+
 
 @dataclass(frozen=True)
 class PcpDecomposition:
@@ -120,6 +125,9 @@ class NecessaryReport:
 
     ``x_gap`` and ``y_gap`` always carry the two norm gaps used by condition
     (e), so callers can print the margin even when everything passes.
+    ``x_rank`` is the numerical rank of X, read off the spectrum of (a) at
+    threshold ``tolerances.RANK`` times its largest magnitude (None when X is
+    not Hermitian).
     Witness indices are 1-based, matching the usual row/column convention.
     """
 
@@ -130,6 +138,7 @@ class NecessaryReport:
     holds_e: bool
     x_gap: float
     y_gap: float
+    x_rank: int | None
     witnesses: dict[str, dict[str, Any]] = field(default_factory=dict)
 
     @property
@@ -233,8 +242,12 @@ def check_necessary(pair: PairXY) -> NecessaryReport:
         witnesses["d"] = {"position": (i + 1, j + 1), "lhs": abs(X[i, j]) ** 2,
                           "rhs": (Y[i, j] * Y[j, i]).real}
 
-    # a Hermitian X's trace norm is the sum of |eigenvalues|, which (a) has computed already
-    x_trace = float(np.abs(spectrum).sum()) if spectrum is not None else linalg.trace_norm(X)
+    # a Hermitian X's trace norm and rank come from the eigenvalues (a) has computed already
+    if spectrum is None:
+        x_trace, x_rank = linalg.trace_norm(X), None
+    else:
+        mags = np.abs(spectrum)
+        x_trace, x_rank = float(mags.sum()), int((mags > tol.RANK * mags.max()).sum())
     y_one = linalg.entrywise_one_norm(Y)
     x_gap = linalg.entrywise_one_norm(X) - x_trace
     y_gap = y_one - linalg.trace_norm(Y)
@@ -242,7 +255,8 @@ def check_necessary(pair: PairXY) -> NecessaryReport:
     if not holds_e:
         witnesses["e"] = {"x_gap": x_gap, "y_gap": y_gap}
 
-    return NecessaryReport(holds_a, holds_b, holds_c, holds_d, holds_e, x_gap, y_gap, witnesses)
+    return NecessaryReport(holds_a, holds_b, holds_c, holds_d, holds_e, x_gap, y_gap, x_rank,
+                           witnesses)
 
 
 def strong_cs_gap(v: np.ndarray, w: np.ndarray) -> tuple[float, float]:
@@ -270,13 +284,11 @@ def strong_cs_gap(v: np.ndarray, w: np.ndarray) -> tuple[float, float]:
 def length_lower_bound(pair: PairXY) -> int:
     """Lower bound on the number of terms any joint decomposition needs: rank(X).
 
-    Requires conditions (a)-(c); the rank is numerical, at threshold
-    ``tolerances.RANK`` times the largest singular value.
+    Requires conditions (a)-(c); the rank is the report's ``x_rank``.
     """
-    report = check_necessary(pair)
+    report = pair.report
     if not report.holds_abc:
         raise ConditionsViolatedError(
             f"conditions {report.failing()} fail; pair is not decomposable", report=report
         )
-    s = np.abs(np.linalg.eigvalsh(pair.X))
-    return int((s > tol.RANK * s.max()).sum())
+    return report.x_rank

@@ -67,15 +67,15 @@ def cyclic_norms(a: float) -> tuple[float, float]:
 
 @pytest.fixture
 def necessary_calls(monkeypatch) -> list:
-    """Record every ``check_necessary`` call made from ``cldui`` and ``construct``."""
+    """Record every ``check_necessary`` call that ``pairs`` makes, which is where
+    ``PairXY.report`` evaluates the conditions for every consumer."""
     calls = []
 
     def counted(pair):
         calls.append(pair)
         return check_necessary(pair)
 
-    for module in (pcpkit.cldui, pcpkit.construct):
-        monkeypatch.setattr(module, "check_necessary", counted)
+    monkeypatch.setattr(pcpkit.pairs, "check_necessary", counted)
     return calls
 
 

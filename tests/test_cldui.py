@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from pcpkit import (
     realignment_check,
     reconstruct,
     separability_verdict,
+    tolerances,
 )
 from pcpkit.errors import ConditionsViolatedError, NotClduiError, WrongDimensionError
 from pcpkit.linalg import entrywise_one_norm, is_psd, trace_norm
@@ -163,6 +166,18 @@ def test_realignment_matches_dense():
         assert lhs == pytest.approx(want, abs=1e-8 * max(1.0, want))
 
 
+def twisted_invariant(rho, n, rng, samples=25) -> bool:
+    """Invariance as sampled: conjugate by U (x) conj(U) for random diagonal
+    unitaries U and compare (the exact test's reference)."""
+    scale = tolerances.scale(float(np.linalg.norm(rho)))
+    for _ in range(samples):
+        phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=n))
+        c = np.kron(phases, phases.conj())
+        if np.linalg.norm(c[:, None] * rho * c.conj()[None, :] - rho) > tolerances.RESIDUAL * scale:
+            return False
+    return True
+
+
 def test_diagonal_unitary_invariance():
     rng = np.random.default_rng(137)
     pair = random_decomposable_pair(rng, 3)
@@ -170,6 +185,22 @@ def test_diagonal_unitary_invariance():
     rho = dense_matrix(pair).copy()
     rho[0, 1] = rho[1, 0] = 0.7          # off the invariant pattern
     assert not is_diagonal_unitary_invariant(rho, 3)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_invariance_is_exactly_the_zero_pattern(n):
+    """Each single entry set on its own: on the pattern {i, l} = {j, k} of
+    rho[(i,k),(j,l)] the state stays invariant, off it the test flags it, and
+    the sampled twist agrees either way."""
+    rng = np.random.default_rng(151 + n)
+    base = dense_matrix(random_decomposable_pair(rng, n))
+    for r, c in itertools.product(range(n * n), repeat=2):
+        (i, k), (j, l) = divmod(r, n), divmod(c, n)
+        rho = base.copy()
+        rho[r, c] += 0.7 - 0.4j
+        on_pattern = {i, l} == {j, k}
+        assert is_diagonal_unitary_invariant(rho, n) == on_pattern, (r, c)
+        assert twisted_invariant(rho, n, rng) == on_pattern, (r, c)
 
 
 def test_twirl_soundness_small():

@@ -8,6 +8,7 @@ import pytest
 from pcpkit import (
     PairXY,
     PcpDecomposition,
+    build_state,
     check_necessary,
     comparison_matrix,
     decompose_auto,
@@ -17,10 +18,14 @@ from pcpkit import (
     isotropic_constants,
     isotropic_pair,
     perron_scaling,
+    ppt_check,
+    realignment_check,
     reconstruct,
+    separability_verdict,
     tolerances,
     verify_decomposition,
 )
+from pcpkit import construct
 from pcpkit.construct import _rowwise_passes
 from pcpkit.errors import ComparisonNotPsdError
 from pcpkit.linalg import phase_normalize_columns
@@ -570,26 +575,31 @@ def test_auto_evaluates_conditions_once(necessary_calls):
         assert len(necessary_calls) == 1, expected
 
 
-def _same_outcome(a, b) -> bool:
-    same = (a.status, a.method, a.reason, a.permutation, repr(a.info)) == \
-        (b.status, b.method, b.reason, b.permutation, repr(b.info))
-    if a.decomposition is None or b.decomposition is None:
-        return same and a.decomposition is b.decomposition
-    return (same and np.array_equal(a.decomposition.V, b.decomposition.V)
-            and np.array_equal(a.decomposition.W, b.decomposition.W))
-
-
-def test_routes_accept_a_precomputed_report(necessary_calls):
-    routes = [decompose_comparison, decompose_recursive,
-              lambda pair, **kw: decompose_recursive(pair, search_permutations=True, **kw),
-              decompose_auto]
+def test_a_pair_evaluates_its_conditions_once(necessary_calls):
+    """Every consumer of (a)-(e) reads the one report the pair keeps."""
+    consumers = [separability_verdict, ppt_check, realignment_check, build_state,
+                 decompose_comparison, decompose_recursive, decompose_auto, length_lower_bound]
     for expected, pair in verdict_cases():
-        report = check_necessary(pair)
-        for route in routes:
-            necessary_calls.clear()
-            given = route(pair, report=report)
-            assert not necessary_calls, expected
-            assert _same_outcome(route(pair), given), expected
+        necessary_calls.clear()
+        for consume in consumers:
+            consume(pair)
+        assert len(necessary_calls) == 1 and necessary_calls[0] is pair, expected
+
+
+def test_auto_refutes_before_any_route(monkeypatch):
+    """A pair failing (d) or (e) is conditions-violated without running a route."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a construction route ran on a refuted pair")
+
+    monkeypatch.setattr(construct, "comparison_split", unreachable)
+    monkeypatch.setattr(construct, "decompose_recursive", unreachable)
+    refuted = [cyclic_pair(2.0)] + [pair for (verdict, _), pair in verdict_cases()
+                                    if verdict == "entangled"]
+    for pair in refuted:
+        out = decompose_auto(pair)
+        assert out.status == "conditions-violated"
+        assert out.reason == f"necessary conditions {pair.report.failing()} fail"
+        assert out.info == {"report": pair.report}
 
 
 def test_decomposed_outcomes_carry_their_residuals():
