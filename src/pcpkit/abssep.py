@@ -140,10 +140,10 @@ def _check_spectrum(lambdas, size: int) -> np.ndarray:
     return np.clip(lam, 0.0, None)
 
 
-def _test_matrices(n: int, orderings, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The stacked test matrices of ``orderings`` for a sorted spectrum, and the
-    slot values they are built from: one row per ordering, the n squares, then
-    the plus pairs, then the minus pairs (row-major k < l)."""
+def _test_matrices(n: int, orderings, lam: np.ndarray) -> np.ndarray:
+    """The stacked test matrices of ``orderings`` for a sorted spectrum, each built
+    from its ordering's slot values: the n squares, then the plus pairs, then the
+    minus pairs (row-major k < l)."""
     if any(t.n != n for t in orderings):
         raise DimensionMismatchError(f"every ordering must be for n = {n}")
     p = n * (n - 1) // 2
@@ -154,7 +154,7 @@ def _test_matrices(n: int, orderings, lam: np.ndarray) -> tuple[np.ndarray, np.n
     Z = np.zeros((vals.shape[0], n, n))
     Z[:, d, d] = 2.0 * vals[:, :n]
     Z[:, k, l] = Z[:, l, k] = vals[:, n:n + p] - vals[:, n + p:]
-    return Z, vals
+    return Z
 
 
 def l_map_matrix(ordering: OrderingTable, lambdas) -> np.ndarray:
@@ -192,7 +192,7 @@ def ordering_min_eigenvalues(n: int, lambdas, *,
     if orderings is None:
         orderings = enumerate_orderings(n)
     lam = _check_spectrum(-np.sort(-np.atleast_1d(np.asarray(lambdas, dtype=float))), n * n)
-    w = np.linalg.eigvalsh(_test_matrices(n, orderings, lam)[0])
+    w = np.linalg.eigvalsh(_test_matrices(n, orderings, lam))
     return w[:, 0], w[:, 0] >= -tol.psd_floor(w)
 
 
@@ -244,8 +244,8 @@ def certify_special_separable(ordering: OrderingTable, lambdas) -> ConstructorOu
 
     The spectrum diagonalized in the ordering's distinguished basis and
     partially transposed is the invariant state of the pair read from the slot
-    values: X = Z / 2 for the test matrix Z, diag Y = diag X, and
-    y_kl = y_lk = (plus + minus) / 2.  Conditions (a)-(d) hold by
+    values (gathered by ``ordering.positions``): X = Z / 2 for the test matrix
+    Z, diag Y = diag X, and y_kl = y_lk = (plus + minus) / 2.  Conditions (a)-(d) hold by
     construction: (a) is the ordering's test, and (b)-(d) follow from the
     non-negative slot values.  So the comparison split of ``construct`` runs
     without the necessary-condition gate, and its comparison matrix is X
@@ -255,12 +255,13 @@ def certify_special_separable(ordering: OrderingTable, lambdas) -> ConstructorOu
     eigenvalue of X = Z / 2, half that of the test matrix.
     """
     n = ordering.n
-    lam = _check_spectrum(lambdas, n * n)
-    (Z,), (vals,) = _test_matrices(n, [ordering], lam)
-    k, l = np.triu_indices(n, 1)
-    X = Z / 2.0
+    vals = _check_spectrum(lambdas, n * n)[::-1][ordering.positions]
+    plus, minus = vals[n:].reshape(2, -1)
+    k, l = np.nonzero(np.arange(n)[:, None] < np.arange(n))    # np.triu_indices(n, 1), cheaper
+    X = np.diag(vals[:n])
     Y = X.copy()
-    Y[k, l] = Y[l, k] = (vals[n:n + k.size] + vals[n + k.size:]) / 2.0
+    X[k, l] = X[l, k] = (plus - minus) / 2.0
+    Y[k, l] = Y[l, k] = (plus + minus) / 2.0
     pair = PairXY(X, Y)
     out = comparison_split(pair)
     return replace(out, method="abs-ppt-comparison", info={**out.info, "pair": pair})

@@ -255,21 +255,25 @@ def decompose_recursive(pair: PairXY, search_permutations: bool = False) -> Cons
 
 
 def comparison_matrix(A: np.ndarray) -> np.ndarray:
-    """Entrywise comparison matrix: keep |diagonal|, negate all off-diagonal magnitudes."""
-    A = linalg.require_square(A)
+    """Entrywise comparison matrix, real: keep |diagonal|, negate all off-diagonal magnitudes."""
     M = -np.abs(A)
     np.fill_diagonal(M, np.abs(np.diag(A)))
     return M
 
 
 def _graph_components(adjacency: np.ndarray) -> list[np.ndarray]:
-    """The vertex sets of the connected components of a symmetric adjacency matrix."""
+    """The vertex sets of the connected components of a symmetric adjacency matrix, by
+    squaring reachability until it stops growing (one product for a complete graph)."""
     n = adjacency.shape[0]
-    reach = (adjacency | np.eye(n, dtype=bool)).astype(float)
-    for _ in range((n - 1).bit_length()):      # paths of up to 2^k edges after k squarings
-        reach = ((reach @ reach) > 0.0).astype(float)
+    reach = adjacency | np.eye(n, dtype=bool)
+    for _ in range((n - 1).bit_length()):      # until 2^k edges cover the longest path, n - 1
+        f = reach.astype(float)
+        grown = (f @ f) > 0.0
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
     # label each vertex by the lowest-numbered vertex it reaches
-    first = np.where(reach > 0.0, np.arange(n), n).min(axis=1, initial=n)
+    first = np.where(reach, np.arange(n), n).min(axis=1, initial=n)
     return [np.flatnonzero(first == f) for f in np.unique(first)]
 
 
@@ -293,9 +297,9 @@ def _perron_vector(P: np.ndarray) -> np.ndarray:
 def perron_scaling(X: np.ndarray) -> np.ndarray:
     """Positive diagonal d such that diag(d) X diag(d) is diagonally dominant.
 
-    Requires the comparison matrix of X to be positive semidefinite.  The
-    scaling is assembled per connected component of the off-diagonal support
-    graph, from the top eigenvector of the non-negative part.
+    Requires the comparison matrix of X, built once in real arithmetic, to pass one
+    ``psd_test``; only then is the scaling assembled per connected component of the
+    off-diagonal support graph, from the top eigenvector of the non-negative part.
     """
     M = comparison_matrix(X)
     psd, lowest, _ = linalg.psd_test(M)
@@ -304,10 +308,8 @@ def perron_scaling(X: np.ndarray) -> np.ndarray:
     n = M.shape[0]
     alpha = float(np.diag(M).max()) if n else 0.0
     P = alpha * np.eye(n) - M
-    off = P.copy()
-    np.fill_diagonal(off, 0.0)
     d = np.zeros(n)
-    for comp in _graph_components(off > 0.0):
+    for comp in _graph_components(M < 0.0):     # the off-diagonal support of X
         if comp.size == 1:
             d[comp] = 1.0
         else:
@@ -346,8 +348,9 @@ def comparison_split(pair: PairXY) -> ConstructorOutcome:
     """
     method = "comparison"
     n = pair.n
+    X, Y = linalg._lapack_operand(pair.X), linalg._lapack_operand(pair.Y)   # real on real data
     try:
-        d = perron_scaling(pair.X)
+        d = perron_scaling(X)
     except ComparisonNotPsdError as err:
         return ConstructorOutcome(
             status=NOT_APPLICABLE,
@@ -356,12 +359,12 @@ def comparison_split(pair: PairXY) -> ConstructorOutcome:
             info={"min_eigenvalue": err.min_eigenvalue},
         )
     dd = np.outer(d, d)
-    Xs = dd * pair.X
-    Ys = np.clip((dd * pair.Y).real, 0.0, None)
+    Xs = dd * X
+    Ys = np.clip((dd * Y).real, 0.0, None)
     absXs = np.abs(Xs)
     # round-off entries of X count as zero and their Y mass moves into the slack;
     # X's threshold follows the rescaling by d_i d_j
-    absXs[absXs <= tol.FLUSH * tol.scale(float(np.abs(pair.X).max())) * dd] = 0.0
+    absXs[absXs <= tol.FLUSH * tol.scale(float(np.abs(X).max())) * dd] = 0.0
     # the clamp keeps the off-diagonal slack non-negative
     rootY = np.sqrt(Ys)
     absXs = np.minimum(absXs, rootY * rootY.T)

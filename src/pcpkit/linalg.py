@@ -1,9 +1,10 @@
 """Dense complex matrix helpers: spectra, the two norms, Hadamard products.
 
-All functions are pure and act on plain numpy arrays, coerced to complex128.
-The spectra and the trace norm come from LAPACK in real arithmetic whenever
-the matrix's imaginary part is exactly zero, which at n = 100 costs about half
-as much as complex arithmetic; the rule is :func:`_lapack_operand`.
+All functions are pure.  Arrays are validated once, by :func:`as_complex_matrix`,
+where they enter (``PairXY``, ``PcpDecomposition``, ``cldui``'s dense readers);
+the tests, spectra and norms take them as given.  Spectra and the trace norm come
+from LAPACK in real arithmetic whenever the imaginary part is exactly zero, at
+about half the cost for n = 100; the rule is :func:`_lapack_operand`.
 Everything targets desk-scale dense matrices, n up to ~100.
 """
 
@@ -60,8 +61,10 @@ def hermiticity_defect(A: np.ndarray) -> float:
 
 
 def is_hermitian(A: np.ndarray) -> bool:
-    """True iff the Hermiticity defect is within ``tolerances.STRUCTURE`` of the largest entry."""
-    A = require_square(A)
+    """True iff A is square with Hermiticity defect within ``STRUCTURE`` of its largest entry."""
+    A = np.asarray(A)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        return False
     amax = float(np.abs(A).max()) if A.size else 0.0
     return hermiticity_defect(A) <= tol.STRUCTURE * tol.scale(amax)
 
@@ -102,7 +105,7 @@ def trace_norm(A: np.ndarray) -> float:
     working precision near vanishing singular values, which the norm-gap
     comparisons cannot afford.
     """
-    A = as_complex_matrix(A)
+    A = np.asarray(A)
     if A.size == 0:
         return 0.0
     return float(np.linalg.svd(_lapack_operand(A), compute_uv=False).sum())
@@ -110,7 +113,6 @@ def trace_norm(A: np.ndarray) -> float:
 
 def entrywise_one_norm(A: np.ndarray) -> float:
     """Sum of entry magnitudes."""
-    A = as_complex_matrix(A)
     return float(np.abs(A).sum())
 
 

@@ -16,6 +16,7 @@ from pcpkit import (
 )
 from pcpkit.abssep import OrderingTable, ordering_min_eigenvalues
 from pcpkit.cldui import extract_pair, partial_transpose
+from pcpkit.construct import _graph_components
 from pcpkit.errors import (
     DimensionMismatchError,
     InvalidOrderingError,
@@ -24,7 +25,7 @@ from pcpkit.errors import (
     UnsupportedDimensionError,
 )
 from pcpkit.linalg import hermitian_eigenvalues, is_psd
-from pcpkit.pairs import residuals
+from pcpkit.pairs import reconstruct, residuals
 
 S = 1.0 / np.sqrt(2.0)
 
@@ -331,6 +332,64 @@ def test_certify_declines_failing_spectrum():
     # the split tests X = Z / 2, so it reports half the test matrix's eigenvalue
     lowest = hermitian_eigenvalues(l_map_matrix(table, lam))[-1]
     assert out.info["min_eigenvalue"] == pytest.approx(lowest / 2.0, rel=1e-12)
+
+
+def test_declines_report_the_spectrum_of_x_itself():
+    """A declined ordering reports the smallest eigenvalue of X = Z / 2 exactly as
+    one real ``eigvalsh`` computes it: X is its own comparison matrix."""
+    rng = np.random.default_rng(17)
+    declined = 0
+    for n in (2, 3, 4, 5):
+        for _ in range(4):
+            top = rng.uniform(0.6, 0.9)
+            lam = np.sort(np.append(top, (1 - top) * rng.dirichlet(np.full(n * n - 1, 0.5))))[::-1]
+            for table in enumerate_orderings(n):
+                out = certify_special_separable(table, lam)
+                if out.ok:
+                    continue
+                declined += 1
+                assert out.status == "not-applicable" and out.decomposition is None
+                X = l_map_matrix(table, lam) / 2.0
+                assert out.info["min_eigenvalue"] == np.linalg.eigvalsh(X)[0]
+    assert declined > 50
+
+
+def _passing_spectrum(rng, n):
+    """A Dirichlet spectrum pulled into the ball of purity <= 1 / (n^2 - 1), where
+    every state is separable."""
+    d = n * n
+    delta = rng.dirichlet(np.ones(d)) - 1.0 / d
+    t = min(1.0, np.sqrt((1.0 / (d - 1) - 1.0 / d) / (delta @ delta)) * rng.uniform(0.3, 0.95))
+    return np.sort(1.0 / d + t * delta)[::-1]
+
+
+def test_seeded_passing_spectra_certify_every_ordering_per_matrix():
+    """Every ordering of seeded passing spectra at n = 2..5 is certified, and the
+    certificate rebuilds X and Y each within 1e-8 of its own norm.  Tied
+    eigenvalues zero off-diagonal entries of X, so among the spectra with ties
+    (rounded, flat plus one spike, flat) the support graph of X splits into
+    components: some with a coupled pair beside single vertices, some all single."""
+    rng = np.random.default_rng(23)
+    shapes = set()
+    for n in (2, 3, 4, 5):
+        d = n * n
+        spike = np.append(1.3, np.ones(d - 1))
+        spectra = [_passing_spectrum(rng, n) for _ in range(3)]
+        spectra += [np.round(_passing_spectrum(rng, n), 2), spike / spike.sum(), np.full(d, 1.0 / d)]
+        for lam in spectra:
+            assert abs_ppt_check(n, lam)[0]
+            for table in enumerate_orderings(n):
+                out = certify_special_separable(table, lam)
+                assert out.status == "decomposed"
+                pair, rebuilt = out.info["pair"], reconstruct(out.decomposition)
+                for mat in "XY":
+                    want = getattr(pair, mat)
+                    assert np.linalg.norm(getattr(rebuilt, mat) - want) <= 1e-8 * np.linalg.norm(want)
+                off = pair.X != 0.0
+                np.fill_diagonal(off, False)
+                sizes = sorted(c.size for c in _graph_components(off))
+                shapes.add("one" if len(sizes) == 1 else "split" if sizes[-1] > 1 else "single")
+    assert shapes == {"one", "split", "single"}
 
 
 def test_input_validation():

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import pcpkit.linalg
 from pcpkit import (
     PairXY,
     build_state,
@@ -272,6 +273,24 @@ def test_verdict_evaluates_conditions_once(necessary_calls):
         v = separability_verdict(pair)
         assert (v.verdict, v.criterion) == expected
         assert len(necessary_calls) == 1, expected
+
+
+def test_verdict_validates_each_array_once(monkeypatch):
+    """A verdict coerces X and Y once, in ``PairXY``, and a certificate's V and W
+    once, in ``PcpDecomposition``; nothing downstream coerces them again."""
+    coerced = []
+    coerce = pcpkit.linalg.as_complex_matrix
+    monkeypatch.setattr(pcpkit.linalg, "as_complex_matrix",
+                        lambda a: coerced.append(a) or coerce(a))
+    caps = {"separable": 4, "inconclusive": 2}
+    seen = set()
+    rng = np.random.default_rng(5)
+    while seen != set(caps):
+        generated = random_decomposable_pair(rng, 30)
+        coerced.clear()
+        v = separability_verdict(PairXY(generated.X, generated.Y))
+        assert len(coerced) <= caps[v.verdict], v.verdict
+        seen.add(v.verdict)
 
 
 def test_criteria_read_the_report():

@@ -103,8 +103,9 @@ def test_decompose_verify_shipped_certificate(capsys):
 
 def test_decompose_comparison_route(capsys, monkeypatch):
     rebuilt = []
-    monkeypatch.setattr(pcpkit.pairs, "reconstruct",
-                        lambda dec: rebuilt.append(dec) or reconstruct(dec))
+    generated = pcpkit.pairs._generated
+    monkeypatch.setattr(pcpkit.pairs, "_generated",
+                        lambda dec: rebuilt.append(dec) or generated(dec))
     code, payload = run_json(capsys, "decompose", FIXTURES / "comparison_pair.json",
                              "--method", "comparison")
     assert code == 0

@@ -443,6 +443,62 @@ def test_comparison_route_declines_indefinite():
     assert out.info["min_eigenvalue"] == pytest.approx(-1.0)
 
 
+def test_comparison_decline_reports_one_real_eigvalsh():
+    """A declined split reports the smallest eigenvalue of the comparison matrix
+    exactly as one real ``eigvalsh`` of |x_ii| on, -|x_ij| off the diagonal gives it."""
+    rng = np.random.default_rng(37)
+    declined = 0
+    for _ in range(60):
+        pair = random_decomposable_pair(rng, int(rng.integers(3, 9)))
+        out = decompose_comparison(pair)
+        if out.ok:
+            continue
+        declined += 1
+        M = -np.abs(pair.X)
+        np.fill_diagonal(M, np.abs(np.diag(pair.X)))
+        assert out.info["min_eigenvalue"] == np.linalg.eigvalsh(M)[0]
+    assert declined > 30
+
+
+def _dfs_components(adjacency: np.ndarray) -> list[list[int]]:
+    """Reference: connected components by depth-first search, each sorted."""
+    n = adjacency.shape[0]
+    seen, comps = [False] * n, []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start], stack, comp = True, [start], []
+        while stack:
+            i = stack.pop()
+            comp.append(i)
+            for j in np.flatnonzero(adjacency[i]):
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(int(j))
+        comps.append(sorted(comp))
+    return comps
+
+
+def test_graph_components_match_depth_first_search():
+    """Complete, edgeless, path (diameter n - 1, labels shuffled) and seeded random
+    graphs at n = 1..100, and the graph without vertices."""
+    assert construct._graph_components(np.zeros((0, 0), bool)) == []
+    rng = np.random.default_rng(43)
+    for n in range(1, 101):
+        order = rng.permutation(n)
+        path = np.zeros((n, n), bool)
+        path[order[:-1], order[1:]] = True
+        graphs = [np.ones((n, n), bool), np.zeros((n, n), bool), path]
+        for density in (0.5 / n, 1.5 / n, 0.2):
+            upper = np.triu(rng.random((n, n)) < density, 1)
+            graphs.append(upper)
+        for g in graphs:
+            g = g | g.T
+            np.fill_diagonal(g, False)
+            got = [list(c) for c in construct._graph_components(g)]
+            assert got == _dfs_components(g)
+
+
 def test_comparison_route_slack_columns():
     # inflate Y so the slack part is non-trivial
     pair = PairXY(CMP_X, CMP_Y + np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]]))

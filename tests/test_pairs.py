@@ -8,6 +8,7 @@ from pcpkit import (
     PcpDecomposition,
     check_necessary,
     length_lower_bound,
+    linalg,
     reconstruct,
     strong_cs_gap,
     verify_decomposition,
@@ -55,6 +56,22 @@ def test_reconstruct_verify_round_trip():
         dec = random_decomposition(rng, n, m)
         pair = reconstruct(dec)
         assert verify_decomposition(dec, pair, tol=1e-10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 18), st.integers(0, 2**31 - 1))
+def test_reconstruct_is_psd_and_non_negative_by_construction(n, m, seed):
+    """X = A A* passes ``is_psd`` and Y is real and >= 0 by construction, which
+    ``reconstruct`` relies on untested; V and W span magnitudes 10^-8..10^8."""
+    rng = np.random.default_rng(seed)
+
+    def factor():
+        phase = np.exp(2j * np.pi * rng.random((n, m)))
+        return 10.0 ** rng.uniform(-8.0, 8.0, (n, m)) * phase
+
+    pair = reconstruct(PcpDecomposition(factor(), factor()))
+    assert linalg.is_psd(pair.X)
+    assert pair.Y.real.min() >= 0.0 and not pair.Y.imag.any()
 
 
 def test_random_decompositions_pass_necessary_conditions():
