@@ -53,6 +53,7 @@ from .errors import (
 
 Slot = tuple
 _TAG_RANK = {"square": 0, "plus": 1, "minus": 2}
+_last_spectrum: tuple = (None, None)      # (key, result) of the last _check_spectrum
 
 
 @dataclass(frozen=True)
@@ -126,8 +127,14 @@ def _slot_positions(ordering: OrderingTable) -> dict[Slot, int]:
 
 def _check_spectrum(lambdas, size: int) -> np.ndarray:
     """The spectrum, which must be sorted and non-negative up to ``tolerances.ZERO``
-    times its largest entry, as a float array with round-off negatives clamped to zero."""
+    times its largest entry, as a read-only float array with round-off negatives clamped
+    to zero.  The last result is kept, keyed by the spectrum's bytes, and reused."""
+    global _last_spectrum
     lam = np.asarray(lambdas, dtype=float)
+    key = (size, lam.shape, lam.tobytes())
+    last_key, checked = _last_spectrum
+    if key == last_key:
+        return checked
     if lam.ndim != 1 or lam.size != size:
         raise DimensionMismatchError(f"spectrum must have length {size}, got shape {lam.shape}")
     if not np.isfinite(lam).all():
@@ -137,7 +144,10 @@ def _check_spectrum(lambdas, size: int) -> np.ndarray:
         raise NotSortedError("spectrum must be sorted in non-increasing order")
     if lam.min() < -tol.ZERO * scale:
         raise PcpkitError(f"spectrum has a negative entry ({lam.min():.3e})")
-    return np.clip(lam, 0.0, None)
+    checked = np.clip(lam, 0.0, None)
+    checked.flags.writeable = False
+    _last_spectrum = (key, checked)
+    return checked
 
 
 def _test_matrices(n: int, orderings, lam: np.ndarray) -> np.ndarray:

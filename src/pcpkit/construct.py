@@ -277,43 +277,41 @@ def _graph_components(adjacency: np.ndarray) -> list[np.ndarray]:
     return [np.flatnonzero(first == f) for f in np.unique(first)]
 
 
-def _perron_vector(P: np.ndarray) -> np.ndarray:
-    """Positive eigenvector for the largest eigenvalue of a symmetric non-negative matrix."""
-    # A near-degenerate top eigenvalue gets a second try: a strictly
-    # positive perturbation restores a simple Perron pair.
-    for shift in (0.0, tol.PERTURBATION * tol.scale(float(P.max()))):
-        _, U = np.linalg.eigh(P + shift)
-        v = U[:, -1]
-        lead = np.sign(v[np.argmax(np.abs(v))])
-        v = v * (lead if lead != 0 else 1.0)
-        if v.min() > tol.ZERO * max(v.max(), 0.0):
-            break
-    v = np.abs(v)
-    if v.max() <= 0.0:
-        raise ConstructionError("degenerate component vector in Perron rescaling")
+def _perron_vector(M: np.ndarray) -> np.ndarray:
+    """Positive eigenvector, largest entry 1, for the lowest eigenvalue of a real symmetric
+    M whose off-diagonal entries are non-positive with connected support: the Perron
+    vector of the non-negative alpha I - M, read off M itself."""
+    v = np.linalg.eigh(M)[1][:, 0]
+    v = v if v[0] > 0.0 else -v
+    if not v.min() > tol.ZERO * v.max():
+        # A near-degenerate lowest eigenvalue gets a second try: subtracting a
+        # small multiple of J restores a simple Perron pair.
+        shift = tol.PERTURBATION * tol.scale(float(np.abs(M).max()))
+        v = np.abs(np.linalg.eigh(M - shift)[1][:, 0])
     return v / v.max()
 
 
 def perron_scaling(X: np.ndarray) -> np.ndarray:
     """Positive diagonal d such that diag(d) X diag(d) is diagonally dominant.
 
-    Requires the comparison matrix of X, built once in real arithmetic, to pass one
-    ``psd_test``; only then is the scaling assembled per connected component of the
-    off-diagonal support graph, from the top eigenvector of the non-negative part.
+    Requires the comparison matrix M of X, built once in real arithmetic, to pass one
+    ``psd_test``; a decline costs that one ``eigvalsh``.  Then d is M's eigenvector for
+    its lowest eigenvalue: from one ``eigh`` of M when every off-diagonal entry of X is
+    non-zero (a connected support), else per connected component of the support graph.
     """
     M = comparison_matrix(X)
     psd, lowest, _ = linalg.psd_test(M)
     if not psd:
         raise ComparisonNotPsdError("comparison matrix is not positive semidefinite", lowest)
     n = M.shape[0]
-    alpha = float(np.diag(M).max()) if n else 0.0
-    P = alpha * np.eye(n) - M
-    d = np.zeros(n)
-    for comp in _graph_components(M < 0.0):     # the off-diagonal support of X
-        if comp.size == 1:
-            d[comp] = 1.0
-        else:
-            d[comp] = _perron_vector(P[np.ix_(comp, comp)])
+    support = M < 0.0                           # the off-diagonal support of X
+    if n and np.count_nonzero(support) == n * (n - 1):
+        d = _perron_vector(M)
+    else:
+        d = np.ones(n)
+        for comp in _graph_components(support):
+            if comp.size > 1:
+                d[comp] = _perron_vector(M[np.ix_(comp, comp)])
     scaled = np.abs(d[:, None] * X * d[None, :])
     row_off = scaled.sum(axis=1) - np.diag(scaled)
     slack = tol.RESIDUAL * tol.scale(float(scaled.max())) if n else 0.0
@@ -334,13 +332,14 @@ def comparison_split(pair: PairXY) -> ConstructorOutcome:
 
     Declines (``not-applicable``, with ``info["min_eigenvalue"]`` of the
     comparison matrix) unless the comparison matrix of X is positive
-    semidefinite, which implies (a).  The pair is rescaled so X becomes
-    diagonally dominant, split into a core part (one column per unordered
-    index pair, carrying the off-diagonal entries of X) and a non-negative
-    slack part (one column per row: v = e_i, w = sqrt of row i of the slack,
-    which puts the slack's diagonal entry in X and its row in Y), and the
-    columns are rescaled back.  The core columns come first in the result;
-    ``info["core_columns"]`` records how many there are.
+    semidefinite, which implies (a); a decline is that one ``eigvalsh``.
+    :func:`perron_scaling` (one ``eigh`` on a connected support) rescales the
+    pair so X becomes diagonally dominant, and it is split into a core part
+    (one column per unordered index pair, carrying the off-diagonal entries
+    of X) and a non-negative slack part (one column per row: v = e_i, w =
+    sqrt of row i of the slack, which puts the slack's diagonal entry in X
+    and its row in Y), and the columns are rescaled back.  The core columns
+    come first in the result; ``info["core_columns"]`` records how many.
 
     Conditions (c) and (d) hold only up to their slacks, so |x_ij| is clamped
     to sqrt(y_ij y_ji) and negative slack is dropped; the verification judges

@@ -14,7 +14,7 @@ from pcpkit import (
     special_unitary,
     verify_decomposition,
 )
-from pcpkit.abssep import OrderingTable, ordering_min_eigenvalues
+from pcpkit.abssep import OrderingTable, _check_spectrum, ordering_min_eigenvalues
 from pcpkit.cldui import extract_pair, partial_transpose
 from pcpkit.construct import _graph_components
 from pcpkit.errors import (
@@ -390,6 +390,51 @@ def test_seeded_passing_spectra_certify_every_ordering_per_matrix():
                 sizes = sorted(c.size for c in _graph_components(off))
                 shapes.add("one" if len(sizes) == 1 else "split" if sizes[-1] > 1 else "single")
     assert shapes == {"one", "split", "single"}
+
+
+CI_SPECTRUM_N5 = np.array([
+    0.0477, 0.0471, 0.0465, 0.0458, 0.0452, 0.0445, 0.0439, 0.0432, 0.0426, 0.0419, 0.0413,
+    0.0406, 0.0400, 0.0394, 0.0387, 0.0381, 0.0374, 0.0368, 0.0361, 0.0355, 0.0348, 0.0342,
+    0.0335, 0.0329, 0.0323,
+])
+
+
+def test_every_n5_ordering_of_the_ci_spectrum_certifies():
+    """The n = 5 spectrum that CI certifies: all 114 certificates verify at 1e-8 with
+    at most n(n-1)/2 core plus n slack terms, each from a positive scaling."""
+    assert abs_ppt_check(5, CI_SPECTRUM_N5)[0]
+    for table in enumerate_orderings(5):
+        out = certify_special_separable(table, CI_SPECTRUM_N5)
+        assert out.ok
+        assert verify_decomposition(out.decomposition, out.info["pair"], tol=1e-8)
+        assert out.decomposition.m <= 5 * 4 // 2 + 5
+        assert min(out.info["scaling"]) > 0.0
+
+
+def test_spectrum_check_never_answers_an_edited_array():
+    """The last checked spectrum is kept read-only, keyed by its bytes, so editing
+    the caller's array in place is checked afresh, never answered from the memo."""
+    table = enumerate_orderings(3)[0]
+    other = np.arange(9, 0, -1, dtype=float) / 45.0
+    want = certify_special_separable(table, other.copy()).info["pair"]
+    lam = np.full(9, 1.0 / 9.0)
+    checked = _check_spectrum(lam, 9)
+    assert _check_spectrum(lam, 9) is checked
+    assert not checked.flags.writeable and not np.shares_memory(checked, lam)
+    assert certify_special_separable(table, lam).ok
+    lam[:] = other
+    got = certify_special_separable(table, lam).info["pair"]
+    assert np.array_equal(got.X, want.X) and np.array_equal(got.Y, want.Y)
+    lam[0] = 0.0
+    with pytest.raises(NotSortedError):
+        certify_special_separable(table, lam)
+    lam[0] = np.nan
+    with pytest.raises(PcpkitError):
+        certify_special_separable(table, lam)
+    lam[:] = other
+    certify_special_separable(table, lam)
+    with pytest.raises(DimensionMismatchError):
+        _check_spectrum(lam, 16)
 
 
 def test_input_validation():

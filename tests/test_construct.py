@@ -419,6 +419,112 @@ def test_perron_scaling_rejects_indefinite_comparison():
     assert err.value.min_eigenvalue == pytest.approx(-1.0)
 
 
+def _component_path_perron(X: np.ndarray) -> np.ndarray:
+    """Reference: per connected component, the top eigenvector of the non-negative
+    alpha I - M for the comparison matrix M, largest entry 1."""
+    M = comparison_matrix(X)
+    P = np.diag(M).max() * np.eye(X.shape[0]) - M
+    d = np.ones(X.shape[0])
+    for comp in _dfs_components(M < 0.0):
+        if len(comp) > 1:
+            v = np.abs(np.linalg.eigh(P[np.ix_(comp, comp)])[1][:, -1])
+            d[comp] = v / v.max()
+    return d
+
+
+def _assert_dominant(X: np.ndarray, d: np.ndarray) -> None:
+    S = np.abs(d[:, None] * X * d[None, :])
+    assert (d > 0).all()
+    assert (2 * np.diag(S) + 1e-9 * max(1.0, S.max()) >= S.sum(axis=1)).all()
+
+
+def test_perron_scaling_matches_component_path():
+    """On connected supports, complete (one eigh of M) and sparse (one component),
+    d agrees with the reference within 1e-12 of its largest entry."""
+    rng = np.random.default_rng(29)
+    for n in range(2, 31):
+        for density in (1.0, 3.0 / n):
+            upper = np.triu(rng.random((n, n)) < density, 1)
+            order = rng.permutation(n)
+            upper[order[:-1], order[1:]] = True        # a spanning path: connected
+            support = upper | upper.T
+            B = np.where(support, rng.uniform(0.1, 1.0, (n, n)), 0.0)
+            B = np.triu(B, 1) + np.triu(B, 1).T
+            X = -B * np.exp(2j * np.pi * np.triu(rng.random((n, n)), 1))
+            X = np.triu(X, 1) + np.triu(X, 1).conj().T
+            X += np.diag(np.linalg.eigvalsh(B).max() + rng.uniform(0.1, 1.0, n))
+            d = perron_scaling(X)
+            assert np.abs(d - _component_path_perron(X)).max() <= 1e-12
+            _assert_dominant(X, d)
+
+
+@pytest.fixture
+def solver_calls(monkeypatch) -> dict:
+    """Count the eigensolver and component-analysis calls that ``construct`` makes."""
+    calls = {"eigvalsh": 0, "eigh": 0, "components": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(construct, "_graph_components",
+                        counted("components", construct._graph_components))
+    return calls
+
+
+def test_perron_scaling_fallbacks_reach_dominance(solver_calls):
+    """Blocks with equal, singular comparison matrices coupled by a 1e-14 or 1e-18
+    bridge (one entry, or every cross entry, which leaves the support complete),
+    uncoupled, and diagonal X: the lowest eigenvalue is near-degenerate or
+    degenerate, and every scaling still reaches dominance.  Some complete supports
+    need the M - sJ retry, without any component analysis."""
+    rng = np.random.default_rng(3)
+    retried = 0
+    for m in (2, 3, 4):
+        G = np.abs(rng.standard_normal((m, m)))
+        G = G + G.T
+        np.fill_diagonal(G, 0.0)
+        block = np.linalg.eigvalsh(G).max() * np.eye(m) - G
+        for eps in (1e-14, 1e-18, 0.0):
+            for bridge in ("one", "all"):
+                X = np.kron(np.eye(2), block)
+                if bridge == "one":
+                    X[m - 1, m] = X[m, m - 1] = -eps
+                else:
+                    X[:m, m:] = X[m:, :m] = -eps
+                solver_calls.update(eigh=0, components=0)
+                _assert_dominant(X, perron_scaling(X))
+                if bridge == "all" and eps > 0.0:
+                    assert solver_calls["components"] == 0
+                    retried += solver_calls["eigh"] == 2
+    assert retried
+    for X in (np.diag([3.0, 1.0, 2.0]), np.kron(np.eye(3), [[2.0, -1.0], [-1.0, 2.0]])):
+        _assert_dominant(X, perron_scaling(X))
+
+
+def test_comparison_split_solver_calls(solver_calls):
+    """A decline is one eigvalsh and nothing else; a connected pass adds one eigh
+    and no component analysis; a diagonal X needs the components but no eigh."""
+    def split(pair):
+        pair.report                             # (a) runs its own eigvalsh
+        solver_calls.update(eigvalsh=0, eigh=0, components=0)
+        return decompose_comparison(pair), dict(solver_calls)
+
+    out, calls = split(cyclic_pair(1.0))
+    assert out.status == "not-applicable"
+    assert calls == {"eigvalsh": 1, "eigh": 0, "components": 0}
+    out, calls = split(PairXY(CMP_X, CMP_Y))
+    assert out.ok
+    assert calls == {"eigvalsh": 1, "eigh": 1, "components": 0}
+    out, calls = split(PairXY(np.diag([2.0, 1.0]), np.array([[2.0, 3.0], [0.5, 1.0]])))
+    assert out.ok
+    assert calls == {"eigvalsh": 1, "eigh": 0, "components": 1}
+
+
 def test_comparison_route_worked_example():
     """The complex 3x3 pair with exactly three core columns and empty slack."""
     pair = PairXY(CMP_X, CMP_Y)
