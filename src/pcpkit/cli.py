@@ -203,7 +203,7 @@ def cmd_check_state(args) -> int:
         blocks[:, 1, 0] = pt[ji, ij]
         det = np.linalg.eigvalsh(blocks).prod(axis=-1)
         slack = tol.ZERO * tol.scale(float(diag[::n + 1].max())) ** 2
-        pt_psd = bool(diag.min() >= -tol.psd_floor(diag) and np.all(det >= -slack))
+        pt_psd = bool(linalg.psd_spectrum(diag)[0] and np.all(det >= -slack))
         r_trace = linalg.trace_norm(cldui.realign_map(dense, n))
         dense_realign = r_trace <= trace + tol.GAP * tol.scale(trace)
         lines.append(

@@ -105,7 +105,7 @@ def _zero_term(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros((n, 1), complex), np.zeros((n, 1), complex)
 
 
-def _rowwise_passes(X: np.ndarray, Y: np.ndarray, scale: float, exhaustive: bool):
+def _rowwise_passes(X: np.ndarray, Y: np.ndarray, x_max: float, y_max: float, exhaustive: bool):
     """The row-by-row elimination under every simultaneous ordering of the
     indices (only the identity unless ``exhaustive``), in lexicographic order.
 
@@ -114,6 +114,11 @@ def _rowwise_passes(X: np.ndarray, Y: np.ndarray, scale: float, exhaustive: bool
     ``(order, None, None, witness)`` per failed one: the failing position
     (1-based, in the ordering's coordinates) and what went wrong.  Orderings
     with a common prefix share its steps, and a failed step rules them all out.
+
+    Each threshold reads one matrix's largest entry (``x_max``, ``y_max``): a radicand,
+    a residual of row i of Y, against Y; a residual column of X and the pivot, the
+    residual of x_ii = y_ii read as radicand and as numerator, against X.  Only a
+    radicand of exactly zero after the round-off clamp makes a zero denominator.
 
     A step is whole-vector array code: the indices not yet pivoted are a boolean
     mask, and no Python loop visits them.  The products with earlier terms stay
@@ -125,9 +130,8 @@ def _rowwise_passes(X: np.ndarray, Y: np.ndarray, scale: float, exhaustive: bool
     W = np.zeros((n, n), complex)
     # |V|^2, |W|^2 and V.W, filled in one column per step
     absV, absW, A = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n), complex)
-    neg_tol = tol.ZERO * scale
-    res_tol = tol.RESIDUAL * scale
-    pivot_tol = tol.ZERO * math.sqrt(scale)     # pivots are square roots of Y entries
+    y_zero, y_res = tol.ZERO * y_max, tol.RESIDUAL * y_max
+    x_zero, x_res = tol.ZERO * x_max, tol.RESIDUAL * x_max
     order: list[int] = []
     unpivoted = np.ones(n, bool)                # every index not in ``order``
 
@@ -144,33 +148,31 @@ def _rowwise_passes(X: np.ndarray, Y: np.ndarray, scale: float, exhaustive: bool
         """
         rad = Y[i].real - absW[:, :k] @ absV[i, :k]     # y_{i,j} - d_{i,j} over j
         lowest = np.minimum.reduce(rad)
-        if lowest < -neg_tol:
+        if lowest < -y_zero:
             ranked = rad[order + [i] + rest]
             m = int(ranked.argmin())
             return fail(k, m, ranked[m], "negative radicand")
         if lowest < 0.0:                                # round-off below zero
             np.maximum(rad, 0.0, out=rad)
         num = X[:, i] - A[:, :k] @ A[i, :k].conj()      # x_{j,i} - c_{j,i} over j
-        root = np.sqrt(rad)
-        s = float(root[i])
-        vkk = num[i] / s if s >= pivot_tol else 0.0
-        if abs(vkk) < pivot_tol:
+        if rad[i] <= x_zero or abs(num[i]) <= x_zero:
             # Row i already exhausted: admissible only if nothing is left of it.
-            if s < pivot_tol and rad.max() <= res_tol and np.abs(num[unpivoted]).max() <= res_tol:
+            if rad.max() <= y_res and np.abs(num[unpivoted]).max() <= x_res:
                 V[:, k] = W[:, k] = absV[:, k] = absW[:, k] = A[:, k] = 0.0
                 return None
             return fail(k, k, rad[i], "vanishing pivot with unexhausted row")
         live = unpivoted
-        small = root < pivot_tol                        # not i, whose root is s
-        if np.count_nonzero(small):
-            live = unpivoted & ~small
-            bad = np.flatnonzero(unpivoted & small & (np.abs(num) > res_tol))
+        if lowest <= 0.0:                               # some radicand may be exactly zero
+            zero = rad == 0.0                           # never i's: it exceeds x_zero
+            live = unpivoted & ~zero
+            bad = np.flatnonzero(unpivoted & zero & (np.abs(num) > x_res))
             if bad.size:
                 j = int(bad[0])
                 return fail(k, k + 1 + rest.index(j), rad[j],
                             "zero denominator under a non-zero residual")
-        v = np.divide(num, root, out=np.zeros(n, complex), where=live)    # v[i] = vkk
-        w = root / vkk
+        root = np.sqrt(rad)
+        v = np.divide(num, root, out=np.zeros(n, complex), where=live)
+        w = root / v[i]
         V[:, k], W[:, k], A[:, k] = v, w, v * w
         absV[:, k] = np.square(np.abs(v))
         absW[:, k] = np.square(np.abs(w))
@@ -207,7 +209,8 @@ def decompose_recursive(pair: PairXY, search_permutations: bool = False) -> Cons
     identity first, first success wins).  The search is exhaustive only for
     n <= 7; beyond that only the identity is attempted.  When every pass fails,
     the search runs on (X, Y^T), whose decomposition (V, W) is (W, V) for
-    (X, Y); ``info["transposed"]`` records which orientation succeeded.
+    (X, Y); ``info["transposed"]`` records which orientation succeeded.  Both
+    orientations share the largest entries of X and Y that the thresholds read.
     """
     method = "recursive"
     if violated := _violated(method, pair, "abcd"):
@@ -215,35 +218,29 @@ def decompose_recursive(pair: PairXY, search_permutations: bool = False) -> Cons
 
     n = pair.n
     capped = search_permutations and n > 7
+    x_max, y_max = (tol.scale(float(np.abs(M).max())) for M in (pair.X, pair.Y))
     first_witness = None
     attempts = 0
     for transposed in (False, True):
         Y = pair.Y.T if transposed else pair.Y
-        for perm, V, W, witness in _rowwise_passes(pair.X, Y, pair.scale,
+        for perm, V, W, witness in _rowwise_passes(pair.X, Y, x_max, y_max,
                                                    search_permutations and not capped):
             attempts += 1
             if witness is not None:
-                if first_witness is None:
-                    first_witness = witness
+                first_witness = first_witness or witness
                 continue
             if transposed:
                 V, W = W, V
             # exhausted rows leave dead all-zero terms; drop them
             live = (np.abs(V).max(axis=0) > 0.0) & (np.abs(W).max(axis=0) > 0.0)
-            if live.any():
-                V, W = V[:, live], W[:, live]
-            else:
-                V, W = _zero_term(n)
+            V, W = (V[:, live], W[:, live]) if live.any() else _zero_term(n)
             out = _verified(pair, method, PcpDecomposition(V, W), permutation=tuple(perm),
                             info={"attempts": attempts, "transposed": transposed})
             if out is not None:
                 return out
-            if first_witness is None:
-                first_witness = {"reason": "completed pass failed verification"}
+            first_witness = first_witness or {"reason": "completed pass failed verification"}
 
-    info: dict[str, Any] = {"attempts": attempts}
-    if first_witness is not None:
-        info["witness"] = first_witness
+    info: dict[str, Any] = {"attempts": attempts, "witness": first_witness}
     if capped:
         info["note"] = "permutation search is exhaustive only for n <= 7; tried identity only"
     return ConstructorOutcome(
@@ -294,15 +291,16 @@ def _perron_vector(M: np.ndarray) -> np.ndarray:
 def perron_scaling(X: np.ndarray) -> np.ndarray:
     """Positive diagonal d such that diag(d) X diag(d) is diagonally dominant.
 
-    Requires the comparison matrix M of X, built once in real arithmetic, to pass one
-    ``psd_test``; a decline costs that one ``eigvalsh``.  Then d is M's eigenvector for
-    its lowest eigenvalue: from one ``eigh`` of M when every off-diagonal entry of X is
+    X must be Hermitian, so its comparison matrix M (real) is symmetric; one ``eigvalsh``
+    of M must pass ``linalg.psd_spectrum``, and a decline costs just that.  Then d is M's
+    lowest eigenvector: from one ``eigh`` of M when every off-diagonal entry of X is
     non-zero (a connected support), else per connected component of the support graph.
     """
     M = comparison_matrix(X)
-    psd, lowest, _ = linalg.psd_test(M)
+    w = np.linalg.eigvalsh(M)
+    psd, lowest = linalg.psd_spectrum(w)
     if not psd:
-        raise ComparisonNotPsdError("comparison matrix is not positive semidefinite", lowest)
+        raise ComparisonNotPsdError("comparison matrix is not positive semidefinite", float(lowest))
     n = M.shape[0]
     support = M < 0.0                           # the off-diagonal support of X
     if n and np.count_nonzero(support) == n * (n - 1):
@@ -313,9 +311,12 @@ def perron_scaling(X: np.ndarray) -> np.ndarray:
             if comp.size > 1:
                 d[comp] = _perron_vector(M[np.ix_(comp, comp)])
     scaled = np.abs(d[:, None] * X * d[None, :])
-    row_off = scaled.sum(axis=1) - np.diag(scaled)
     slack = tol.RESIDUAL * tol.scale(float(scaled.max())) if n else 0.0
-    if np.any(np.diag(scaled) + slack < row_off):
+    short = scaled.sum(axis=1) - 2.0 * np.diag(scaled) - slack    # shortfall from dominance
+    if np.any(short > 0.0):
+        # M d = lowest d leaves row i short by -lowest d_i^2: M passed only within its floor
+        if np.all(short <= -lowest * d * d):
+            raise ComparisonNotPsdError("comparison matrix too far below PSD", float(lowest))
         raise ConstructionError("Perron rescaling did not reach diagonal dominance")
     return d
 

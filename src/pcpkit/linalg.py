@@ -82,15 +82,22 @@ def hermitian_eigenvalues(A: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(_lapack_operand(A))[::-1]
 
 
+def psd_spectrum(w: np.ndarray):
+    """The PSD judgement of eigenvalues ``w`` (last axis): whether the lowest clears
+    ``-tolerances.psd_floor``, and the lowest (inf for an empty spectrum)."""
+    lowest = np.min(w, axis=-1, initial=math.inf)
+    return lowest >= -tol.psd_floor(w), lowest
+
+
 def psd_test(A: np.ndarray) -> tuple[bool, float, np.ndarray | None]:
-    """Whether A is Hermitian (within tolerance) with spectrum >= -``tolerances.psd_floor``,
+    """Whether A is Hermitian (within tolerance) with a spectrum passing :func:`psd_spectrum`,
     its smallest eigenvalue (nan when A is not Hermitian, inf when A is empty),
     and its eigenvalues in ascending order (None when A is not Hermitian)."""
     if not is_hermitian(A):
         return False, math.nan, None
     w = np.linalg.eigvalsh(_lapack_operand(np.asarray(A)))
-    lowest = float(w.min()) if w.size else math.inf
-    return bool(lowest >= -tol.psd_floor(w)), lowest, w
+    psd, lowest = psd_spectrum(w)
+    return bool(psd), float(lowest), w
 
 
 def is_psd(A: np.ndarray) -> bool:

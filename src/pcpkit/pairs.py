@@ -60,15 +60,6 @@ class PairXY:
         return self.X.shape[0]
 
     @cached_property
-    def scale(self) -> float:
-        """The magnitude of tests that compare X with Y: the largest entry of either.
-
-        A test of X alone or of Y alone is relative to that matrix's own
-        magnitude instead, so a large entry of one never loosens a test of the other.
-        """
-        return tol.scale(float(np.abs(self.X).max()), float(np.abs(self.Y).max()))
-
-    @cached_property
     def report(self) -> NecessaryReport:
         """The pair's :func:`check_necessary` report, evaluated on first use and then kept."""
         return check_necessary(self)

@@ -3,7 +3,8 @@
 Each tolerance is relative.  A test multiplies it by the magnitude named
 beside it, taken through :func:`scale`, so that an input and any positive
 multiple of it are judged alike.  That magnitude is the one of the values
-the test compares: a test of X alone is relative to X, never to the pair.
+the test compares: a test of X alone is relative to X, of Y alone to Y, and
+no test reads the largest entry of the pair as a whole.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ PSD = 1e-9            # floor under the smallest eigenvalue, per the sum of |eig
 RANK = 1e-9           # eigenvalues counted as zero, per the largest eigenvalue
 STRUCTURE = 1e-10     # structural zeros (Hermiticity, diagonal X, CLDUI pattern), per largest entry
 RESIDUAL = 1e-9       # exact-arithmetic zeros ((c), eliminations, slacks), per largest entry
-ZERO = 1e-12          # round-off zeros (entries, pivots, radicands, (d), spectra), per largest entry
+ZERO = 1e-12          # round-off zeros (entries, pivots, radicands, (d), spectra), per own max entry
 FLUSH = 1e-13         # round-off the comparison split drops: |x_ij| per largest x_ij, slack per y_ij
 PERTURBATION = 1e-10  # shift separating a degenerate Perron eigenvalue, per largest entry
 

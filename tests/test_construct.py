@@ -25,9 +25,9 @@ from pcpkit import (
     tolerances,
     verify_decomposition,
 )
-from pcpkit import construct
+from pcpkit import construct, linalg
 from pcpkit.construct import _rowwise_passes
-from pcpkit.errors import ComparisonNotPsdError
+from pcpkit.errors import ComparisonNotPsdError, ConstructionError
 from pcpkit.linalg import phase_normalize_columns
 from pcpkit.fileio import load_pair_document
 from pcpkit.pairs import length_lower_bound, residuals
@@ -228,14 +228,15 @@ def test_search_matches_one_pass_per_permutation():
         F[rng.random((n, m)) < 0.3] = 0.0
         pair = reconstruct(PcpDecomposition(F, rng.standard_normal((n, m)) + 0.5j))
         X, Y = pair.X, pair.Y
+        magnitudes = _magnitudes(pair)
         searched = [(order, V.copy(), W.copy())
-                    for order, V, W, witness in _rowwise_passes(X, Y, pair.scale, True)
+                    for order, V, W, witness in _rowwise_passes(X, Y, *magnitudes, True)
                     if witness is None]
         reference = []
         for perm in itertools.permutations(range(n)):
             p = np.asarray(perm)
             _, V0, W0, witness = next(_rowwise_passes(X[np.ix_(p, p)], Y[np.ix_(p, p)],
-                                                      pair.scale, False))
+                                                      *magnitudes, False))
             if witness is None:
                 V, W = np.zeros_like(V0), np.zeros_like(W0)
                 V[p, :], W[p, :] = V0, W0
@@ -243,6 +244,12 @@ def test_search_matches_one_pass_per_permutation():
         assert [o for o, _, _ in searched] == [o for o, _, _ in reference]
         for (_, V, W), (_, V_ref, W_ref) in zip(searched, reference):
             assert np.array_equal(V, V_ref) and np.array_equal(W, W_ref)
+
+
+def _magnitudes(pair: PairXY) -> tuple[float, float]:
+    """The largest entries of X and of Y, as ``decompose_recursive`` passes them."""
+    return (tolerances.scale(float(np.abs(pair.X).max())),
+            tolerances.scale(float(np.abs(pair.Y).max())))
 
 
 def _elimination_pair(rng, n) -> PairXY:
@@ -276,7 +283,7 @@ def test_rowwise_step_matches_loop_reference():
                                  (7, True, 1), (8, False, 40), (30, False, 40)]:
         for _ in range(count):
             pair = _elimination_pair(rng, n)
-            args = (pair.X, pair.Y, pair.scale, exhaustive)
+            args = (pair.X, pair.Y, *_magnitudes(pair), exhaustive)
             for got, want in itertools.zip_longest(_rowwise_passes(*args),
                                                    _rowwise_passes_loop(*args)):
                 assert got[0] == want[0] and got[3] == want[3]
@@ -292,7 +299,8 @@ def test_rowwise_step_matches_loop_reference():
                          "zero denominator under a non-zero residual"}
 
 
-def _rowwise_passes_loop(X: np.ndarray, Y: np.ndarray, scale: float, exhaustive: bool):
+def _rowwise_passes_loop(X: np.ndarray, Y: np.ndarray, x_max: float, y_max: float,
+                         exhaustive: bool):
     """The reference for ``_rowwise_passes``: the same search, with a scalar
     loop over the remaining indices of each step.
 
@@ -307,9 +315,8 @@ def _rowwise_passes_loop(X: np.ndarray, Y: np.ndarray, scale: float, exhaustive:
     W = np.zeros((n, n), complex)
     # |V|^2, |W|^2 and V.W, filled in one column per step
     absV, absW, A = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n), complex)
-    neg_tol = tolerances.ZERO * scale
-    res_tol = tolerances.RESIDUAL * scale
-    pivot_tol = tolerances.ZERO * math.sqrt(scale)     # pivots are square roots of Y entries
+    y_zero, y_res = tolerances.ZERO * y_max, tolerances.RESIDUAL * y_max
+    x_zero, x_res = tolerances.ZERO * x_max, tolerances.RESIDUAL * x_max
     order: list[int] = []
 
     def step(k: int, i: int, rest: list[int]) -> dict[str, Any] | None:
@@ -320,27 +327,25 @@ def _rowwise_passes_loop(X: np.ndarray, Y: np.ndarray, scale: float, exhaustive:
         d = absW[:, :k] @ absV[i, :k]         # d_{i,j} over j
         c = A[:, :k] @ A[i, :k].conj()        # c_{j,i} over j
         rad = Y[i, :].real - d
-        if rad.min() < -neg_tol:
+        if rad.min() < -y_zero:
             ranked = rad[order + [i] + rest]
             j = int(ranked.argmin())
             return fail(j, ranked[j], "negative radicand")
         rad = np.maximum(rad, 0.0)
         num = X[:, i] - c                     # x_{j,i} residuals over j
-        s = math.sqrt(rad[i])
-        vkk = num[i] / s if s >= pivot_tol else 0.0
-        if abs(vkk) < pivot_tol:
+        if min(rad[i], abs(num[i])) <= x_zero:
             # Row i already exhausted: admissible only if nothing is left of it.
-            if s < pivot_tol and rad.max() <= res_tol and np.abs(num[[i] + rest]).max() <= res_tol:
+            if rad.max() <= y_res and np.abs(num[[i] + rest]).max() <= x_res:
                 W[:, k] = absV[:, k] = absW[:, k] = A[:, k] = 0.0
                 return None
             return fail(k, rad[i], "vanishing pivot with unexhausted row")
+        vkk = num[i] / math.sqrt(rad[i])
         V[i, k] = vkk
         W[:, k] = np.sqrt(rad) / vkk
         for m, j in enumerate(rest, k + 1):
-            r = math.sqrt(rad[j])
-            if r >= pivot_tol:
-                V[j, k] = num[j] / r
-            elif abs(num[j]) > res_tol:
+            if rad[j] > 0.0:
+                V[j, k] = num[j] / math.sqrt(rad[j])
+            elif abs(num[j]) > x_res:
                 return fail(m, rad[j], "zero denominator under a non-zero residual")
         absV[:, k] = np.abs(V[:, k]) ** 2
         absW[:, k] = np.abs(W[:, k]) ** 2
@@ -365,6 +370,34 @@ def _rowwise_passes_loop(X: np.ndarray, Y: np.ndarray, scale: float, exhaustive:
         else:
             order.append(i)
             stack.append((rest, rest[:] if exhaustive else rest[:1]))
+
+
+# b >= 0 whose rank-one pair leaves a round-off radicand (3e-18 to 6e-17) at the exhausted
+# last pivot; its root, up to 8e-9, is far above round-off, so only a test of the radicand
+# itself sees the row exhausted.  The 8 such b of 3000 drawn by default_rng(0), n = 2..6
+# (n from integers(2, 7), then random(n)).
+RANK_ONE_ROUND_OFF = [
+    [0.8705533043101933, 0.3501049998112872, 0.9324794930587861],
+    [0.6426983422873438, 0.2696085847831856, 0.7058208604199626],
+    [0.7110547333242644, 0.5171230054773985, 0.16392454074524687],
+    [0.6065259245944598, 0.4332905466823401, 0.5741885331958994],
+    [0.3530498259011624, 0.6137037838135161, 0.5111462311280321],
+    [0.8346994069501961, 0.07453813809707677, 0.30479735153935783],
+    [0.18927135523055805, 0.0856029428285584, 0.777805761968058, 0.6511274506438719],
+    [0.6027464765375976, 0.14648668072495974, 0.1731666115056656],
+]
+
+
+def test_rank_one_pairs_with_round_off_pivots_are_certified():
+    """(bb^T, bb^T) with b >= 0 is separable.  The exhausted row's radicand is
+    judged against Y and its pivot against X, so the identity pass completes."""
+    for b in RANK_ONE_ROUND_OFF:
+        X = np.outer(b, b)
+        pair = PairXY(X, X)
+        out = separability_verdict(pair)
+        assert out.verdict == "separable" and out.criterion == "recursive"
+        assert out.outcome.info["attempts"] == 1
+        assert verify_decomposition(out.certificate, pair, tol=1e-8)
 
 
 def test_recursive_permutation_cap():
@@ -460,8 +493,9 @@ def test_perron_scaling_matches_component_path():
 
 @pytest.fixture
 def solver_calls(monkeypatch) -> dict:
-    """Count the eigensolver and component-analysis calls that ``construct`` makes."""
-    calls = {"eigvalsh": 0, "eigh": 0, "components": 0}
+    """Count the eigensolver, component-analysis and Hermiticity-test calls that
+    ``construct`` makes."""
+    calls = {"eigvalsh": 0, "eigh": 0, "components": 0, "hermitian": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -473,6 +507,7 @@ def solver_calls(monkeypatch) -> dict:
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
     monkeypatch.setattr(construct, "_graph_components",
                         counted("components", construct._graph_components))
+    monkeypatch.setattr(linalg, "is_hermitian", counted("hermitian", linalg.is_hermitian))
     return calls
 
 
@@ -508,21 +543,70 @@ def test_perron_scaling_fallbacks_reach_dominance(solver_calls):
 
 def test_comparison_split_solver_calls(solver_calls):
     """A decline is one eigvalsh and nothing else; a connected pass adds one eigh
-    and no component analysis; a diagonal X needs the components but no eigh."""
+    and no component analysis; a diagonal X needs the components but no eigh.  The
+    comparison matrix of an X that (a) has found Hermitian never has its Hermiticity
+    tested."""
     def split(pair):
         pair.report                             # (a) runs its own eigvalsh
-        solver_calls.update(eigvalsh=0, eigh=0, components=0)
+        solver_calls.update(eigvalsh=0, eigh=0, components=0, hermitian=0)
         return decompose_comparison(pair), dict(solver_calls)
 
     out, calls = split(cyclic_pair(1.0))
     assert out.status == "not-applicable"
-    assert calls == {"eigvalsh": 1, "eigh": 0, "components": 0}
+    assert calls == {"eigvalsh": 1, "eigh": 0, "components": 0, "hermitian": 0}
     out, calls = split(PairXY(CMP_X, CMP_Y))
     assert out.ok
-    assert calls == {"eigvalsh": 1, "eigh": 1, "components": 0}
+    assert calls == {"eigvalsh": 1, "eigh": 1, "components": 0, "hermitian": 0}
     out, calls = split(PairXY(np.diag([2.0, 1.0]), np.array([[2.0, 3.0], [0.5, 1.0]])))
     assert out.ok
-    assert calls == {"eigvalsh": 1, "eigh": 0, "components": 1}
+    assert calls == {"eigvalsh": 1, "eigh": 0, "components": 1, "hermitian": 0}
+
+
+def test_comparison_route_refuses_a_non_hermitian_x(monkeypatch):
+    """The comparison matrix is judged without a Hermiticity test, so a non-Hermitian X
+    must stop at (a): ``conditions-violated``, before the split runs."""
+    def no_split(pair):
+        raise AssertionError("the split ran on a non-Hermitian X")
+
+    monkeypatch.setattr(construct, "comparison_split", no_split)
+    X = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 2.0]])
+    out = decompose_comparison(PairXY(X, np.full((3, 3), 2.0)))
+    assert out.status == "conditions-violated" and not out.info["report"].holds_a
+
+
+# A scaled, singular doubly non-negative X (so completely positive, n = 3): its comparison
+# matrix's lowest eigenvalue, -4.9e-7, passes the PSD floor (1.8e-6, set by the entry
+# 1755) but is far below what the small second row (3.5e-4) can absorb.
+FLOOR_X = np.array([
+    [1.7552510646390754e+03, 7.8557478674826697e-01, 9.5447545221929664e-01],
+    [7.8557478674826697e-01, 3.5320631238452938e-04, 2.8227813250225025e-05],
+    [9.5447545221929664e-01, 2.8227813250225025e-05, 9.8959019627109790e-02],
+])
+
+
+def test_perron_scaling_declines_a_comparison_matrix_psd_only_within_its_floor():
+    """Perron rescaling leaves each row short of dominance by -lowest d_i^2.  When
+    that explains the shortfall, the comparison matrix counts as not PSD: the split
+    declines with its lowest eigenvalue, and the verdict runs the other routes."""
+    lowest = np.linalg.eigvalsh(comparison_matrix(FLOOR_X))[0]
+    assert -tolerances.psd_floor(np.linalg.eigvalsh(comparison_matrix(FLOOR_X))) < lowest < 0.0
+    with pytest.raises(ComparisonNotPsdError) as err:
+        perron_scaling(FLOOR_X)
+    assert err.value.min_eigenvalue == lowest
+    pair = PairXY(FLOOR_X, FLOOR_X)
+    out = decompose_comparison(pair)
+    assert out.status == "not-applicable" and out.info["min_eigenvalue"] == lowest
+    verdict = separability_verdict(pair)
+    assert verdict.verdict == "separable"
+    assert verify_decomposition(verdict.certificate, pair, tol=1e-8)
+
+
+def test_perron_scaling_still_raises_on_a_shortfall_nothing_explains(monkeypatch):
+    """A PSD comparison matrix leaves no shortfall to explain: a scaling that misses
+    dominance there is a bug and raises ``ConstructionError``."""
+    monkeypatch.setattr(construct, "_perron_vector", lambda M: np.linspace(1.0, 0.01, len(M)))
+    with pytest.raises(ConstructionError):
+        perron_scaling(np.array([[2.0, -1.0, 0.5], [-1.0, 2.0, -0.9], [0.5, -0.9, 2.0]]))
 
 
 def test_comparison_route_worked_example():
