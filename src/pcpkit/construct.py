@@ -111,9 +111,19 @@ def _rowwise_passes(X: np.ndarray, Y: np.ndarray, x_max: float, y_max: float, ex
 
     Yields ``(order, V, W, None)`` per completed pass, column k holding the k-th
     pivot's term over the original indices (valid until the next item), and
-    ``(order, None, None, witness)`` per failed one: the failing position
+    ``(order, None, None, witness)`` per failed step: the failing position
     (1-based, in the ordering's coordinates) and what went wrong.  Orderings
     with a common prefix share its steps, and a failed step rules them all out.
+
+    A step that fails with a negative radicand also ends the node it was tried at:
+    none of the pivots still untried there is stepped.  At a prefix P the radicands
+    of row i are y_ij - sum_t |v_i^t|^2 |w_j^t|^2 over P's terms t, and every further
+    pivot only subtracts more non-negative terms, so one below -ZERO y_max stays
+    below it (up to the sums' round-off) in every ordering that starts with P,
+    which fails when it reaches i.
+    The pruned orderings hold no completed pass, so the completed passes and the
+    first failure are those of the unpruned search.  An identity pass tries one
+    pivot per node, so the rule never skips anything there.
 
     Each threshold reads one matrix's largest entry (``x_max``, ``y_max``): a radicand,
     a residual of row i of Y, against Y; a residual column of X and the pivot, the
@@ -191,6 +201,8 @@ def _rowwise_passes(X: np.ndarray, Y: np.ndarray, x_max: float, y_max: float, ex
         rest = left[:p] + left[p + 1:]
         witness = step(len(order), i, rest)
         if witness is not None:
+            if witness["reason"] == "negative radicand":
+                untried.clear()                 # every ordering extending ``order`` fails at i
             yield tuple(order + [i] + rest), None, None, witness
         elif not rest:
             yield tuple(order + [i]), V, W, None
@@ -207,17 +219,22 @@ def decompose_recursive(pair: PairXY, search_permutations: bool = False) -> Cons
     alone, so with ``search_permutations`` the same pass is retried on
     (PXP*, PYP*) for every simultaneous permutation P (lexicographic order,
     identity first, first success wins).  The search is exhaustive only for
-    n <= 7; beyond that only the identity is attempted.  When every pass fails,
-    the search runs on (X, Y^T), whose decomposition (V, W) is (W, V) for
-    (X, Y); ``info["transposed"]`` records which orientation succeeded.  Both
-    orientations share the largest entries of X and Y that the thresholds read.
+    n <= 8; beyond that only the identity is attempted.  A negative radicand of
+    row i at a prefix stays negative under every extension of that prefix (each
+    pivot only subtracts non-negative terms), so such a failure prunes all the
+    orderings that share the prefix, and the first success is unchanged.  When
+    every pass fails, the search runs on (X, Y^T), whose decomposition (V, W) is
+    (W, V) for (X, Y); ``info["transposed"]`` records which orientation
+    succeeded.  Both orientations share the largest entries of X and Y that the
+    thresholds read.  ``info["attempts"]`` counts the failed steps reached and
+    the completed passes, over both orientations.
     """
     method = "recursive"
     if violated := _violated(method, pair, "abcd"):
         return violated
 
     n = pair.n
-    capped = search_permutations and n > 7
+    capped = search_permutations and n > 8
     x_max, y_max = (tol.scale(float(np.abs(M).max())) for M in (pair.X, pair.Y))
     first_witness = None
     attempts = 0
@@ -242,7 +259,7 @@ def decompose_recursive(pair: PairXY, search_permutations: bool = False) -> Cons
 
     info: dict[str, Any] = {"attempts": attempts, "witness": first_witness}
     if capped:
-        info["note"] = "permutation search is exhaustive only for n <= 7; tried identity only"
+        info["note"] = "permutation search is exhaustive only for n <= 8; tried identity only"
     return ConstructorOutcome(
         status=NOT_APPLICABLE,
         method=method,

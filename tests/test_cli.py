@@ -92,6 +92,26 @@ def test_decompose_recursive_with_perms_and_verify(capsys, tmp_path):
     assert "FAILED" in out
 
 
+def test_decompose_searches_permutations_at_n8(capsys, tmp_path):
+    """The n = 8 fixture fails its identity ordering in both orientations; the
+    permutation search, exhaustive up to n = 8, certifies it."""
+    pair = FIXTURES / "search_n8_pair.json"
+    code, payload = run_json(capsys, "decompose", pair, "--method", "recursive")
+    assert code == 3
+    assert payload["status"] == "not-applicable"
+    assert payload["witness"]["reason"] == "negative radicand"
+
+    cert = tmp_path / "cert8.json"
+    code, payload = run_json(capsys, "decompose", pair, "--method", "recursive", "--perms",
+                             "--out", cert)
+    assert code == 0
+    assert payload["permutation"] != list(range(8))
+    assert payload["residual_x"] < 1e-8 and payload["residual_y"] < 1e-8
+
+    code, payload = run_json(capsys, "decompose", pair, "--verify", cert)
+    assert code == 0 and payload["verified"] is True
+
+
 def test_decompose_verify_shipped_certificate(capsys):
     code, payload = run_json(capsys, "decompose", FIXTURES / "permutation_retry_pair.json",
                              "--verify", FIXTURES / "permutation_retry_certificate.json")

@@ -246,6 +246,66 @@ def test_search_matches_one_pass_per_permutation():
             assert np.array_equal(V, V_ref) and np.array_equal(W, W_ref)
 
 
+def _sparse_pair(rng, n) -> PairXY:
+    """A decomposable pair whose factors have zero entries, so that some orderings
+    of its elimination fail and some rows exhaust early."""
+    m = int(rng.integers(1, n + 2))
+    F = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    F[rng.random((n, m)) < 0.3] = 0.0
+    return reconstruct(PcpDecomposition(F, rng.standard_normal((n, m)) + 0.5j))
+
+
+def test_radicand_rows_never_increase_along_a_prefix():
+    """The lemma behind the search's pruning: at each prefix of a completed
+    ordering, the radicand row y_i - sum_t |v_i^t|^2 |w^t|^2 of every index i
+    not yet pivoted is entrywise no larger than at the prefix one pivot shorter.
+    The sums are formed as the step forms them, so only their round-off (a few
+    ulps of Y's largest entry) may show."""
+    rng = np.random.default_rng(89)
+    extensions = 0
+    for n in range(3, 8):
+        for _ in range(12):
+            pair = _sparse_pair(rng, n)
+            Y = pair.Y.real
+            x_max, y_max = _magnitudes(pair)
+            passes = [(order, V.copy(), W.copy())
+                      for order, V, W, witness in _rowwise_passes(pair.X, pair.Y, x_max, y_max,
+                                                                  True)
+                      if witness is None]
+            for index in rng.permutation(len(passes))[:3]:
+                order, V, W = passes[index]
+                absV, absW = np.abs(V) ** 2, np.abs(W) ** 2
+                for k in range(n - 1):
+                    for i in order[k + 1:]:
+                        before = Y[i] - absW[:, :k] @ absV[i, :k]
+                        after = Y[i] - absW[:, :k + 1] @ absV[i, :k + 1]
+                        assert np.all(after <= before + 4 * n * np.finfo(float).eps * y_max)
+                        extensions += 1
+    assert extensions > 500
+
+
+def test_a_negative_radicand_prunes_every_ordering_with_its_prefix():
+    """After a step fails with a negative radicand at prefix P, no later item of
+    the search extends P; a failure of any other kind prunes only its pivot."""
+    rng = np.random.default_rng(97)
+    pruned = other = 0
+    for n in range(3, 8):
+        for _ in range(6):
+            pair = _sparse_pair(rng, n) if rng.random() < 0.5 else _elimination_pair(rng, n)
+            dead: list[tuple[int, ...]] = []
+            for order, _, _, witness in _rowwise_passes(pair.X, pair.Y, *_magnitudes(pair), True):
+                assert not any(order[:len(p)] == p for p in dead)
+                if witness is None:
+                    continue
+                prefix = order[:witness["position"][0] - 1]
+                if witness["reason"] == "negative radicand":
+                    dead.append(prefix)
+                    pruned += len(prefix) < n - 1       # a node with more than one candidate
+                else:
+                    other += 1
+    assert pruned > 500 and other > 50
+
+
 def _magnitudes(pair: PairXY) -> tuple[float, float]:
     """The largest entries of X and of Y, as ``decompose_recursive`` passes them."""
     return (tolerances.scale(float(np.abs(pair.X).max())),
@@ -306,9 +366,10 @@ def _rowwise_passes_loop(X: np.ndarray, Y: np.ndarray, x_max: float, y_max: floa
 
     Yields ``(order, V, W, None)`` per completed pass, column k holding the k-th
     pivot's term over the original indices (valid until the next item), and
-    ``(order, None, None, witness)`` per failed one: the failing position
+    ``(order, None, None, witness)`` per failed step: the failing position
     (1-based, in the ordering's coordinates) and what went wrong.  Orderings
-    with a common prefix share its steps, and a failed step rules them all out.
+    with a common prefix share its steps, and a failed step rules them all out;
+    a negative radicand also ends the node it was tried at.
     """
     n = X.shape[0]
     V = np.zeros((n, n), complex)
@@ -364,6 +425,8 @@ def _rowwise_passes_loop(X: np.ndarray, Y: np.ndarray, x_max: float, y_max: floa
         rest = [j for j in left if j != i]
         witness = step(len(order), i, rest)
         if witness is not None:
+            if witness["reason"] == "negative radicand":
+                untried.clear()
             yield tuple(order + [i] + rest), None, None, witness
         elif not rest:
             yield tuple(order + [i]), V, W, None
@@ -401,10 +464,10 @@ def test_rank_one_pairs_with_round_off_pivots_are_certified():
 
 
 def test_recursive_permutation_cap():
-    # beyond n = 7 only the identity ordering is attempted
-    X = np.eye(8)
+    # beyond n = 8 only the identity ordering is attempted
+    X = np.eye(9)
     X[:3, :3] = REG_X
-    Y = np.eye(8)
+    Y = np.eye(9)
     Y[:3, :3] = REG_Y
     out = decompose_recursive(PairXY(X, Y), search_permutations=True)
     assert out.status == "not-applicable"
