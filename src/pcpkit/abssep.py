@@ -33,14 +33,15 @@ that basis and partially transposing lands inside the invariant family of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import functools
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import linalg, ordering_data
 from . import tolerances as tol
-from .construct import ConstructorOutcome, comparison_split
+from .construct import ConstructorOutcome, _comparison_splits, _read_only, _Split, _split_outcome
 from .pairs import PairXY
 from .errors import (
     ConstructionError,
@@ -53,7 +54,8 @@ from .errors import (
 
 Slot = tuple
 _TAG_RANK = {"square": 0, "plus": 1, "minus": 2}
-_last_spectrum: tuple = (None, None)      # (key, result) of the last _check_spectrum
+# (key, result, certificate batch or None) of the last _check_spectrum
+_last_spectrum: tuple = (None, None, None)
 
 
 @dataclass(frozen=True)
@@ -111,11 +113,24 @@ def enumerate_orderings(n: int) -> list[OrderingTable]:
     """
     if n not in ordering_data.TABLES:
         raise UnsupportedDimensionError(f"ordering tables are stored for 2 <= n <= 5, got {n}")
+    return _stored_tables(n)
+
+
+def _stored_tables(n: int) -> list[OrderingTable]:
     tables = []
-    for line in ordering_data.TABLES[n].strip().splitlines():
+    for line in ordering_data.TABLES.get(n, "").strip().splitlines():
         code, *x = line.split()
         tables.append(decode_ordering(n, code, [float(v) for v in x]))
     return tables
+
+
+@functools.cache
+def _stored_positions(n: int) -> tuple[np.ndarray, dict[bytes, int]]:
+    """The ``positions`` of the stored orderings of n, one row each in listing order, and
+    each row's index keyed by its bytes (none when n has no tables).  Built on the first
+    certificate for n."""
+    positions = np.array([t.positions for t in _stored_tables(n)], dtype=int).reshape(-1, n * n)
+    return _read_only(positions)[0], {row.tobytes(): m for m, row in enumerate(positions)}
 
 
 def _slot_positions(ordering: OrderingTable) -> dict[Slot, int]:
@@ -128,11 +143,12 @@ def _slot_positions(ordering: OrderingTable) -> dict[Slot, int]:
 def _check_spectrum(lambdas, size: int) -> np.ndarray:
     """The spectrum, which must be sorted and non-negative up to ``tolerances.ZERO``
     times its largest entry, as a read-only float array with round-off negatives clamped
-    to zero.  The last result is kept, keyed by the spectrum's bytes, and reused."""
+    to zero.  The last result is kept, keyed by the spectrum's bytes, and reused; a new
+    spectrum drops the certificate batch kept beside the last one."""
     global _last_spectrum
     lam = np.asarray(lambdas, dtype=float)
     key = (size, lam.shape, lam.tobytes())
-    last_key, checked = _last_spectrum
+    last_key, checked, _ = _last_spectrum
     if key == last_key:
         return checked
     if lam.ndim != 1 or lam.size != size:
@@ -146,25 +162,39 @@ def _check_spectrum(lambdas, size: int) -> np.ndarray:
         raise PcpkitError(f"spectrum has a negative entry ({lam.min():.3e})")
     checked = np.clip(lam, 0.0, None)
     checked.flags.writeable = False
-    _last_spectrum = (key, checked)
+    _last_spectrum = (key, checked, None)
     return checked
 
 
-def _test_matrices(n: int, orderings, lam: np.ndarray) -> np.ndarray:
-    """The stacked test matrices of ``orderings`` for a sorted spectrum, each built
-    from its ordering's slot values: the n squares, then the plus pairs, then the
-    minus pairs (row-major k < l)."""
-    if any(t.n != n for t in orderings):
-        raise DimensionMismatchError(f"every ordering must be for n = {n}")
-    p = n * (n - 1) // 2
-    mu = lam[::-1]                       # mu[m] = lambda_{n^2 - m}, 0-based
-    vals = mu[np.array([t.positions for t in orderings], dtype=int).reshape(-1, n * n)]
+@functools.cache
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, 1)``, the index pairs k < l in row-major order, kept per n."""
+    return _read_only(*np.triu_indices(n, 1))
+
+
+def _slot_matrices(n: int, positions: np.ndarray, lam: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The test matrices Z, one per row of ``positions``, for a sorted spectrum, with the
+    plus and minus slot values beside them (row-major k < l).  One gather lays the
+    reversed spectrum into the slots: the n squares, then the plus pairs, then the minus
+    pairs."""
+    k, l = _upper_pairs(n)
+    p = k.size
+    vals = lam[::-1][positions]          # lam[::-1][m] = lambda_{n^2 - m}, 0-based
+    plus, minus = vals[:, n:n + p], vals[:, n + p:]
     d = np.arange(n)
-    k, l = np.triu_indices(n, 1)
     Z = np.zeros((vals.shape[0], n, n))
     Z[:, d, d] = 2.0 * vals[:, :n]
-    Z[:, k, l] = Z[:, l, k] = vals[:, n:n + p] - vals[:, n + p:]
-    return Z
+    Z[:, k, l] = Z[:, l, k] = plus - minus
+    return Z, plus, minus
+
+
+def _test_matrices(n: int, orderings, lam: np.ndarray) -> np.ndarray:
+    """The stacked test matrices of ``orderings`` for a sorted spectrum."""
+    if any(t.n != n for t in orderings):
+        raise DimensionMismatchError(f"every ordering must be for n = {n}")
+    positions = np.array([t.positions for t in orderings], dtype=int).reshape(-1, n * n)
+    return _slot_matrices(n, positions, lam)[0]
 
 
 def l_map_matrix(ordering: OrderingTable, lambdas) -> np.ndarray:
@@ -175,16 +205,7 @@ def l_map_matrix(ordering: OrderingTable, lambdas) -> np.ndarray:
     plus-value minus minus-value on the off-diagonal positions.
     """
     n = ordering.n
-    lam = _check_spectrum(lambdas, n * n)
-    pos = _slot_positions(ordering)
-    mu = lam[::-1]                       # mu[m] = lambda_{n^2 - m}, 0-based
-    Z = np.zeros((n, n))
-    for k in range(n):
-        Z[k, k] = 2.0 * mu[pos[("square", k)]]
-        for l in range(k + 1, n):
-            val = mu[pos[("plus", k, l)]] - mu[pos[("minus", k, l)]]
-            Z[k, l] = Z[l, k] = val
-    return Z
+    return _test_matrices(n, [ordering], _check_spectrum(lambdas, n * n))[0]
 
 
 def ordering_min_eigenvalues(n: int, lambdas, *,
@@ -263,15 +284,50 @@ def certify_special_separable(ordering: OrderingTable, lambdas) -> ConstructorOu
     ordering.  Returns the split's ``not-applicable`` when that matrix is not
     positive semidefinite; ``info["min_eigenvalue"]`` is then the smallest
     eigenvalue of X = Z / 2, half that of the test matrix.
+
+    Every ordering of a spectrum is certified at once.  The first certificate of a
+    spectrum splits the pairs of all the stored orderings of n as one stack (see
+    :func:`~pcpkit.construct.comparison_split`), and the spectrum memo keeps that batch
+    beside the checked spectrum, so the other orderings of the same spectrum only read
+    it.  A lone call pays the whole batch, about 3 ms at n = 5.  An ordering is found
+    among the stored ones by its ``positions``; one outside them runs as a stack of one.
+    Each item of the batch is judged by its own thresholds, exactly as the split of
+    that pair alone judges it, and each call builds its own outcome, which shares no
+    array or dict with another call's.  A split that raises ``ConstructionError`` does
+    so only for its own ordering.
     """
     n = ordering.n
-    vals = _check_spectrum(lambdas, n * n)[::-1][ordering.positions]
-    plus, minus = vals[n:].reshape(2, -1)
-    k, l = np.nonzero(np.arange(n)[:, None] < np.arange(n))    # np.triu_indices(n, 1), cheaper
-    X = np.diag(vals[:n])
+    lam = _check_spectrum(lambdas, n * n)
+    positions, index = _stored_positions(n)
+    m = index.get(ordering.positions.tobytes())
+    if m is None:
+        X, Y, splits = _split_batch(n, ordering.positions[None], lam)
+        m = 0
+    else:
+        X, Y, splits = _stored_batch(n, positions)
+    pair = PairXY(X[m], Y[m])
+    return _split_outcome(pair, splits[m], "abs-ppt-comparison", {"pair": pair})
+
+
+def _split_batch(n: int, positions: np.ndarray, lam: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, list[_Split]]:
+    """The pairs (X, Y) of the orderings whose positions are the rows of ``positions``,
+    stacked, and their comparison splits.  X = Z / 2 exactly for the test matrix Z,
+    diag Y = diag X, and y_kl = y_lk = (plus + minus) / 2."""
+    Z, plus, minus = _slot_matrices(n, positions, lam)
+    X = Z / 2.0
     Y = X.copy()
-    X[k, l] = X[l, k] = (plus - minus) / 2.0
-    Y[k, l] = Y[l, k] = (plus + minus) / 2.0
-    pair = PairXY(X, Y)
-    out = comparison_split(pair)
-    return replace(out, method="abs-ppt-comparison", info={**out.info, "pair": pair})
+    k, l = _upper_pairs(n)
+    Y[:, k, l] = Y[:, l, k] = (plus + minus) / 2.0
+    return X, Y, _comparison_splits(X, Y)
+
+
+def _stored_batch(n: int, positions: np.ndarray):
+    """The :func:`_split_batch` of the stored orderings' ``positions`` for the spectrum
+    that :func:`_check_spectrum` has just returned, computed once and kept in its memo."""
+    global _last_spectrum
+    key, checked, batch = _last_spectrum
+    if batch is None:
+        batch = _split_batch(n, positions, checked)
+        _last_spectrum = (key, checked, batch)
+    return batch

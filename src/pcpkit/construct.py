@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -269,10 +269,35 @@ def decompose_recursive(pair: PairXY, search_permutations: bool = False) -> Cons
 
 
 def comparison_matrix(A: np.ndarray) -> np.ndarray:
-    """Entrywise comparison matrix, real: keep |diagonal|, negate all off-diagonal magnitudes."""
-    M = -np.abs(A)
-    np.fill_diagonal(M, np.abs(np.diag(A)))
-    return M
+    """Entrywise comparison matrix, real: keep |diagonal|, negate all off-diagonal magnitudes.
+    A stack of matrices (the last two axes) gives the stack of their comparison matrices."""
+    return np.abs(A) * _comparison_signs(np.shape(A)[-1])
+
+
+@functools.cache
+def _comparison_signs(n: int) -> np.ndarray:
+    """The n x n matrix of +1 on the diagonal and -1 off it."""
+    return _read_only(2.0 * np.eye(n) - 1.0)[0]
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``arrays``, made read-only: the cached values that every caller shares."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.cache
+def _split_layout(n: int) -> tuple[np.ndarray, ...]:
+    """Flat indices for the stacked split at dimension n, over the p = n(n-1)/2 index
+    pairs k < l in row-major order: their entries (k, l) and (l, k) of an n x n matrix;
+    in the n x (p + n) block of columns, where column c < p is pair c's core column and
+    column p + i is row i's slack column, the entries (k, c), (l, c) and (i, p + i);
+    and i = 0..n-1 itself."""
+    k, l = np.triu_indices(n, 1)
+    p, width, i = k.size, k.size + n, np.arange(n)
+    c = np.arange(p)
+    return _read_only(k * n + l, l * n + k, k * width + c, l * width + c, i * width + p + i, i)
 
 
 def _graph_components(adjacency: np.ndarray) -> list[np.ndarray]:
@@ -292,17 +317,73 @@ def _graph_components(adjacency: np.ndarray) -> list[np.ndarray]:
 
 
 def _perron_vector(M: np.ndarray) -> np.ndarray:
-    """Positive eigenvector, largest entry 1, for the lowest eigenvalue of a real symmetric
-    M whose off-diagonal entries are non-positive with connected support: the Perron
-    vector of the non-negative alpha I - M, read off M itself."""
-    v = np.linalg.eigh(M)[1][:, 0]
-    v = v if v[0] > 0.0 else -v
-    if not v.min() > tol.ZERO * v.max():
+    """Positive eigenvectors, largest entry 1, for the lowest eigenvalues of a stack of real
+    symmetric M whose off-diagonal entries are non-positive with connected support: the
+    Perron vector of the non-negative alpha I - M, read off M itself.  One ``eigh`` serves
+    the stack; only an item whose lowest eigenvalue is near-degenerate runs a second."""
+    v = np.linalg.eigh(M)[1][..., 0]
+    v = np.where(v[:, :1] > 0.0, v, -v)
+    top = v.max(axis=1)
+    simple = v.min(axis=1) > tol.ZERO * top
+    for b in (~simple).nonzero()[0]:
         # A near-degenerate lowest eigenvalue gets a second try: subtracting a
         # small multiple of J restores a simple Perron pair.
-        shift = tol.PERTURBATION * tol.scale(float(np.abs(M).max()))
-        v = np.abs(np.linalg.eigh(M - shift)[1][:, 0])
-    return v / v.max()
+        shift = tol.PERTURBATION * tol.scale(float(np.abs(M[b]).max()))
+        v[b] = np.abs(np.linalg.eigh(M[b] - shift)[1][:, 0])
+        top[b] = v[b].max()
+    return v / top[:, None]
+
+
+class _Scalings(NamedTuple):
+    """:func:`perron_scaling` of each item of a stack X (B, n, n): per item the error that
+    ``perron_scaling`` raises for it, or None, and, unless every item fails, the scalings
+    d (B, n), dd = d d^T, the rescaled dd * X and its magnitudes."""
+
+    errors: list[PcpkitError | None]
+    d: np.ndarray | None = None
+    dd: np.ndarray | None = None
+    Xs: np.ndarray | None = None
+    absXs: np.ndarray | None = None
+
+
+def _perron_scalings(X: np.ndarray) -> _Scalings:
+    """:class:`_Scalings` of a stack X."""
+    M = comparison_matrix(X)
+    psd, lowest = linalg.psd_spectrum(np.linalg.eigvalsh(M))
+    passing = psd.tolist()
+    errors: list[PcpkitError | None] = [
+        None if ok else ComparisonNotPsdError("comparison matrix is not positive semidefinite", low)
+        for ok, low in zip(passing, lowest.tolist())]
+    if not any(passing):
+        return _Scalings(errors)
+    n = X.shape[-1]
+    support = M < 0.0                           # the off-diagonal support of X
+    complete = psd & (support.sum(axis=(1, 2)) == n * (n - 1))
+    if complete.all():
+        d = _perron_vector(M)
+    else:
+        d = np.ones(X.shape[:-1])
+        if complete.any():
+            d[complete] = _perron_vector(M[complete])
+        for b, (ok, full) in enumerate(zip(passing, complete.tolist())):
+            if ok and not full:
+                for comp in _graph_components(support[b]):
+                    if comp.size > 1:
+                        d[b, comp] = _perron_vector(M[b][np.ix_(comp, comp)][None])[0]
+    dd = d[:, :, None] * d[:, None, :]
+    Xs = dd * X
+    scaled = np.abs(Xs)
+    slack = tol.RESIDUAL * tol.scales(scaled.max(axis=(1, 2)))
+    # each row's shortfall from dominance; the split reuses dd * X and its magnitudes
+    short = scaled.sum(axis=2) - 2.0 * scaled.diagonal(0, 1, 2) - slack[:, None]
+    for b in (psd & (short > 0.0).any(axis=1)).nonzero()[0]:
+        # M d = lowest d leaves row i short by -lowest d_i^2: M passed only within its floor
+        if np.all(short[b] <= -lowest[b] * d[b] * d[b]):
+            errors[b] = ComparisonNotPsdError("comparison matrix too far below PSD",
+                                              float(lowest[b]))
+        else:
+            errors[b] = ConstructionError("Perron rescaling did not reach diagonal dominance")
+    return _Scalings(errors, d, dd, Xs, scaled)
 
 
 def perron_scaling(X: np.ndarray) -> np.ndarray:
@@ -312,30 +393,15 @@ def perron_scaling(X: np.ndarray) -> np.ndarray:
     of M must pass ``linalg.psd_spectrum``, and a decline costs just that.  Then d is M's
     lowest eigenvector: from one ``eigh`` of M when every off-diagonal entry of X is
     non-zero (a connected support), else per connected component of the support graph.
+
+    X runs as a stack of one through the stacked scaling that :func:`comparison_split`
+    uses.  Over a stack, each item is judged alone: its PSD floor, its slack of
+    dominance and the shortfall that declines it or raises read that item's entries only.
     """
-    M = comparison_matrix(X)
-    w = np.linalg.eigvalsh(M)
-    psd, lowest = linalg.psd_spectrum(w)
-    if not psd:
-        raise ComparisonNotPsdError("comparison matrix is not positive semidefinite", float(lowest))
-    n = M.shape[0]
-    support = M < 0.0                           # the off-diagonal support of X
-    if n and np.count_nonzero(support) == n * (n - 1):
-        d = _perron_vector(M)
-    else:
-        d = np.ones(n)
-        for comp in _graph_components(support):
-            if comp.size > 1:
-                d[comp] = _perron_vector(M[np.ix_(comp, comp)])
-    scaled = np.abs(d[:, None] * X * d[None, :])
-    slack = tol.RESIDUAL * tol.scale(float(scaled.max())) if n else 0.0
-    short = scaled.sum(axis=1) - 2.0 * np.diag(scaled) - slack    # shortfall from dominance
-    if np.any(short > 0.0):
-        # M d = lowest d leaves row i short by -lowest d_i^2: M passed only within its floor
-        if np.all(short <= -lowest * d * d):
-            raise ComparisonNotPsdError("comparison matrix too far below PSD", float(lowest))
-        raise ConstructionError("Perron rescaling did not reach diagonal dominance")
-    return d
+    scalings = _perron_scalings(np.asarray(X)[None])
+    if scalings.errors[0] is not None:
+        raise scalings.errors[0]
+    return scalings.d[0]
 
 
 def decompose_comparison(pair: PairXY) -> ConstructorOutcome:
@@ -343,6 +409,102 @@ def decompose_comparison(pair: PairXY) -> ConstructorOutcome:
     if violated := _violated("comparison", pair, "abcd"):
         return violated
     return comparison_split(pair)
+
+
+class _Split(NamedTuple):
+    """One item of a stacked comparison split before verification: the rescaled-back
+    columns with the core count and the scaling, or the lowest eigenvalue of a decline,
+    or the message of a failure that nothing explains."""
+
+    V: np.ndarray | None = None
+    W: np.ndarray | None = None
+    core_columns: int = 0
+    scaling: tuple[float, ...] = ()
+    min_eigenvalue: float | None = None
+    error: str | None = None
+
+
+def _comparison_splits(X: np.ndarray, Y: np.ndarray) -> list[_Split]:
+    """The comparison split of every pair of the stacks X, Y (B, n, n), unverified.
+
+    The arithmetic runs over the stack: one ``eigvalsh`` judges every comparison matrix
+    and one ``eigh`` scales the passing items whose support is complete.  Every
+    threshold is the item's own.  The columns are laid out over every index pair and
+    every row (see :func:`_split_layout`), and each item keeps the ones it uses, in
+    the order a split of that pair alone emits them.
+    """
+    errors, d, dd, Xs, absXs = _perron_scalings(X)
+    splits = [_Split(min_eigenvalue=err.min_eigenvalue) if isinstance(err, ComparisonNotPsdError)
+              else _Split(error=str(err)) for err in errors if err is not None]
+    kept = [b for b, err in enumerate(errors) if err is None]
+    if not kept:
+        return splits
+    if len(kept) < len(errors):
+        X, Y, d, dd, Xs, absXs = (a[kept] for a in (X, Y, d, dd, Xs, absXs))
+    B, n = X.shape[0], X.shape[-1]
+    kl, lk, vk, vl, vi, i = _split_layout(n)
+    p = kl.size
+    Ys = np.maximum((dd * Y).real, 0.0)
+    # round-off entries of X count as zero and their Y mass moves into the slack;
+    # X's threshold follows the rescaling by d_i d_j
+    absXs[absXs <= (tol.FLUSH * tol.scales(np.abs(X).max(axis=(1, 2))))[:, None, None] * dd] = 0.0
+    # the clamp keeps the off-diagonal slack non-negative
+    rootY = np.sqrt(Ys)
+    rootYT = rootY.swapaxes(1, 2)
+    absXs = np.minimum(absXs, rootY * rootYT)
+    absXs[:, i, i] = 0.0
+
+    # y'_ij = |x_ij| sqrt(y_ij / y_ji) off the diagonal (y_ji > 0 after the clamp),
+    # and the row sums of |x_ij| on it
+    Yp = absXs * np.divide(rootY, rootYT, out=np.zeros_like(Ys), where=absXs > 0.0)
+    Yp[:, i, i] = absXs.sum(axis=2)
+    P = Ys - Yp
+    # each slack entry is what Yp leaves of a Y entry, so its round-off is relative to that entry
+    P[P <= tol.FLUSH * Ys] = 0.0
+
+    # a core column per index pair k < l that Yp couples, then a slack column per row
+    # that P leaves non-zero
+    Yp_kl, Yp_lk = Yp.reshape(B, n * n)[:, kl], Yp.reshape(B, n * n)[:, lk]
+    live = np.concatenate([np.maximum(Yp_kl, Yp_lk) != 0.0, (P > 0.0).any(axis=2)], axis=1)
+    q_kl, q_lk = Yp_kl ** 0.25, Yp_lk ** 0.25
+    V = np.zeros((B, n, p + n), complex)
+    W = np.zeros_like(V)
+    Vf, Wf = V.reshape(B, -1), W.reshape(B, -1)
+    Vf[:, vk] = np.exp(1j * np.angle(Xs.reshape(B, n * n)[:, kl])) * q_kl
+    Vf[:, vl] = Wf[:, vk] = q_lk
+    Wf[:, vl] = q_kl
+    Vf[:, vi] = 1.0
+    W[:, :, p:] = np.sqrt(P).swapaxes(1, 2)
+    unscale = (1.0 / np.sqrt(d))[:, :, None]
+    V *= unscale
+    W *= unscale
+
+    cores = live[:, :p].sum(axis=1).tolist()
+    for b, (item, core, scaling) in enumerate(zip(kept, cores, d.tolist())):
+        Vb = V[b].compress(live[b], axis=1)
+        Vb, Wb = (Vb, W[b].compress(live[b], axis=1)) if Vb.shape[1] else _zero_term(n)
+        splits.insert(item, _Split(Vb, Wb, core, tuple(scaling)))
+    return splits
+
+
+def _split_outcome(pair: PairXY, split: _Split, method: str = "comparison",
+                   extra: dict[str, Any] | None = None) -> ConstructorOutcome:
+    """The outcome of one item of :func:`_comparison_splits` on ``pair``, verified at
+    ``tolerances.VERIFY`` against that pair; ``extra`` joins the outcome's fresh ``info``."""
+    extra = extra or {}
+    if split.error is not None:
+        raise ConstructionError(split.error)
+    if split.V is None:
+        return ConstructorOutcome(
+            status=NOT_APPLICABLE,
+            method=method,
+            reason="comparison matrix of X is not positive semidefinite",
+            info={"min_eigenvalue": split.min_eigenvalue, **extra},
+        )
+    info = {"core_columns": split.core_columns, "scaling": split.scaling, **extra}
+    return _verified(pair, method, PcpDecomposition(split.V, split.W), info=info) or \
+        ConstructorOutcome(NOT_APPLICABLE, method, reason="comparison split failed verification",
+                           info=dict(extra))
 
 
 def comparison_split(pair: PairXY) -> ConstructorOutcome:
@@ -362,58 +524,21 @@ def comparison_split(pair: PairXY) -> ConstructorOutcome:
     Conditions (c) and (d) hold only up to their slacks, so |x_ij| is clamped
     to sqrt(y_ij y_ji) and negative slack is dropped; the verification judges
     what that leaves out, and a split that fails it declines.
+
+    The arithmetic runs on (B, n, n) stacks, and the pair is a stack of one, so it
+    shares one code path with the batch that splits every ordering of a spectrum
+    at once (``abssep``).  Over a stack, one ``eigvalsh`` judges every comparison
+    matrix and one ``eigh`` scales the passing items whose support is complete;
+    the near-degenerate Perron retry, the component analysis of an incomplete
+    support and a dominance shortfall run per item, only where needed.  Each item
+    is judged alone: the PSD floor of its comparison matrix, the flush of |x_ij|
+    against its own largest entry of X, the slack flush, the dominance slack, the
+    shortfall that declines it or raises for it only, and the verification of its
+    columns at ``tolerances.VERIFY``.
     """
-    method = "comparison"
-    n = pair.n
-    X, Y = linalg._lapack_operand(pair.X), linalg._lapack_operand(pair.Y)   # real on real data
-    try:
-        d = perron_scaling(X)
-    except ComparisonNotPsdError as err:
-        return ConstructorOutcome(
-            status=NOT_APPLICABLE,
-            method=method,
-            reason="comparison matrix of X is not positive semidefinite",
-            info={"min_eigenvalue": err.min_eigenvalue},
-        )
-    dd = np.outer(d, d)
-    Xs = dd * X
-    Ys = np.clip((dd * Y).real, 0.0, None)
-    absXs = np.abs(Xs)
-    # round-off entries of X count as zero and their Y mass moves into the slack;
-    # X's threshold follows the rescaling by d_i d_j
-    absXs[absXs <= tol.FLUSH * tol.scale(float(np.abs(X).max())) * dd] = 0.0
-    # the clamp keeps the off-diagonal slack non-negative
-    rootY = np.sqrt(Ys)
-    absXs = np.minimum(absXs, rootY * rootY.T)
-    np.fill_diagonal(absXs, 0.0)
-
-    # y'_ij = |x_ij| sqrt(y_ij / y_ji) off the diagonal (y_ji > 0 after the clamp),
-    # and the row sums of |x_ij| on it
-    Yp = absXs * np.divide(rootY, rootY.T, out=np.zeros_like(Ys), where=absXs > 0.0)
-    np.fill_diagonal(Yp, absXs.sum(axis=1))
-    P = Ys - Yp
-    # each slack entry is what Yp leaves of a Y entry, so its round-off is relative to that entry
-    P[P <= tol.FLUSH * Ys] = 0.0
-
-    k, l = np.nonzero(np.triu(np.maximum(Yp, Yp.T), 1))
-    rows = np.flatnonzero((P > 0.0).any(axis=1))
-    core = k.size
-    cols = np.arange(core)
-    sgn = np.exp(1j * np.angle(Xs[k, l]))
-    q = Yp ** 0.25
-    V = np.zeros((n, core + rows.size), complex)
-    W = np.zeros_like(V)
-    V[k, cols], V[l, cols] = sgn * q[k, l], q[l, k]
-    W[k, cols], W[l, cols] = q[l, k], q[k, l]
-    V[rows, core + np.arange(rows.size)] = 1.0
-    W[:, core:] = np.sqrt(P[rows]).T
-    if not V.shape[1]:
-        V, W = _zero_term(n)
-
-    unscale = (1.0 / np.sqrt(d))[:, None]
-    info = {"core_columns": core, "scaling": tuple(float(x) for x in d)}
-    return _verified(pair, method, PcpDecomposition(V * unscale, W * unscale), info=info) or \
-        ConstructorOutcome(NOT_APPLICABLE, method, reason="comparison split failed verification")
+    # X real on real data; the split reads only Y's real part
+    (split,) = _comparison_splits(linalg._lapack_operand(pair.X)[None], pair.Y[None])
+    return _split_outcome(pair, split)
 
 
 def isotropic_constants(n: int) -> tuple[float, float]:

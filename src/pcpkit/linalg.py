@@ -85,7 +85,7 @@ def hermitian_eigenvalues(A: np.ndarray) -> np.ndarray:
 def psd_spectrum(w: np.ndarray):
     """The PSD judgement of eigenvalues ``w`` (last axis): whether the lowest clears
     ``-tolerances.psd_floor``, and the lowest (inf for an empty spectrum)."""
-    lowest = np.min(w, axis=-1, initial=math.inf)
+    lowest = w.min(axis=-1, initial=math.inf)
     return lowest >= -tol.psd_floor(w), lowest
 
 

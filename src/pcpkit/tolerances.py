@@ -26,6 +26,11 @@ def scale(*magnitudes: float) -> float:
     return max(magnitudes) or 1.0
 
 
+def scales(magnitudes: np.ndarray) -> np.ndarray:
+    """:func:`scale` of each entry of ``magnitudes``, one per item of a stack."""
+    return np.where(magnitudes > 0.0, magnitudes, 1.0)
+
+
 def psd_floor(w: np.ndarray):
     """How far below zero the smallest of the eigenvalues ``w`` (last axis) may dip."""
     return PSD * np.abs(w).sum(axis=-1)

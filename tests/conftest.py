@@ -10,6 +10,7 @@ import pytest
 
 import pcpkit.cldui
 import pcpkit.construct
+import pcpkit.linalg
 from pcpkit import PairXY, PcpDecomposition, check_necessary, reconstruct
 from pcpkit.fileio import load_pair_document
 
@@ -76,6 +77,27 @@ def necessary_calls(monkeypatch) -> list:
         return check_necessary(pair)
 
     monkeypatch.setattr(pcpkit.pairs, "check_necessary", counted)
+    return calls
+
+
+@pytest.fixture
+def solver_calls(monkeypatch) -> dict:
+    """Count the eigensolver, component-analysis and Hermiticity-test calls that
+    ``construct`` makes."""
+    calls = {"eigvalsh": 0, "eigh": 0, "components": 0, "hermitian": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(pcpkit.construct, "_graph_components",
+                        counted("components", pcpkit.construct._graph_components))
+    monkeypatch.setattr(pcpkit.linalg, "is_hermitian",
+                        counted("hermitian", pcpkit.linalg.is_hermitian))
     return calls
 
 

@@ -14,10 +14,12 @@ from pcpkit import (
     special_unitary,
     verify_decomposition,
 )
+from pcpkit import PairXY, abssep, construct
 from pcpkit.abssep import OrderingTable, _check_spectrum, ordering_min_eigenvalues
 from pcpkit.cldui import extract_pair, partial_transpose
-from pcpkit.construct import _graph_components
+from pcpkit.construct import _graph_components, comparison_split
 from pcpkit.errors import (
+    ConstructionError,
     DimensionMismatchError,
     InvalidOrderingError,
     NotSortedError,
@@ -103,6 +105,34 @@ def sampled_orderings(n, samples, seed):
     return found
 
 
+def l_map_loop(ordering, lam):
+    """The reference for ``l_map_matrix``: the test matrix of one ordering, filled slot
+    by slot from a sorted, non-negative spectrum."""
+    n = ordering.n
+    pos = {slot: m for m, slot in enumerate(ordering.slots)}
+    mu = np.asarray(lam, dtype=float)[::-1]      # mu[m] = lambda_{n^2 - m}, 0-based
+    Z = np.zeros((n, n))
+    for k in range(n):
+        Z[k, k] = 2.0 * mu[pos[("square", k)]]
+        for l in range(k + 1, n):
+            Z[k, l] = Z[l, k] = mu[pos[("plus", k, l)]] - mu[pos[("minus", k, l)]]
+    return Z
+
+
+def certified_pair_loop(ordering, lam) -> PairXY:
+    """The pair that ``certify_special_separable`` certifies, built slot by slot:
+    X = Z / 2 for the test matrix Z, diag Y = diag X, y_kl = y_lk = (plus + minus) / 2."""
+    n = ordering.n
+    pos = {slot: m for m, slot in enumerate(ordering.slots)}
+    mu = np.asarray(lam, dtype=float)[::-1]
+    X = l_map_loop(ordering, lam) / 2.0
+    Y = X.copy()
+    for k in range(n):
+        for l in range(k + 1, n):
+            Y[k, l] = Y[l, k] = (mu[pos[("plus", k, l)]] + mu[pos[("minus", k, l)]]) / 2.0
+    return PairXY(X, Y)
+
+
 def test_ordering_counts_and_seed_stability():
     expected = {2: 1, 3: 2, 4: 10}
     for n, count in expected.items():
@@ -167,6 +197,8 @@ def test_l_maps_on_counting_spectrum():
     assert np.array_equal(Z1, np.array([[2.0, -7.0, -5.0],
                                         [-7.0, 8.0, -2.0],
                                         [-5.0, -2.0, 12.0]]))
+    assert np.array_equal(Z0, l_map_loop(first, lam))
+    assert np.array_equal(Z1, l_map_loop(second, lam))
 
 
 def test_special_unitary_n2_matches_reference():
@@ -210,16 +242,16 @@ def test_check_matches_dense_partial_transpose():
                 U = special_unitary(table)
                 rho = (U * lam) @ U.T
                 psd = is_psd(partial_transpose(rho, n))
-                assert psd == is_psd(l_map_matrix(table, lam))
+                assert psd == is_psd(l_map_loop(table, lam))
                 dense_ok = dense_ok and psd
             assert abs_ppt_check(n, lam)[0] == dense_ok
 
 
 def per_ordering_check(n, lam):
-    """``abs_ppt_check`` as one ``is_psd(l_map_matrix(...))`` call per ordering."""
+    """``abs_ppt_check`` as one ``is_psd`` call per ordering on the loop reference."""
     lam = -np.sort(-np.clip(np.asarray(lam, dtype=float), 0.0, None))
     for idx, table in enumerate(enumerate_orderings(n)):
-        if not is_psd(l_map_matrix(table, lam)):
+        if not is_psd(l_map_loop(table, lam)):
             return False, idx
     return True, None
 
@@ -247,8 +279,9 @@ def test_batched_check_equals_per_ordering_loop(n, seed, near_boundary):
         assert abs_ppt_check(n, lam) == per_ordering_check(n, lam)
         minima, passing = ordering_min_eigenvalues(n, lam)
         tables = enumerate_orderings(n)
-        assert list(passing) == [is_psd(l_map_matrix(t, lam)) for t in tables]
-        assert list(minima) == [hermitian_eigenvalues(l_map_matrix(t, lam))[-1] for t in tables]
+        assert list(passing) == [is_psd(l_map_loop(t, lam)) for t in tables]
+        assert list(minima) == [hermitian_eigenvalues(l_map_loop(t, lam))[-1] for t in tables]
+        assert all(np.array_equal(l_map_matrix(t, lam), l_map_loop(t, lam)) for t in tables)
 
 
 def test_maximally_mixed_always_passes():
@@ -349,7 +382,7 @@ def test_declines_report_the_spectrum_of_x_itself():
                     continue
                 declined += 1
                 assert out.status == "not-applicable" and out.decomposition is None
-                X = l_map_matrix(table, lam) / 2.0
+                X = l_map_loop(table, lam) / 2.0
                 assert out.info["min_eigenvalue"] == np.linalg.eigvalsh(X)[0]
     assert declined > 50
 
@@ -425,6 +458,9 @@ def test_spectrum_check_never_answers_an_edited_array():
     lam[:] = other
     got = certify_special_separable(table, lam).info["pair"]
     assert np.array_equal(got.X, want.X) and np.array_equal(got.Y, want.Y)
+    # the batch kept for the flat spectrum answers none of the edited array's orderings
+    for t in enumerate_orderings(3):
+        assert_same_split(certify_special_separable(t, lam), t, other)
     lam[0] = 0.0
     with pytest.raises(NotSortedError):
         certify_special_separable(table, lam)
@@ -435,6 +471,137 @@ def test_spectrum_check_never_answers_an_edited_array():
     certify_special_separable(table, lam)
     with pytest.raises(DimensionMismatchError):
         _check_spectrum(lam, 16)
+
+
+def assert_same_split(got, ordering, lam):
+    """``got``, a certificate from the batch, is what ``comparison_split`` makes of the
+    ordering's pair alone: the same pair, status, reason, core columns, scaling and
+    term count, V and W within 1e-15 of their largest entry, and a decline's smallest
+    eigenvalue is that of one real ``eigvalsh`` of X."""
+    pair = certified_pair_loop(ordering, lam)
+    want = comparison_split(pair)
+    assert np.array_equal(got.info["pair"].X, pair.X)
+    assert np.array_equal(got.info["pair"].Y, pair.Y)
+    assert (got.status, got.reason) == (want.status, want.reason)
+    if want.ok:
+        assert got.info["core_columns"] == want.info["core_columns"]
+        assert got.info["scaling"] == want.info["scaling"]
+        assert got.decomposition.m == want.decomposition.m
+        for name in ("V", "W"):
+            a, b = getattr(got.decomposition, name), getattr(want.decomposition, name)
+            assert np.abs(a - b).max() <= 1e-15 * np.abs(b).max()
+    elif got.decomposition is None:
+        lowest = np.linalg.eigvalsh(l_map_loop(ordering, lam) / 2.0)[0]
+        assert got.info["min_eigenvalue"] == want.info["min_eigenvalue"] == lowest
+
+
+def test_batched_certificates_equal_a_stack_of_one():
+    """Every ordering of seeded passing, failing, flat, rounded and flat-plus-spike
+    spectra at n = 2..5, and of the CI spectrum, gets from the batch exactly the split
+    of its pair alone.  The spectra cover declines and passes, and supports that are
+    complete, split into a coupled pair beside single vertices, and all single."""
+    rng = np.random.default_rng(41)
+    seen, shapes = set(), set()
+    for n in (2, 3, 4, 5):
+        d = n * n
+        top = rng.uniform(0.6, 0.9)
+        failing = np.sort(np.append(top, (1 - top) * rng.dirichlet(np.full(d - 1, 0.5))))[::-1]
+        spike = np.append(1.3, np.ones(d - 1))
+        spectra = [_passing_spectrum(rng, n), failing, np.full(d, 1.0 / d),
+                   np.round(_passing_spectrum(rng, n), 2), spike / spike.sum()]
+        spectra += [CI_SPECTRUM_N5] if n == 5 else []
+        for lam in spectra:
+            for table in enumerate_orderings(n):
+                out = certify_special_separable(table, lam)
+                assert_same_split(out, table, lam)
+                seen.add(out.status)
+                off = out.info["pair"].X != 0.0
+                np.fill_diagonal(off, False)
+                sizes = sorted(c.size for c in _graph_components(off))
+                shapes.add("one" if len(sizes) == 1 else "split" if sizes[-1] > 1 else "single")
+    assert seen == {"decomposed", "not-applicable"}
+    assert shapes == {"one", "split", "single"}
+
+
+def test_every_n5_ordering_costs_one_eigvalsh_and_one_eigh(solver_calls, monkeypatch):
+    """The 114 certificates of a passing n = 5 spectrum share one batch: one ``eigvalsh``
+    judges every comparison matrix, one ``eigh`` scales them all, and no support needs
+    a component analysis."""
+    monkeypatch.setattr(abssep, "_last_spectrum", (None, None, None))
+    outs = [certify_special_separable(t, CI_SPECTRUM_N5) for t in enumerate_orderings(5)]
+    assert len(outs) == 114 and all(out.ok for out in outs)
+    assert solver_calls == {"eigvalsh": 1, "eigh": 1, "components": 0, "hermitian": 0}
+
+
+def test_the_batch_memo_across_orderings_spectra_and_dimensions(solver_calls, monkeypatch):
+    """An ordering outside the stored tables runs as a stack of one and leaves the
+    spectrum's batch in place; spectra and dimensions that alternate each get their
+    own batch, and every answer is the split of its pair alone."""
+    monkeypatch.setattr(abssep, "_last_spectrum", (None, None, None))
+    rng = np.random.default_rng(43)
+    first = enumerate_orderings(3)[0]
+    swap = {("plus", 0, 1): ("minus", 0, 1), ("minus", 0, 1): ("plus", 0, 1)}
+    outside = OrderingTable(3, tuple(swap.get(s, s) for s in first.slots), first.witness)
+    lam = _passing_spectrum(rng, 3)
+    assert_same_split(certify_special_separable(first, lam), first, lam)
+    assert solver_calls["eigvalsh"] == 2            # the batch, then the reference alone
+    assert_same_split(certify_special_separable(outside, lam), outside, lam)
+    assert solver_calls["eigvalsh"] == 4            # a stack of one, then the reference
+    for table in enumerate_orderings(3):
+        assert_same_split(certify_special_separable(table, lam), table, lam)
+    assert solver_calls["eigvalsh"] == 6            # the references only
+    spectra = {n: [_passing_spectrum(rng, n), _passing_spectrum(rng, n)] for n in (3, 4, 5)}
+    for n, k in [(3, 0), (4, 0), (3, 0), (3, 1), (5, 0), (4, 1), (5, 1), (3, 0)]:
+        lam = spectra[n][k]
+        for table in enumerate_orderings(n)[::3]:
+            assert_same_split(certify_special_separable(table, lam), table, lam)
+
+
+def test_a_construction_error_surfaces_only_for_its_own_ordering(monkeypatch):
+    """A scaling that misses dominance in one item of the batch raises
+    ``ConstructionError`` for that ordering, every time it is asked for, and for no
+    other ordering of the spectrum."""
+    monkeypatch.setattr(abssep, "_last_spectrum", (None, None, None))
+    tables = enumerate_orderings(5)
+    planted = 7
+    perron_vector = construct._perron_vector
+
+    def planting(M):
+        v = perron_vector(M)
+        if len(v) == len(tables):                   # the batch, not a stack of one
+            v[planted] = np.geomspace(1.0, 1e-6, 5)
+        return v
+
+    monkeypatch.setattr(construct, "_perron_vector", planting)
+    for m, table in enumerate(tables + tables[:planted + 1]):
+        if m % len(tables) == planted:
+            with pytest.raises(ConstructionError):
+                certify_special_separable(table, CI_SPECTRUM_N5)
+        else:
+            assert_same_split(certify_special_separable(table, CI_SPECTRUM_N5), table,
+                              CI_SPECTRUM_N5)
+
+
+def test_outcomes_share_no_mutable_state():
+    """Each call builds its own outcome: a fresh ``info`` dict and pair, and read-only
+    arrays that share no memory with another call's, for a pass and a decline alike."""
+    tables = enumerate_orderings(3)
+    for lam in (np.full(9, 1.0 / 9.0), np.arange(9, 0, -1, dtype=float) / 45.0):
+        a, b, c = (certify_special_separable(t, lam) for t in (tables[1], tables[1], tables[0]))
+        assert a.info is not b.info and a.info["pair"] is not b.info["pair"]
+        for x, y in ((a, b), (a, c)):
+            for name in "XY":
+                u, v = getattr(x.info["pair"], name), getattr(y.info["pair"], name)
+                assert not u.flags.writeable and not np.shares_memory(u, v)
+            if x.ok and y.ok:
+                for name in ("V", "W"):
+                    u, v = getattr(x.decomposition, name), getattr(y.decomposition, name)
+                    assert not u.flags.writeable and not np.shares_memory(u, v)
+        a.info["planted"] = True
+        a.info.pop("pair")
+        again = certify_special_separable(tables[1], lam)
+        assert "planted" not in again.info and "pair" in again.info
+        assert again.info.keys() == b.info.keys()
 
 
 def test_input_validation():

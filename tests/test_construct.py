@@ -25,7 +25,7 @@ from pcpkit import (
     tolerances,
     verify_decomposition,
 )
-from pcpkit import construct, linalg
+from pcpkit import construct
 from pcpkit.construct import _rowwise_passes
 from pcpkit.errors import ComparisonNotPsdError, ConstructionError
 from pcpkit.linalg import phase_normalize_columns
@@ -554,26 +554,6 @@ def test_perron_scaling_matches_component_path():
             _assert_dominant(X, d)
 
 
-@pytest.fixture
-def solver_calls(monkeypatch) -> dict:
-    """Count the eigensolver, component-analysis and Hermiticity-test calls that
-    ``construct`` makes."""
-    calls = {"eigvalsh": 0, "eigh": 0, "components": 0, "hermitian": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
-    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
-    monkeypatch.setattr(construct, "_graph_components",
-                        counted("components", construct._graph_components))
-    monkeypatch.setattr(linalg, "is_hermitian", counted("hermitian", linalg.is_hermitian))
-    return calls
-
-
 def test_perron_scaling_fallbacks_reach_dominance(solver_calls):
     """Blocks with equal, singular comparison matrices coupled by a 1e-14 or 1e-18
     bridge (one entry, or every cross entry, which leaves the support complete),
@@ -667,7 +647,8 @@ def test_perron_scaling_declines_a_comparison_matrix_psd_only_within_its_floor()
 def test_perron_scaling_still_raises_on_a_shortfall_nothing_explains(monkeypatch):
     """A PSD comparison matrix leaves no shortfall to explain: a scaling that misses
     dominance there is a bug and raises ``ConstructionError``."""
-    monkeypatch.setattr(construct, "_perron_vector", lambda M: np.linspace(1.0, 0.01, len(M)))
+    monkeypatch.setattr(construct, "_perron_vector",
+                        lambda M: np.broadcast_to(np.linspace(1.0, 0.01, M.shape[-1]), M.shape[:-1]))
     with pytest.raises(ConstructionError):
         perron_scaling(np.array([[2.0, -1.0, 0.5], [-1.0, 2.0, -0.9], [0.5, -0.9, 2.0]]))
 

@@ -172,9 +172,17 @@ def seeded_spectrum(n: int, kind: int, seed: int) -> np.ndarray:
 @given(n=st.integers(2, 5), kind=st.integers(0, 2), seed=st.integers(0, 2**32 - 1),
        s=st.sampled_from(SCALES))
 def test_abs_ppt_check_is_scale_invariant(n, kind, seed, s):
+    """A passing spectrum is certified at every ordering and every scale: each item
+    of a batch reads its own thresholds, which follow the scale."""
     lam = seeded_spectrum(n, kind, seed)
     base = abs_ppt_check(n, lam)
     assert abs_ppt_check(n, s * lam) == base
     if not base[0]:
         table = enumerate_orderings(n)[base[1]]
         assert certify_special_separable(table, s * lam).status == "not-applicable"
+        return
+    for scale in SCALES:
+        scaled = scale * lam
+        for table in enumerate_orderings(n):
+            out = certify_special_separable(table, scaled)
+            assert out.ok and verify_decomposition(out.decomposition, out.info["pair"], tol=1e-8)
