@@ -41,8 +41,15 @@ import numpy as np
 
 from . import linalg, ordering_data
 from . import tolerances as tol
-from .construct import ConstructorOutcome, _comparison_splits, _read_only, _Split, _split_outcome
-from .pairs import PairXY
+from .construct import (
+    ConstructorOutcome,
+    _comparison_splits,
+    _read_only,
+    _Split,
+    _split_outcome,
+    comparison_matrix,
+)
+from .pairs import PairXY, _assembled, _finite_items
 from .errors import (
     ConstructionError,
     DimensionMismatchError,
@@ -54,7 +61,9 @@ from .errors import (
 
 Slot = tuple
 _TAG_RANK = {"square": 0, "plus": 1, "minus": 2}
-# (key, result, certificate batch or None) of the last _check_spectrum
+# (key, result, what is derived from the result) of the last _check_spectrum; the last is a
+# dict that may hold the stored orderings' test matrices, with their slot values and
+# eigenvalues ("check"), and the certificate batch ("batch")
 _last_spectrum: tuple = (None, None, None)
 
 
@@ -128,7 +137,7 @@ def _stored_tables(n: int) -> list[OrderingTable]:
 def _stored_positions(n: int) -> tuple[np.ndarray, dict[bytes, int]]:
     """The ``positions`` of the stored orderings of n, one row each in listing order, and
     each row's index keyed by its bytes (none when n has no tables).  Built on the first
-    certificate for n."""
+    check or certificate for n."""
     positions = np.array([t.positions for t in _stored_tables(n)], dtype=int).reshape(-1, n * n)
     return _read_only(positions)[0], {row.tobytes(): m for m, row in enumerate(positions)}
 
@@ -144,7 +153,7 @@ def _check_spectrum(lambdas, size: int) -> np.ndarray:
     """The spectrum, which must be sorted and non-negative up to ``tolerances.ZERO``
     times its largest entry, as a read-only float array with round-off negatives clamped
     to zero.  The last result is kept, keyed by the spectrum's bytes, and reused; a new
-    spectrum drops the certificate batch kept beside the last one."""
+    spectrum drops what was derived from the last one."""
     global _last_spectrum
     lam = np.asarray(lambdas, dtype=float)
     key = (size, lam.shape, lam.tobytes())
@@ -162,7 +171,7 @@ def _check_spectrum(lambdas, size: int) -> np.ndarray:
         raise PcpkitError(f"spectrum has a negative entry ({lam.min():.3e})")
     checked = np.clip(lam, 0.0, None)
     checked.flags.writeable = False
-    _last_spectrum = (key, checked, None)
+    _last_spectrum = (key, checked, {})
     return checked
 
 
@@ -189,12 +198,11 @@ def _slot_matrices(n: int, positions: np.ndarray, lam: np.ndarray
     return Z, plus, minus
 
 
-def _test_matrices(n: int, orderings, lam: np.ndarray) -> np.ndarray:
-    """The stacked test matrices of ``orderings`` for a sorted spectrum."""
+def _positions(n: int, orderings) -> np.ndarray:
+    """The ``positions`` of ``orderings``, one row each."""
     if any(t.n != n for t in orderings):
         raise DimensionMismatchError(f"every ordering must be for n = {n}")
-    positions = np.array([t.positions for t in orderings], dtype=int).reshape(-1, n * n)
-    return _slot_matrices(n, positions, lam)[0]
+    return np.array([t.positions for t in orderings], dtype=int).reshape(-1, n * n)
 
 
 def l_map_matrix(ordering: OrderingTable, lambdas) -> np.ndarray:
@@ -205,7 +213,7 @@ def l_map_matrix(ordering: OrderingTable, lambdas) -> np.ndarray:
     plus-value minus minus-value on the off-diagonal positions.
     """
     n = ordering.n
-    return _test_matrices(n, [ordering], _check_spectrum(lambdas, n * n))[0]
+    return _slot_matrices(n, _positions(n, [ordering]), _check_spectrum(lambdas, n * n))[0][0]
 
 
 def ordering_min_eigenvalues(n: int, lambdas, *,
@@ -218,12 +226,19 @@ def ordering_min_eigenvalues(n: int, lambdas, *,
     judges it: in real arithmetic, as the matrix is real, by
     ``linalg.psd_spectrum``.  Entries of the spectrum may dip below zero by
     ``tolerances.ZERO`` times the largest entry and are clamped; it is sorted
-    internally.
+    internally.  When ``orderings`` are the stored orderings of n, in their listing
+    order, the spectrum memo keeps the test matrices and their eigenvalues for the
+    certificates of the same spectrum.
     """
     if orderings is None:
         orderings = enumerate_orderings(n)
     lam = _check_spectrum(-np.sort(-np.atleast_1d(np.asarray(lambdas, dtype=float))), n * n)
-    passes, lowest = linalg.psd_spectrum(np.linalg.eigvalsh(_test_matrices(n, orderings, lam)))
+    positions = _positions(n, orderings)
+    slots = _slot_matrices(n, positions, lam)
+    w = np.linalg.eigvalsh(slots[0])
+    if np.array_equal(positions, _stored_positions(n)[0]):
+        _last_spectrum[2]["check"] = (slots, w)
+    passes, lowest = linalg.psd_spectrum(w)
     return lowest, passes
 
 
@@ -287,14 +302,23 @@ def certify_special_separable(ordering: OrderingTable, lambdas) -> ConstructorOu
 
     Every ordering of a spectrum is certified at once.  The first certificate of a
     spectrum splits the pairs of all the stored orderings of n as one stack (see
-    :func:`~pcpkit.construct.comparison_split`), and the spectrum memo keeps that batch
-    beside the checked spectrum, so the other orderings of the same spectrum only read
-    it.  A lone call pays the whole batch, about 3 ms at n = 5.  An ordering is found
-    among the stored ones by its ``positions``; one outside them runs as a stack of one.
-    Each item of the batch is judged by its own thresholds, exactly as the split of
-    that pair alone judges it, and each call builds its own outcome, which shares no
-    array or dict with another call's.  A split that raises ``ConstructionError`` does
-    so only for its own ordering.
+    :func:`~pcpkit.construct.comparison_split`) and verifies every item's columns on the
+    stack, one residual pass per distinct term count (see
+    :func:`~pcpkit.pairs.residuals`); the spectrum memo keeps that batch beside the
+    checked spectrum, so the other orderings of the same spectrum only read it.  The
+    pair stack and the columns are checked for finite entries once, for the whole
+    batch, and each call copies its own pair and columns into fresh read-only arrays,
+    reads its item's residuals and judges them at ``tolerances.VERIFY``.  When
+    :func:`abs_ppt_check` has just run over the stored orderings of the same spectrum,
+    the batch takes its test matrices and half of its eigenvalues instead of
+    diagonalizing X again, as long as X is its own comparison matrix bit for bit (a
+    tie in the spectrum leaves a +0 off the diagonal, and then it does not).  The
+    certificates are the same either way.  A lone call pays the whole batch, about
+    2 ms at n = 5.  An ordering is found among the stored ones by its ``positions``;
+    one outside them runs as a stack of one.  Each item of the batch is judged by its
+    own thresholds, exactly as the split of that pair alone judges it, and each call
+    builds its own outcome, which shares no array or dict with another call's.  A
+    split that raises ``ConstructionError`` does so only for its own ordering.
     """
     n = ordering.n
     lam = _check_spectrum(lambdas, n * n)
@@ -305,29 +329,40 @@ def certify_special_separable(ordering: OrderingTable, lambdas) -> ConstructorOu
         m = 0
     else:
         X, Y, splits = _stored_batch(n, positions)
-    pair = PairXY(X[m], Y[m])
-    return _split_outcome(pair, splits[m], "abs-ppt-comparison", {"pair": pair})
+    pair = _assembled(PairXY, X=X[m], Y=Y[m])
+    return _split_outcome(splits[m], "abs-ppt-comparison", {"pair": pair})
 
 
-def _split_batch(n: int, positions: np.ndarray, lam: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, list[_Split]]:
+def _split_batch(n: int, positions: np.ndarray, lam: np.ndarray, slots: tuple | None = None,
+                 w: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, list[_Split]]:
     """The pairs (X, Y) of the orderings whose positions are the rows of ``positions``,
-    stacked, and their comparison splits.  X = Z / 2 exactly for the test matrix Z,
-    diag Y = diag X, and y_kl = y_lk = (plus + minus) / 2."""
-    Z, plus, minus = _slot_matrices(n, positions, lam)
+    stacked as complex arrays, and their verified comparison splits.  X = Z / 2 exactly
+    for the test matrix Z, diag Y = diag X, and y_kl = y_lk = (plus + minus) / 2.
+    ``slots`` holds what :func:`_slot_matrices` returns for them and ``w`` the
+    eigenvalues of each Z, when the check has computed them."""
+    Z, plus, minus = slots or _slot_matrices(n, positions, lam)
     X = Z / 2.0
     Y = X.copy()
     k, l = _upper_pairs(n)
     Y[:, k, l] = Y[:, l, k] = (plus + minus) / 2.0
-    return X, Y, _comparison_splits(X, Y)
+    # half of Z's eigenvalues are those of X's comparison matrix when that is X, bit for bit
+    if w is not None and comparison_matrix(X).tobytes() != X.tobytes():
+        w = None
+    X, Y = X.astype(complex), Y.astype(complex)
+    splits = _comparison_splits(X, Y, None if w is None else w / 2.0)
+    # the pairs enter here, so here they are checked, once for the stack: an ordering whose
+    # pair is not finite raises for itself, as PairXY would
+    finite = _finite_items(X, Y)
+    if not finite.all():
+        splits = [s if ok else s._replace(finite=False) for s, ok in zip(splits, finite.tolist())]
+    return X, Y, splits
 
 
 def _stored_batch(n: int, positions: np.ndarray):
     """The :func:`_split_batch` of the stored orderings' ``positions`` for the spectrum
-    that :func:`_check_spectrum` has just returned, computed once and kept in its memo."""
-    global _last_spectrum
-    key, checked, batch = _last_spectrum
-    if batch is None:
-        batch = _split_batch(n, positions, checked)
-        _last_spectrum = (key, checked, batch)
-    return batch
+    that :func:`_check_spectrum` has just returned, computed once and kept in its memo,
+    from what the check kept there."""
+    _, checked, derived = _last_spectrum
+    if "batch" not in derived:
+        derived["batch"] = _split_batch(n, positions, checked, *derived.get("check", ()))
+    return derived["batch"]

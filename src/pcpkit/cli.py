@@ -259,12 +259,12 @@ def _read_lambdas(raw: str) -> list[float]:
 
 
 def cmd_abs_ppt(args) -> int:
-    lam = _read_lambdas(args.lambdas)
+    # sorted as the check sorts it, so every certificate finds the check's memo
+    lam = -np.sort(-np.asarray(_read_lambdas(args.lambdas), dtype=float))
     orderings = abssep.enumerate_orderings(args.n)
     minima, passing = abssep.ordering_min_eigenvalues(args.n, lam, orderings=orderings)
     passes = bool(passing.all())
     failing = None if passes else int(np.argmin(passing))
-    lam_sorted = sorted(lam, reverse=True)
 
     payload = {"n": args.n, "orderings": len(orderings), "passes": passes,
                "failing_ordering": failing}
@@ -273,7 +273,7 @@ def cmd_abs_ppt(args) -> int:
     for idx, (ordering, min_eig, ok) in enumerate(zip(orderings, minima, passing)):
         lines.append(f"ordering {idx}: min eigenvalue {min_eig:.9g} -> {'PASS' if ok else 'FAIL'}")
         if args.certify and ok:
-            out = abssep.certify_special_separable(ordering, lam_sorted)
+            out = abssep.certify_special_separable(ordering, lam)
             path = Path(args.out_dir) / f"ordering_{idx}_certificate.json"
             fileio.save_certificate(path, out.decomposition, out.method,
                                     ordering_index=idx)

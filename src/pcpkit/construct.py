@@ -41,7 +41,15 @@ from .errors import (
     PcpkitError,
     WrongDimensionError,
 )
-from .pairs import PairXY, PcpDecomposition, Residuals, residuals
+from .pairs import (
+    PairXY,
+    PcpDecomposition,
+    Residuals,
+    _assembled,
+    _finite_items,
+    _residual_stack,
+    residuals,
+)
 
 DECOMPOSED = "decomposed"
 NOT_APPLICABLE = "not-applicable"
@@ -346,10 +354,11 @@ class _Scalings(NamedTuple):
     absXs: np.ndarray | None = None
 
 
-def _perron_scalings(X: np.ndarray) -> _Scalings:
-    """:class:`_Scalings` of a stack X."""
+def _perron_scalings(X: np.ndarray, w: np.ndarray | None = None) -> _Scalings:
+    """:class:`_Scalings` of a stack X, whose comparison matrices have the eigenvalues ``w``
+    (ascending, one row per item) when they are already known."""
     M = comparison_matrix(X)
-    psd, lowest = linalg.psd_spectrum(np.linalg.eigvalsh(M))
+    psd, lowest = linalg.psd_spectrum(np.linalg.eigvalsh(M) if w is None else w)
     passing = psd.tolist()
     errors: list[PcpkitError | None] = [
         None if ok else ComparisonNotPsdError("comparison matrix is not positive semidefinite", low)
@@ -412,42 +421,54 @@ def decompose_comparison(pair: PairXY) -> ConstructorOutcome:
 
 
 class _Split(NamedTuple):
-    """One item of a stacked comparison split before verification: the rescaled-back
-    columns with the core count and the scaling, or the lowest eigenvalue of a decline,
-    or the message of a failure that nothing explains."""
+    """One item of a stacked comparison split: the rescaled-back columns with the core
+    count, the scaling and their residuals against the item's pair, or the lowest
+    eigenvalue of a decline, or the message of a failure that nothing explains; and
+    whether the item's pair and columns are finite (an item that is not has no
+    residuals)."""
 
     V: np.ndarray | None = None
     W: np.ndarray | None = None
     core_columns: int = 0
     scaling: tuple[float, ...] = ()
+    residuals: Residuals | None = None
     min_eigenvalue: float | None = None
     error: str | None = None
+    finite: bool = True
 
 
-def _comparison_splits(X: np.ndarray, Y: np.ndarray) -> list[_Split]:
-    """The comparison split of every pair of the stacks X, Y (B, n, n), unverified.
+def _comparison_splits(X: np.ndarray, Y: np.ndarray, w: np.ndarray | None = None
+                       ) -> list[_Split]:
+    """The comparison split of every pair of the complex stacks X, Y (B, n, n), with the
+    residuals of its columns.
 
     The arithmetic runs over the stack: one ``eigvalsh`` judges every comparison matrix
-    and one ``eigh`` scales the passing items whose support is complete.  Every
-    threshold is the item's own.  The columns are laid out over every index pair and
-    every row (see :func:`_split_layout`), and each item keeps the ones it uses, in
-    the order a split of that pair alone emits them.
+    (none when their eigenvalues ``w`` are given) and one ``eigh`` scales the passing
+    items whose support is complete.  Every threshold is the item's own.  The columns
+    are laid out over every index pair and every row (see :func:`_split_layout`), and
+    each item keeps the ones it uses, in the order a split of that pair alone emits
+    them.  The items that keep the same number of columns are checked for finite
+    entries, as ``PcpDecomposition`` checks one set of columns, and verified in one
+    stacked pass (see :func:`~pcpkit.pairs.residuals`), with the norms of their pairs.
+    The pairs themselves are taken as checked where they enter.
     """
-    errors, d, dd, Xs, absXs = _perron_scalings(X)
-    splits = [_Split(min_eigenvalue=err.min_eigenvalue) if isinstance(err, ComparisonNotPsdError)
-              else _Split(error=str(err)) for err in errors if err is not None]
+    Xr = linalg._lapack_operand(X)              # X real on real data
+    errors, d, dd, Xs, absXs = _perron_scalings(Xr, w)
+    splits: list[_Split | None] = [
+        None if err is None else _Split(min_eigenvalue=err.min_eigenvalue)
+        if isinstance(err, ComparisonNotPsdError) else _Split(error=str(err)) for err in errors]
     kept = [b for b, err in enumerate(errors) if err is None]
     if not kept:
         return splits
     if len(kept) < len(errors):
-        X, Y, d, dd, Xs, absXs = (a[kept] for a in (X, Y, d, dd, Xs, absXs))
+        X, Xr, Y, d, dd, Xs, absXs = (a[kept] for a in (X, Xr, Y, d, dd, Xs, absXs))
     B, n = X.shape[0], X.shape[-1]
     kl, lk, vk, vl, vi, i = _split_layout(n)
     p = kl.size
-    Ys = np.maximum((dd * Y).real, 0.0)
+    Ys = np.maximum((dd * Y).real, 0.0)         # the split reads only Y's real part
     # round-off entries of X count as zero and their Y mass moves into the slack;
     # X's threshold follows the rescaling by d_i d_j
-    absXs[absXs <= (tol.FLUSH * tol.scales(np.abs(X).max(axis=(1, 2))))[:, None, None] * dd] = 0.0
+    absXs[absXs <= (tol.FLUSH * tol.scales(np.abs(Xr).max(axis=(1, 2))))[:, None, None] * dd] = 0.0
     # the clamp keeps the off-diagonal slack non-negative
     rootY = np.sqrt(Ys)
     rootYT = rootY.swapaxes(1, 2)
@@ -479,19 +500,44 @@ def _comparison_splits(X: np.ndarray, Y: np.ndarray) -> list[_Split]:
     V *= unscale
     W *= unscale
 
-    cores = live[:, :p].sum(axis=1).tolist()
-    for b, (item, core, scaling) in enumerate(zip(kept, cores, d.tolist())):
-        Vb = V[b].compress(live[b], axis=1)
-        Vb, Wb = (Vb, W[b].compress(live[b], axis=1)) if Vb.shape[1] else _zero_term(n)
-        splits.insert(item, _Split(Vb, Wb, core, tuple(scaling)))
+    cores, scalings, terms = live[:, :p].sum(axis=1).tolist(), d.tolist(), live.sum(axis=1)
+    counts = set(terms.tolist())
+    groups = []
+    for m in counts:
+        items = np.flatnonzero(terms == m)
+        group = items if len(counts) > 1 else slice(None)   # one count: the whole stack, uncopied
+        cols = live[group]
+        if not m:
+            Vg = Wg = np.zeros((items.size, n, 1), complex)
+        elif (cols == cols[0]).all():               # one pattern (a lone pair, no ties): compress
+            Vg, Wg = V[group].compress(cols[0], axis=2), W[group].compress(cols[0], axis=2)
+        else:
+            # each item's live columns in order, as compress(live, axis=1) keeps them,
+            # gathered by their flat indices (item, row, column) in V
+            flat = ((items[:, None, None] * n + np.arange(n)[:, None]) * (p + n)
+                    + cols.nonzero()[1].reshape(items.size, 1, m))
+            Vg, Wg = V.reshape(-1)[flat], W.reshape(-1)[flat]
+        groups.append((items, group, Vg, Wg))
+    # free the full layout before the verification allocates temporaries as large: kept,
+    # it made a dense n = 100 split take 41 ms instead of 28 ms (one BLAS thread, 2 CPUs)
+    del V, W, Vf, Wf
+    for items, group, Vg, Wg in groups:
+        ok = _finite_items(Vg, Wg)
+        sel = slice(None) if ok.all() else ok       # columns that are not finite get no residuals
+        res = iter(_residual_stack(Vg[sel], Wg[sel], X[group][sel], Y[group][sel]))
+        for b, Vb, Wb, fin in zip(items.tolist(), Vg, Wg, ok.tolist()):
+            splits[kept[b]] = _Split(Vb, Wb, cores[b], tuple(scalings[b]),
+                                     next(res) if fin else None, finite=fin)
     return splits
 
 
-def _split_outcome(pair: PairXY, split: _Split, method: str = "comparison",
+def _split_outcome(split: _Split, method: str = "comparison",
                    extra: dict[str, Any] | None = None) -> ConstructorOutcome:
-    """The outcome of one item of :func:`_comparison_splits` on ``pair``, verified at
-    ``tolerances.VERIFY`` against that pair; ``extra`` joins the outcome's fresh ``info``."""
+    """The outcome of one item of :func:`_comparison_splits`: its columns, judged by their
+    residuals at ``tolerances.VERIFY``; ``extra`` joins the outcome's fresh ``info``."""
     extra = extra or {}
+    if not split.finite:
+        raise PcpkitError(linalg.NOT_FINITE)
     if split.error is not None:
         raise ConstructionError(split.error)
     if split.V is None:
@@ -501,10 +547,12 @@ def _split_outcome(pair: PairXY, split: _Split, method: str = "comparison",
             reason="comparison matrix of X is not positive semidefinite",
             info={"min_eigenvalue": split.min_eigenvalue, **extra},
         )
+    if not split.residuals.within():
+        return ConstructorOutcome(NOT_APPLICABLE, method,
+                                  reason="comparison split failed verification", info=dict(extra))
     info = {"core_columns": split.core_columns, "scaling": split.scaling, **extra}
-    return _verified(pair, method, PcpDecomposition(split.V, split.W), info=info) or \
-        ConstructorOutcome(NOT_APPLICABLE, method, reason="comparison split failed verification",
-                           info=dict(extra))
+    dec = _assembled(PcpDecomposition, V=split.V, W=split.W)
+    return ConstructorOutcome(DECOMPOSED, method, dec, info=info, residuals=split.residuals)
 
 
 def comparison_split(pair: PairXY) -> ConstructorOutcome:
@@ -536,9 +584,8 @@ def comparison_split(pair: PairXY) -> ConstructorOutcome:
     shortfall that declines it or raises for it only, and the verification of its
     columns at ``tolerances.VERIFY``.
     """
-    # X real on real data; the split reads only Y's real part
-    (split,) = _comparison_splits(linalg._lapack_operand(pair.X)[None], pair.Y[None])
-    return _split_outcome(pair, split)
+    (split,) = _comparison_splits(pair.X[None], pair.Y[None])
+    return _split_outcome(split)
 
 
 def isotropic_constants(n: int) -> tuple[float, float]:

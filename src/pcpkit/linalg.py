@@ -2,7 +2,9 @@
 
 All functions are pure.  Arrays are validated once, by :func:`as_complex_matrix`,
 where they enter (``PairXY``, ``PcpDecomposition``, ``cldui``'s dense readers);
-the tests, spectra and norms take them as given.  Spectra and the trace norm come
+the tests, spectra and norms take them as given.  A stack of pairs or columns that
+the package builds itself is checked once for the whole stack instead (see the
+comparison split in ``construct``).  Spectra and the trace norm come
 from LAPACK in real arithmetic whenever the imaginary part is exactly zero, at
 about half the cost for n = 100; the rule is :func:`_lapack_operand`.
 Everything targets desk-scale dense matrices, n up to ~100.
@@ -23,13 +25,16 @@ from .errors import (
 )
 
 
+NOT_FINITE = "matrix entries must be finite (no NaN or Inf)"
+
+
 def as_complex_matrix(a) -> np.ndarray:
     """Coerce ``a`` to a finite 2-D complex128 array."""
     arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim != 2:
         raise PcpkitError(f"expected a 2-D matrix, got ndim={arr.ndim}")
     if not np.isfinite(arr).all():
-        raise PcpkitError("matrix entries must be finite (no NaN or Inf)")
+        raise PcpkitError(NOT_FINITE)
     return arr
 
 

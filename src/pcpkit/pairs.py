@@ -142,17 +142,32 @@ class NecessaryReport:
         return [c for c in "abcde" if not getattr(self, "holds_" + c)]
 
 
-def _generated(dec: PcpDecomposition) -> tuple[np.ndarray, np.ndarray]:
-    """The X = A A* for A = V . W and the Y = |V|^2 (|W|^2)^T of a decomposition."""
-    A = dec.V * dec.W
-    return A @ A.conj().T, (np.abs(dec.V) ** 2) @ (np.abs(dec.W) ** 2).T
+def _generated(V: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The X = A A* for A = V . W and the Y = |V|^2 (|W|^2)^T of a decomposition's columns,
+    or of each item of stacks V, W (B, n, m)."""
+    A = V * W
+    return A @ A.conj().swapaxes(-1, -2), (np.abs(V) ** 2) @ (np.abs(W) ** 2).swapaxes(-1, -2)
 
 
 def reconstruct(dec: PcpDecomposition) -> PairXY:
     """Assemble the pair generated by a decomposition.  X is Hermitian PSD and Y
     entrywise non-negative by construction, so neither is tested here (the test
     suite holds both properties)."""
-    return PairXY(*_generated(dec))
+    return PairXY(*_generated(dec.V, dec.W))
+
+
+def _assembled(cls, **arrays: np.ndarray):
+    """A :class:`PairXY` or :class:`PcpDecomposition` (``cls``) holding read-only complex
+    copies of ``arrays``, which the caller has already checked as ``cls`` checks them."""
+    obj = object.__new__(cls)
+    for name, a in arrays.items():
+        object.__setattr__(obj, name, _frozen_array(a))
+    return obj
+
+
+def _finite_items(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Whether every entry of item b of the stacks A and B is finite, for each b."""
+    return np.isfinite(A).all(axis=(1, 2)) & np.isfinite(B).all(axis=(1, 2))
 
 
 class Residuals(NamedTuple):
@@ -168,15 +183,43 @@ class Residuals(NamedTuple):
         return self.x <= tol * self.x_scale and self.y <= tol * self.y_scale
 
 
+def _frobenius(D: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each matrix of a complex stack D (B, n, m), summed as
+    ``np.linalg.norm`` sums one matrix: one dot product of the real parts, one of the
+    imaginary parts."""
+    B, n, m = D.shape
+    flat = D.reshape(B, 1, n * m)
+    re, im = flat.real, flat.imag
+    return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0])
+
+
+def _residual_stack(V: np.ndarray, W: np.ndarray, X: np.ndarray, Y: np.ndarray
+                    ) -> list[Residuals]:
+    """The :class:`Residuals` of each decomposition of the complex stacks V, W (B, n, m)
+    against the pair of the complex stacks X, Y (B, n, n): the norms of both residuals
+    and of both matrices of every pair, in one pass over the stack."""
+    gx, gy = _generated(V, W)
+    D = np.empty((4,) + X.shape, complex)
+    np.subtract(gx, X, out=D[0])
+    np.subtract(gy, Y, out=D[1])
+    D[2], D[3] = X, Y
+    x, y, x_norm, y_norm = _frobenius(D.reshape(-1, *X.shape[1:])).reshape(4, -1).tolist()
+    return [Residuals(rx, ry, tol.scale(xn), tol.scale(yn))
+            for rx, ry, xn, yn in zip(x, y, x_norm, y_norm)]
+
+
 def residuals(dec: PcpDecomposition, pair: PairXY) -> Residuals:
-    """Rebuild X and Y from a decomposition and measure them against ``pair``."""
+    """Rebuild X and Y from a decomposition and measure them against ``pair``.
+
+    The arithmetic runs on stacks, and one decomposition is a stack of one: the batch
+    that verifies every ordering of a spectrum at once (``abssep``) runs the same
+    routine once per distinct term count, on the pairs and columns it has checked once
+    for the whole stack.  Each item is summed as it is alone, so its residuals are
+    bitwise those of this call.
+    """
     if dec.n != pair.n:
         raise DimensionMismatchError(f"decomposition is {dec.n}-dimensional, pair is {pair.n}")
-    X, Y = _generated(dec)
-    return Residuals(float(np.linalg.norm(X - pair.X)),
-                     float(np.linalg.norm(Y - pair.Y)),
-                     tol.scale(float(np.linalg.norm(pair.X))),
-                     tol.scale(float(np.linalg.norm(pair.Y))))
+    return _residual_stack(dec.V[None], dec.W[None], pair.X[None], pair.Y[None])[0]
 
 
 def verify_decomposition(dec: PcpDecomposition, pair: PairXY, tol: float = VERIFY) -> bool:

@@ -14,7 +14,7 @@ from pcpkit import (
     special_unitary,
     verify_decomposition,
 )
-from pcpkit import PairXY, abssep, construct
+from pcpkit import PairXY, abssep, construct, linalg, pairs
 from pcpkit.abssep import OrderingTable, _check_spectrum, ordering_min_eigenvalues
 from pcpkit.cldui import extract_pair, partial_transpose
 from pcpkit.construct import _graph_components, comparison_split
@@ -432,6 +432,10 @@ CI_SPECTRUM_N5 = np.array([
 ])
 
 
+# the README's n = 3 spectrum, with its 0.1, 0.1 tie
+README_SPECTRUM_N3 = np.array([0.2, 0.15, 0.12, 0.11, 0.1, 0.1, 0.09, 0.07, 0.06])
+
+
 def test_every_n5_ordering_of_the_ci_spectrum_certifies():
     """The n = 5 spectrum that CI certifies: all 114 certificates verify at 1e-8 with
     at most n(n-1)/2 core plus n slack terms, each from a positive scaling."""
@@ -476,8 +480,9 @@ def test_spectrum_check_never_answers_an_edited_array():
 def assert_same_split(got, ordering, lam):
     """``got``, a certificate from the batch, is what ``comparison_split`` makes of the
     ordering's pair alone: the same pair, status, reason, core columns, scaling and
-    term count, V and W within 1e-15 of their largest entry, and a decline's smallest
-    eigenvalue is that of one real ``eigvalsh`` of X."""
+    term count, V and W within 1e-15 of their largest entry, residuals exactly those
+    of its own decomposition and pair, and a decline's smallest eigenvalue is that of
+    one real ``eigvalsh`` of X."""
     pair = certified_pair_loop(ordering, lam)
     want = comparison_split(pair)
     assert np.array_equal(got.info["pair"].X, pair.X)
@@ -490,37 +495,44 @@ def assert_same_split(got, ordering, lam):
         for name in ("V", "W"):
             a, b = getattr(got.decomposition, name), getattr(want.decomposition, name)
             assert np.abs(a - b).max() <= 1e-15 * np.abs(b).max()
+        assert got.residuals == residuals(got.decomposition, got.info["pair"])
     elif got.decomposition is None:
         lowest = np.linalg.eigvalsh(l_map_loop(ordering, lam) / 2.0)[0]
         assert got.info["min_eigenvalue"] == want.info["min_eigenvalue"] == lowest
 
 
 def test_batched_certificates_equal_a_stack_of_one():
-    """Every ordering of seeded passing, failing, flat, rounded and flat-plus-spike
-    spectra at n = 2..5, and of the CI spectrum, gets from the batch exactly the split
-    of its pair alone.  The spectra cover declines and passes, and supports that are
+    """Every ordering of seeded passing, failing, flat, rounded, flat-plus-spike and
+    flat-with-a-dip spectra at n = 2..5, and of the README and CI spectra, gets from
+    the batch exactly the split of its pair alone.  The dip gives the orderings of one
+    spectrum different term counts, so its batch is verified in several passes.  The spectra cover declines and passes, and supports that are
     complete, split into a coupled pair beside single vertices, and all single."""
     rng = np.random.default_rng(41)
-    seen, shapes = set(), set()
+    seen, shapes, term_counts = set(), set(), set()
     for n in (2, 3, 4, 5):
         d = n * n
         top = rng.uniform(0.6, 0.9)
         failing = np.sort(np.append(top, (1 - top) * rng.dirichlet(np.full(d - 1, 0.5))))[::-1]
         spike = np.append(1.3, np.ones(d - 1))
+        dip = np.append(np.ones(d - 3), [0.5, 0.5, 0.2])
         spectra = [_passing_spectrum(rng, n), failing, np.full(d, 1.0 / d),
-                   np.round(_passing_spectrum(rng, n), 2), spike / spike.sum()]
-        spectra += [CI_SPECTRUM_N5] if n == 5 else []
+                   np.round(_passing_spectrum(rng, n), 2), spike / spike.sum(), dip / dip.sum()]
+        spectra += [CI_SPECTRUM_N5] if n == 5 else [README_SPECTRUM_N3] if n == 3 else []
         for lam in spectra:
+            counts = set()
             for table in enumerate_orderings(n):
                 out = certify_special_separable(table, lam)
                 assert_same_split(out, table, lam)
+                counts.add(out.decomposition.m if out.ok else None)
                 seen.add(out.status)
                 off = out.info["pair"].X != 0.0
                 np.fill_diagonal(off, False)
                 sizes = sorted(c.size for c in _graph_components(off))
                 shapes.add("one" if len(sizes) == 1 else "split" if sizes[-1] > 1 else "single")
+            term_counts.add(len(counts - {None}))
     assert seen == {"decomposed", "not-applicable"}
     assert shapes == {"one", "split", "single"}
+    assert max(term_counts) > 1             # a batch verified in more than one stacked pass
 
 
 def test_every_n5_ordering_costs_one_eigvalsh_and_one_eigh(solver_calls, monkeypatch):
@@ -531,6 +543,93 @@ def test_every_n5_ordering_costs_one_eigvalsh_and_one_eigh(solver_calls, monkeyp
     outs = [certify_special_separable(t, CI_SPECTRUM_N5) for t in enumerate_orderings(5)]
     assert len(outs) == 114 and all(out.ok for out in outs)
     assert solver_calls == {"eigvalsh": 1, "eigh": 1, "components": 0, "hermitian": 0}
+
+
+def test_the_check_and_114_certificates_cost_one_eigvalsh_and_one_eigh(solver_calls,
+                                                                      monkeypatch):
+    """After ``abs_ppt_check`` over the stored orderings, the batch of the same spectrum
+    reads half of the check's eigenvalues: X = Z / 2 is its own comparison matrix."""
+    monkeypatch.setattr(abssep, "_last_spectrum", (None, None, None))
+    tables = enumerate_orderings(5)
+    assert abs_ppt_check(5, CI_SPECTRUM_N5, orderings=tables) == (True, None)
+    outs = [certify_special_separable(t, CI_SPECTRUM_N5) for t in tables]
+    assert len(outs) == 114 and all(out.ok for out in outs)
+    assert solver_calls == {"eigvalsh": 1, "eigh": 1, "components": 0, "hermitian": 0}
+
+
+def assert_same_outcome(a, b):
+    """Two outcomes agree bit for bit: status, reason, info (its pair by its bytes),
+    V, W and residuals."""
+    assert (a.status, a.method, a.reason, a.residuals) == (b.status, b.method, b.reason,
+                                                           b.residuals)
+    assert a.info.keys() == b.info.keys()
+    for key, value in a.info.items():
+        if key == "pair":
+            for name in "XY":
+                assert getattr(value, name).tobytes() == getattr(b.info[key], name).tobytes()
+        else:
+            assert repr(value) == repr(b.info[key])
+    if a.decomposition is not None:
+        for name in ("V", "W"):
+            assert (getattr(a.decomposition, name).tobytes()
+                    == getattr(b.decomposition, name).tobytes())
+
+
+def test_certificates_are_the_same_with_or_without_the_check(solver_calls, monkeypatch):
+    """Whether or not ``abs_ppt_check`` ran over the stored orderings first, every ordering
+    of seeded spectra gets the same certificate bit for bit.  The spectra cover the
+    batch that reads the check's eigenvalues (no ties), the one that diagonalizes X
+    itself (ties leave +0 off the diagonal of X), declines, and scales from 1e-100 to
+    1e100."""
+    rng = np.random.default_rng(47)
+    batch_eigvalsh = []
+    for n in (2, 3, 4, 5):
+        d = n * n
+        top = rng.uniform(0.6, 0.9)
+        failing = np.sort(np.append(top, (1 - top) * rng.dirichlet(np.full(d - 1, 0.5))))[::-1]
+        spectra = [_passing_spectrum(rng, n), failing, np.round(_passing_spectrum(rng, n), 2),
+                   _passing_spectrum(rng, n) * 1e-100, _passing_spectrum(rng, n) * 1e100]
+        tables = enumerate_orderings(n)
+        for lam in spectra:
+            monkeypatch.setattr(abssep, "_last_spectrum", (None, None, None))
+            alone = [certify_special_separable(t, lam) for t in tables]
+            monkeypatch.setattr(abssep, "_last_spectrum", (None, None, None))
+            abs_ppt_check(n, lam, orderings=tables)
+            before = solver_calls["eigvalsh"]
+            checked = [certify_special_separable(t, lam) for t in tables]
+            batch_eigvalsh.append(solver_calls["eigvalsh"] - before)
+            # a check over other orderings (here the stored ones reversed) leaves nothing
+            monkeypatch.setattr(abssep, "_last_spectrum", (None, None, None))
+            abs_ppt_check(n, lam, orderings=tables[::-1])
+            reversed_check = [certify_special_separable(t, lam) for t in tables]
+            for a, b, c in zip(alone, checked, reversed_check):
+                assert_same_outcome(a, b)
+                assert_same_outcome(a, c)
+    assert set(batch_eigvalsh) == {0, 1}
+
+
+def test_the_batch_verifies_once_per_term_count(monkeypatch):
+    """The 114 certificates of the CI spectrum run the stacked residual routine once,
+    for its one term count, and build no pair or decomposition through the per-matrix
+    validation of ``linalg.as_complex_matrix``."""
+    monkeypatch.setattr(abssep, "_last_spectrum", (None, None, None))
+    calls = {"residuals": 0, "as_complex_matrix": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    stacked = counted("residuals", pairs._residual_stack)
+    monkeypatch.setattr(pairs, "_residual_stack", stacked)
+    monkeypatch.setattr(construct, "_residual_stack", stacked)
+    monkeypatch.setattr(linalg, "as_complex_matrix",
+                        counted("as_complex_matrix", linalg.as_complex_matrix))
+    outs = [certify_special_separable(t, CI_SPECTRUM_N5) for t in enumerate_orderings(5)]
+    assert all(out.ok for out in outs)
+    assert {out.decomposition.m for out in outs} == {5 * 4 // 2 + 5}
+    assert calls == {"residuals": 1, "as_complex_matrix": 0}
 
 
 def test_the_batch_memo_across_orderings_spectra_and_dimensions(solver_calls, monkeypatch):
@@ -580,6 +679,68 @@ def test_a_construction_error_surfaces_only_for_its_own_ordering(monkeypatch):
         else:
             assert_same_split(certify_special_separable(table, CI_SPECTRUM_N5), table,
                               CI_SPECTRUM_N5)
+
+
+def test_a_failed_verification_declines_only_its_own_ordering(monkeypatch):
+    """One item of the batch whose W is corrupted before the stacked verification fails
+    it: that ordering declines with "comparison split failed verification", every time
+    it is asked for, and every other ordering of the spectrum is still certified."""
+    monkeypatch.setattr(abssep, "_last_spectrum", (None, None, None))
+    tables = enumerate_orderings(5)
+    planted = 7
+    stacked = construct._residual_stack
+
+    def corrupting(V, W, *rest):
+        if len(W) == len(tables):                   # the batch, not a stack of one
+            W[planted] *= 1.01
+        return stacked(V, W, *rest)
+
+    monkeypatch.setattr(construct, "_residual_stack", corrupting)
+    for m, table in enumerate(tables + tables[:planted + 1]):
+        out = certify_special_separable(table, CI_SPECTRUM_N5)
+        if m % len(tables) == planted:
+            assert (out.status, out.reason) == ("not-applicable",
+                                                "comparison split failed verification")
+            assert out.decomposition is None and out.residuals is None
+        else:
+            assert_same_split(out, table, CI_SPECTRUM_N5)
+
+
+def test_a_non_finite_pair_or_column_raises_only_for_its_own_ordering(monkeypatch):
+    """The batch checks its pair stack and its columns for finite entries once, and an
+    item that fails either check raises ``PcpkitError`` for its own ordering, as
+    ``PairXY`` and ``PcpDecomposition`` would, every time it is asked for; every other
+    ordering is still certified.  One item's Y gets a NaN after the split, and another
+    item's scaling a zero entry, which leaves NaN in its rescaled columns."""
+    monkeypatch.setattr(abssep, "_last_spectrum", (None, None, None))
+    tables = enumerate_orderings(5)
+    bad_pair, bad_columns = 3, 11
+    splits, perron_vector = abssep._comparison_splits, construct._perron_vector
+
+    def nan_pair(X, Y, w=None):
+        out = splits(X, Y, w)
+        if len(Y) == len(tables):
+            Y[bad_pair, 0, 1] = np.nan
+        return out
+
+    def zero_scaling(M):
+        v = perron_vector(M)
+        if len(v) == len(tables):
+            v[bad_columns, 2] = 0.0
+        return v
+
+    monkeypatch.setattr(abssep, "_comparison_splits", nan_pair)
+    monkeypatch.setattr(construct, "_perron_vector", zero_scaling)
+    planted = (tables[bad_pair], tables[bad_columns])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for table in tables + list(planted):
+            if any(table is t for t in planted):
+                with pytest.raises(PcpkitError, match="finite") as raised:
+                    certify_special_separable(table, CI_SPECTRUM_N5)
+                assert not isinstance(raised.value, ConstructionError)
+            else:
+                assert_same_split(certify_special_separable(table, CI_SPECTRUM_N5), table,
+                                  CI_SPECTRUM_N5)
 
 
 def test_outcomes_share_no_mutable_state():

@@ -125,7 +125,7 @@ def test_decompose_comparison_route(capsys, monkeypatch):
     rebuilt = []
     generated = pcpkit.pairs._generated
     monkeypatch.setattr(pcpkit.pairs, "_generated",
-                        lambda dec: rebuilt.append(dec) or generated(dec))
+                        lambda V, W: rebuilt.append(V) or generated(V, W))
     code, payload = run_json(capsys, "decompose", FIXTURES / "comparison_pair.json",
                              "--method", "comparison")
     assert code == 0
