@@ -89,7 +89,7 @@ class OrderingTable:
     def positions(self) -> np.ndarray:
         """Position in ``slots`` of each slot: squares, then plus pairs, then minus pairs."""
         pos = _slot_positions(self)
-        return np.array([pos[s] for s in _slot_list(self.n)])
+        return _read_only(np.array([pos[s] for s in _slot_list(self.n)]))[0]
 
 
 def _slot_list(n: int) -> list[Slot]:
@@ -118,19 +118,23 @@ def enumerate_orderings(n: int) -> list[OrderingTable]:
 
     Decoded from the stored exact tables (1, 2, 10 and 114 orderings for
     n = 2..5), listed canonically: squares before plus before minus, then by
-    indices.
+    indices.  The tables are decoded once per n and shared, with read-only
+    arrays; each call returns a new list of them.
     """
     if n not in ordering_data.TABLES:
         raise UnsupportedDimensionError(f"ordering tables are stored for 2 <= n <= 5, got {n}")
-    return _stored_tables(n)
+    return list(_stored_tables(n))
 
 
-def _stored_tables(n: int) -> list[OrderingTable]:
+@functools.cache
+def _stored_tables(n: int) -> tuple[OrderingTable, ...]:
+    """The stored orderings of n, decoded on the first call for n."""
     tables = []
     for line in ordering_data.TABLES.get(n, "").strip().splitlines():
         code, *x = line.split()
         tables.append(decode_ordering(n, code, [float(v) for v in x]))
-    return tables
+        _read_only(tables[-1].witness)
+    return tuple(tables)
 
 
 @functools.cache

@@ -307,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=sorted(_METHODS), default="auto",
                    help="comparison split, row-by-row elimination, or both in that order (auto)")
     p.add_argument("--perms", action="store_true",
-                   help="retry the row-by-row route under permutations")
+                   help="retry the row-by-row route under every simultaneous permutation "
+                        "for n <= 8 (only the identity beyond)")
     p.add_argument("--out", help="write the certificate to this JSON file")
     p.add_argument("--verify", metavar="CERT",
                    help="verify an existing certificate file against the pair")

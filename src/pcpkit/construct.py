@@ -129,9 +129,18 @@ def _rowwise_passes(X: np.ndarray, Y: np.ndarray, x_max: float, y_max: float, ex
     pivot only subtracts more non-negative terms, so one below -ZERO y_max stays
     below it (up to the sums' round-off) in every ordering that starts with P,
     which fails when it reaches i.
+    Once a step has failed, the search also looks ahead.  A step that succeeds and
+    leaves two or more indices forms the radicand rows of all of them at its new
+    node, with one product; if one is below -ZERO y_max, the node and its subtree are
+    dropped, since every ordering below it fails when it reaches that row.  The
+    dropped node is yielded as one failed item: a negative radicand of its lowest
+    such index, taken as the node's next pivot, with that row formed as its own step
+    would form it.  The look-ahead starts only after the first failure, so a search
+    whose first ordering completes pays nothing for it.
     The pruned orderings hold no completed pass, so the completed passes and the
     first failure are those of the unpruned search.  An identity pass tries one
-    pivot per node, so the rule never skips anything there.
+    pivot per node and stops at its first failure, so neither rule skips anything
+    there.
 
     Each threshold reads one matrix's largest entry (``x_max``, ``y_max``): a radicand,
     a residual of row i of Y, against Y; a residual column of X and the pivot, the
@@ -196,7 +205,23 @@ def _rowwise_passes(X: np.ndarray, Y: np.ndarray, x_max: float, y_max: float, ex
         absW[:, k] = np.square(np.abs(w))
         return None
 
+    def negative_row(rest: list[int]) -> tuple | None:
+        """The failed item of the lowest index of ``rest`` whose radicand row at the node
+        ``order`` is already negative, or None.  One product forms every row; the
+        reported row is formed again as its own step would form it."""
+        k = len(order)
+        bad = np.minimum.reduce(Y.real - absV[:, :k] @ absW[:, :k].T, axis=1) < -y_zero
+        bad &= unpivoted
+        if not bad.any():
+            return None
+        r = int(bad.argmax())
+        ordering = order + [r] + [j for j in rest if j != r]
+        ranked = (Y[r].real - absW[:, :k] @ absV[r, :k])[ordering]
+        m = int(ranked.argmin())
+        return tuple(ordering), None, None, fail(k, m, ranked[m], "negative radicand")
+
     stack = [(list(range(n)), list(range(n)) if exhaustive else [0])]   # (unpivoted, untried)
+    backtracked = False
     while stack:
         left, untried = stack[-1]
         if not untried:
@@ -209,6 +234,7 @@ def _rowwise_passes(X: np.ndarray, Y: np.ndarray, x_max: float, y_max: float, ex
         rest = left[:p] + left[p + 1:]
         witness = step(len(order), i, rest)
         if witness is not None:
+            backtracked = True
             if witness["reason"] == "negative radicand":
                 untried.clear()                 # every ordering extending ``order`` fails at i
             yield tuple(order + [i] + rest), None, None, witness
@@ -218,6 +244,9 @@ def _rowwise_passes(X: np.ndarray, Y: np.ndarray, x_max: float, y_max: float, ex
             order.append(i)
             unpivoted[i] = False
             stack.append((rest, rest[:] if exhaustive else rest[:1]))
+            if backtracked and len(rest) > 1 and (dropped := negative_row(rest)):
+                stack[-1][1].clear()            # every ordering extending ``order`` fails
+                yield dropped
 
 
 def decompose_recursive(pair: PairXY, search_permutations: bool = False) -> ConstructorOutcome:
@@ -230,12 +259,16 @@ def decompose_recursive(pair: PairXY, search_permutations: bool = False) -> Cons
     n <= 8; beyond that only the identity is attempted.  A negative radicand of
     row i at a prefix stays negative under every extension of that prefix (each
     pivot only subtracts non-negative terms), so such a failure prunes all the
-    orderings that share the prefix, and the first success is unchanged.  When
-    every pass fails, the search runs on (X, Y^T), whose decomposition (V, W) is
-    (W, V) for (X, Y); ``info["transposed"]`` records which orientation
+    orderings that share the prefix.  After the first failed step, the search
+    also tests each prefix it then extends to a node with two or more indices
+    left: if the radicand row of one of them is already negative there, the node
+    is dropped with every ordering below it.  Neither rule drops an ordering that
+    would complete, so the first success and the first failure are unchanged.
+    When every pass fails, the search runs on (X, Y^T), whose decomposition
+    (V, W) is (W, V) for (X, Y); ``info["transposed"]`` records which orientation
     succeeded.  Both orientations share the largest entries of X and Y that the
-    thresholds read.  ``info["attempts"]`` counts the failed steps reached and
-    the completed passes, over both orientations.
+    thresholds read.  ``info["attempts"]`` counts the failed steps reached, the
+    dropped nodes and the completed passes, over both orientations.
     """
     method = "recursive"
     if violated := _violated(method, pair, "abcd"):

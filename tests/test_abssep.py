@@ -160,6 +160,24 @@ def test_tables_are_listed_canonically_without_repeats():
         assert keys == sorted(set(keys))
 
 
+def test_stored_tables_are_decoded_once_and_shared_read_only():
+    """Each call returns a new list of the same decoded tables, so a caller that
+    edits its list leaves the next call's alone, and no caller can write a
+    table's arrays."""
+    listed = [t.slots for t in enumerate_orderings(4)]
+    first = enumerate_orderings(4)
+    first.pop()
+    first.reverse()
+    second = enumerate_orderings(4)
+    assert [t.slots for t in second] == listed
+    assert all(a is b for a, b in zip(second, enumerate_orderings(4)))
+    table = second[0]
+    with pytest.raises(ValueError):
+        table.witness[0] = 0.0
+    with pytest.raises(ValueError):
+        table.positions[0] = 0
+
+
 def test_witnesses_realize_their_orderings():
     for n in (2, 3, 4, 5):
         for table in enumerate_orderings(n):

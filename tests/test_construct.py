@@ -290,7 +290,7 @@ def test_a_negative_radicand_prunes_every_ordering_with_its_prefix():
     rng = np.random.default_rng(97)
     pruned = other = 0
     for n in range(3, 8):
-        for _ in range(6):
+        for _ in range(14):
             pair = _sparse_pair(rng, n) if rng.random() < 0.5 else _elimination_pair(rng, n)
             dead: list[tuple[int, ...]] = []
             for order, _, _, witness in _rowwise_passes(pair.X, pair.Y, *_magnitudes(pair), True):
@@ -336,7 +336,8 @@ def test_rowwise_step_matches_loop_reference():
     """The whole-vector step yields the scalar loop's items, in its order, with
     the same witnesses and bitwise the same V and W: the exhaustive search at
     n = 3..7 and identity passes at n = 8 and 30, over pairs that reach every
-    failure reason and exhausted rows in both groups."""
+    failure reason and exhausted rows in both groups.  The search's look-ahead
+    drops nodes on some of these pairs, which the identity passes never do."""
     rng = np.random.default_rng(83)
     reached = {True: set(), False: set()}
     for n, exhaustive, count in [(3, True, 10), (4, True, 10), (5, True, 8), (6, True, 4),
@@ -344,23 +345,70 @@ def test_rowwise_step_matches_loop_reference():
         for _ in range(count):
             pair = _elimination_pair(rng, n)
             args = (pair.X, pair.Y, *_magnitudes(pair), exhaustive)
+            orders = []
             for got, want in itertools.zip_longest(_rowwise_passes(*args),
                                                    _rowwise_passes_loop(*args)):
                 assert got[0] == want[0] and got[3] == want[3]
+                orders.append(want[0])
                 if want[3] is None:
                     assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
                     if not np.abs(want[1]).max(axis=0).all():
                         reached[exhaustive].add("exhausted row")
                 else:
                     reached[exhaustive].add(want[3]["reason"])
-    for group in reached.values():
-        assert group == {"exhausted row", "negative radicand",
-                         "vanishing pivot with unexhausted row",
-                         "zero denominator under a non-zero residual"}
+            unpruned = [item[0] for item in _rowwise_passes_loop(*args, lookahead=False)]
+            if unpruned != orders:
+                reached[exhaustive].add("dropped node")
+    assert reached[True] == {"exhausted row", "negative radicand", "dropped node",
+                             "vanishing pivot with unexhausted row",
+                             "zero denominator under a non-zero residual"}
+    assert reached[False] == reached[True] - {"dropped node"}
+
+
+def test_lookahead_keeps_the_search_exact(monkeypatch):
+    """Dropping a node whose unpivoted rows are already negative removes only
+    orderings that fail.  For 25 seeded decomposable pairs per n = 5..8 the
+    route's outcome equals the one the unpruned reference gives: status,
+    permutation, orientation, witness and the certificate's V and W bitwise, and
+    the first failed step of the search is the same."""
+    def unpruned(*args):
+        return _rowwise_passes_loop(*args, lookahead=False)
+
+    rng = np.random.default_rng(53)
+    shortened = 0
+    for n in range(5, 9):
+        for _ in range(25):
+            pair = random_decomposable_pair(rng, n)
+            got = decompose_recursive(pair, search_permutations=True)
+            with monkeypatch.context() as patch:
+                patch.setattr(construct, "_rowwise_passes", unpruned)
+                want = decompose_recursive(pair, search_permutations=True)
+            assert (got.status, got.permutation) == (want.status, want.permutation)
+            assert got.info.get("transposed") == want.info.get("transposed")
+            assert got.info.get("witness") == want.info.get("witness")
+            if want.ok:
+                assert np.array_equal(got.decomposition.V, want.decomposition.V)
+                assert np.array_equal(got.decomposition.W, want.decomposition.W)
+            if want.info["attempts"] > 1:                   # some step failed
+                args = (pair.X, pair.Y, *_magnitudes(pair), True)
+                got_first, want_first = (next(item for item in passes(*args) if item[3])
+                                         for passes in (_rowwise_passes, unpruned))
+                assert got_first[0] == want_first[0] and got_first[3] == want_first[3]
+            shortened += got.info["attempts"] < want.info["attempts"]
+    assert shortened >= 20
+
+
+def test_search_n8_fixture_stays_small(fixtures):
+    """A deterministic work guard: the look-ahead certifies the n = 8 search
+    fixture in at most 20 attempts (30 without it)."""
+    pair, _ = load_pair_document(fixtures / "search_n8_pair.json")
+    out = decompose_recursive(pair, search_permutations=True)
+    assert out.ok and out.permutation != tuple(range(8))
+    assert out.info["attempts"] <= 20
 
 
 def _rowwise_passes_loop(X: np.ndarray, Y: np.ndarray, x_max: float, y_max: float,
-                         exhaustive: bool):
+                         exhaustive: bool, lookahead: bool = True):
     """The reference for ``_rowwise_passes``: the same search, with a scalar
     loop over the remaining indices of each step.
 
@@ -369,7 +417,9 @@ def _rowwise_passes_loop(X: np.ndarray, Y: np.ndarray, x_max: float, y_max: floa
     ``(order, None, None, witness)`` per failed step: the failing position
     (1-based, in the ordering's coordinates) and what went wrong.  Orderings
     with a common prefix share its steps, and a failed step rules them all out;
-    a negative radicand also ends the node it was tried at.
+    a negative radicand also ends the node it was tried at.  With ``lookahead``,
+    once a step has failed, a node with two or more indices left whose row of
+    some index is already negative is dropped as one failed item.
     """
     n = X.shape[0]
     V = np.zeros((n, n), complex)
@@ -413,7 +463,22 @@ def _rowwise_passes_loop(X: np.ndarray, Y: np.ndarray, x_max: float, y_max: floa
         A[:, k] = V[:, k] * W[:, k]
         return None
 
+    def negative_row(prefix: list[int], rest: list[int]) -> tuple | None:
+        """The failed item of the first row of ``rest`` already negative at ``prefix``."""
+        k = len(prefix)
+        for r in rest:
+            rad = Y[r, :].real - absW[:, :k] @ absV[r, :k]
+            if rad.min() < -y_zero:
+                ordering = prefix + [r] + [j for j in rest if j != r]
+                ranked = rad[ordering]
+                j = int(ranked.argmin())
+                witness = {"position": (k + 1, j + 1), "radicand": float(ranked[j]),
+                           "reason": "negative radicand"}
+                return tuple(ordering), None, None, witness
+        return None
+
     stack = [(list(range(n)), list(range(n)) if exhaustive else [0])]   # (unpivoted, untried)
+    failed = False
     while stack:
         left, untried = stack[-1]
         if not untried:
@@ -425,9 +490,12 @@ def _rowwise_passes_loop(X: np.ndarray, Y: np.ndarray, x_max: float, y_max: floa
         rest = [j for j in left if j != i]
         witness = step(len(order), i, rest)
         if witness is not None:
+            failed = True
             if witness["reason"] == "negative radicand":
                 untried.clear()
             yield tuple(order + [i] + rest), None, None, witness
+        elif lookahead and failed and len(rest) > 1 and (item := negative_row(order + [i], rest)):
+            yield item
         elif not rest:
             yield tuple(order + [i]), V, W, None
         else:
