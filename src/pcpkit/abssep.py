@@ -34,6 +34,7 @@ that basis and partially transposing lands inside the invariant family of
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -230,17 +231,21 @@ def ordering_min_eigenvalues(n: int, lambdas, *,
     judges it: in real arithmetic, as the matrix is real, by
     ``linalg.psd_spectrum``.  Entries of the spectrum may dip below zero by
     ``tolerances.ZERO`` times the largest entry and are clamped; it is sorted
-    internally.  When ``orderings`` are the stored orderings of n, in their listing
-    order, the spectrum memo keeps the test matrices and their eigenvalues for the
-    certificates of the same spectrum.
+    internally.  When ``orderings`` are the stored orderings of n, the same objects
+    in their listing order (as :func:`enumerate_orderings` returns them), their
+    positions are read from the cache instead of restacked, and the spectrum memo
+    keeps the test matrices and their eigenvalues for the certificates of the same
+    spectrum.
     """
     if orderings is None:
         orderings = enumerate_orderings(n)
     lam = _check_spectrum(-np.sort(-np.atleast_1d(np.asarray(lambdas, dtype=float))), n * n)
-    positions = _positions(n, orderings)
+    stored = _stored_tables(n)
+    is_stored = len(orderings) == len(stored) and all(map(operator.is_, orderings, stored))
+    positions = _stored_positions(n)[0] if is_stored else _positions(n, orderings)
     slots = _slot_matrices(n, positions, lam)
     w = np.linalg.eigvalsh(slots[0])
-    if np.array_equal(positions, _stored_positions(n)[0]):
+    if is_stored:
         _last_spectrum[2]["check"] = (slots, w)
     passes, lowest = linalg.psd_spectrum(w)
     return lowest, passes

@@ -97,12 +97,44 @@ def psd_spectrum(w: np.ndarray):
 def psd_test(A: np.ndarray) -> tuple[bool, float, np.ndarray | None]:
     """Whether A is Hermitian (within tolerance) with a spectrum passing :func:`psd_spectrum`,
     its smallest eigenvalue (nan when A is not Hermitian, inf when A is empty),
-    and its eigenvalues in ascending order (None when A is not Hermitian)."""
+    and its eigenvalues in ascending order (None when A is not Hermitian).
+
+    This is the spectral judgement, and it always diagonalizes a Hermitian A.
+    Condition (a) of ``pairs.check_necessary`` tries :func:`cholesky_certifies_psd`
+    first and comes here only for a non-Hermitian X or a failed factorization."""
     if not is_hermitian(A):
         return False, math.nan, None
     w = np.linalg.eigvalsh(_lapack_operand(np.asarray(A)))
     psd, lowest = psd_spectrum(w)
     return bool(psd), float(lowest), w
+
+
+# the largest n for which a successful Cholesky factorization certifies the PSD floor
+_CHOLESKY_MAX_N = math.isqrt(int(tol.PSD / (4.0 * np.finfo(float).eps)))
+
+
+def cholesky_certifies_psd(A: np.ndarray) -> bool:
+    """Whether the Cholesky factorization of the Hermitian matrix A succeeds, which
+    certifies that :func:`psd_test` passes A; False proves nothing.
+
+    The factorization reads A's lower triangle, as ``eigvalsh`` does, in real
+    arithmetic when :func:`_lapack_operand` allows.  One that succeeds computes L with
+    L L* = A + E and |E| <= gamma_{n+1} |L| |L*|, gamma_k = k u / (1 - k u) for the unit
+    round-off u (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    ch. 10).  Since || |L| |L*| ||_2 <= ||L||_F^2 <= n ||A + E||_2, the backward error
+    is ||E||_2 <= n gamma_{n+1} ||A||_2 / (1 - n gamma_{n+1}), about n^2 u ||A||_2, and
+    A = L L* - E has no eigenvalue below -||E||_2.  The PSD floor is
+    ``tolerances.PSD`` times the sum of |eigenvalues|, at least ``PSD * ||A||_2``, so
+    the floor holds with a margin of 4 for complex round-off whenever
+    n^2 eps <= PSD / 4 (n up to about 1000); a larger A is never certified.
+    """
+    if A.shape[0] > _CHOLESKY_MAX_N:
+        return False
+    try:
+        np.linalg.cholesky(_lapack_operand(A))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def is_psd(A: np.ndarray) -> bool:

@@ -16,6 +16,7 @@ Five cheap necessary conditions, labelled (a)-(e) throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, NamedTuple
@@ -111,11 +112,14 @@ class PcpDecomposition:
 class NecessaryReport:
     """Outcome of the five necessary conditions, with witnesses for failures.
 
-    ``x_gap`` and ``y_gap`` always carry the two norm gaps used by condition
-    (e), so callers can print the margin even when everything passes.
-    ``x_rank`` is the numerical rank of X, read off the spectrum of (a) at
-    threshold ``tolerances.RANK`` times its largest magnitude (None when X is
-    not Hermitian).
+    ``x_gap`` and ``y_gap`` carry the two norm gaps used by condition (e), so
+    callers can print the margin even when everything passes.  ``x_rank`` is
+    the numerical rank of X, read off its spectrum at threshold
+    ``tolerances.RANK`` times its largest magnitude (None when X is not
+    Hermitian).  When (a) and (e) were settled without the spectrum of X or
+    the singular values of Y (see :func:`check_necessary`), ``x_rank`` and
+    ``y_gap`` are computed on first read, from the pair's matrices, and kept:
+    their values do not depend on how the conditions were settled.
     Witness indices are 1-based, matching the usual row/column convention.
     """
 
@@ -125,9 +129,22 @@ class NecessaryReport:
     holds_d: bool
     holds_e: bool
     x_gap: float
-    y_gap: float
-    x_rank: int | None
     witnesses: dict[str, dict[str, Any]] = field(default_factory=dict)
+    # the pair's matrices, which y_gap and x_rank are computed from on first read
+    _X: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _Y: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def y_gap(self) -> float:
+        """||Y||_1 - ||Y||_tr, the norm gap of Y."""
+        return linalg.entrywise_one_norm(self._Y) - linalg.trace_norm(self._Y)
+
+    @cached_property
+    def x_rank(self) -> int | None:
+        """The numerical rank of X, from its eigenvalues (None when X is not Hermitian,
+        which :func:`check_necessary` records, as it records the rank when (a) has
+        diagonalized X)."""
+        return _numerical_rank(np.linalg.eigvalsh(linalg._lapack_operand(self._X)))
 
     @property
     def all_hold(self) -> bool:
@@ -227,25 +244,64 @@ def verify_decomposition(dec: PcpDecomposition, pair: PairXY, tol: float = VERIF
     return residuals(dec, pair).within(tol)
 
 
+def _numerical_rank(w: np.ndarray) -> int:
+    """How many of the eigenvalues ``w`` exceed ``tolerances.RANK`` times the largest magnitude."""
+    mags = np.abs(w)
+    return int((mags > tol.RANK * mags.max()).sum())
+
+
 def check_necessary(pair: PairXY) -> NecessaryReport:
     """Evaluate the five necessary conditions (a)-(e) on a pair.
 
     Conditions (b)-(d) are whole-array masks.  Each witness is the first
     offender in row-major order (over the strict upper triangle for (d)),
-    with its values recomputed from the scalar entries.
+    with its values recomputed from the scalar entries.  (d) is judged on X
+    and Y divided by X's largest diagonal entry, so neither |x_ij|^2 nor
+    y_ij y_ji underflows or overflows at any scale of the pair.
+
+    (a) and (e) ask about the spectrum of X and the singular values of Y, and
+    each is first settled by a certificate that needs neither:
+
+    * (a): a Hermitian X whose Cholesky factorization succeeds is PSD within
+      the floor (:func:`~pcpkit.linalg.cholesky_certifies_psd` proves it from the
+      factorization's backward error), and then ||X||_tr = tr X.  Only a
+      non-Hermitian X or a failed factorization is judged by
+      :func:`~pcpkit.linalg.psd_test`, with the same witness as ever, and then
+      ||X||_tr is the sum of |eigenvalues| (the trace norm for a non-Hermitian X).
+    * (e): ||Y||_tr <= sqrt(rank Y) ||Y||_F <= sqrt(n) ||Y||_F = U (Cauchy-Schwarz
+      on the singular values), so gap(Y) >= ||Y||_1 - U, and x_gap <= ||Y||_1 - U
+      proves x_gap <= gap(Y).  U is computed on Y divided by its largest entry, so
+      the squares in ||Y||_F neither underflow nor overflow, and the slack
+      ``GAP * ||Y||_1`` that the judgement by singular values grants is far
+      above the round-off of U and of the SVD, so the bound never passes a pair
+      that judgement fails.  Only when the bound fails does ``linalg.trace_norm(Y)``
+      judge (e), as ever.
+
+    Either way the report holds the same judgements; ``y_gap`` and ``x_rank``
+    that a certificate did not need are computed on first read (see
+    :class:`NecessaryReport`).
     """
     X, Y, n = pair.X, pair.Y, pair.n
     witnesses: dict[str, dict[str, Any]] = {}
 
-    holds_a, lowest, spectrum = linalg.psd_test(X)
-    if not holds_a:
-        if np.isnan(lowest):
+    hermitian = linalg.is_hermitian(X)
+    factorized = hermitian and linalg.cholesky_certifies_psd(X)
+    if factorized:
+        holds_a, x_trace = True, float(X.diagonal().real.sum())
+    else:
+        holds_a, lowest, spectrum = linalg.psd_test(X)
+        if not hermitian:
             witnesses["a"] = {"hermiticity_defect": linalg.hermiticity_defect(X)}
+            x_trace, x_rank = linalg.trace_norm(X), None
         else:
-            witnesses["a"] = {"min_eigenvalue": lowest}
+            if not holds_a:
+                witnesses["a"] = {"min_eigenvalue": lowest}
+            x_trace, x_rank = float(np.abs(spectrum).sum()), _numerical_rank(spectrum)
 
     # (b) and (c) are relative to Y and to the two diagonals, not to the whole pair
-    bound = tol.ZERO * tol.scale(float(np.abs(Y).max()))
+    abs_y = np.abs(Y)
+    y_scale = tol.scale(float(abs_y.max()))
+    bound = tol.ZERO * y_scale
     bad = np.flatnonzero((np.abs(Y.imag) > bound) | (Y.real < -bound))
     holds_b = bad.size == 0
     if not holds_b:
@@ -253,7 +309,8 @@ def check_necessary(pair: PairXY) -> NecessaryReport:
         witnesses["b"] = {"position": (i + 1, j + 1), "value": complex(Y[i, j])}
 
     xd, yd = np.diag(X), np.diag(Y)
-    bound = tol.RESIDUAL * tol.scale(float(np.abs(xd).max()), float(np.abs(yd).max()))
+    x_diag = float(np.abs(xd).max())
+    bound = tol.RESIDUAL * tol.scale(x_diag, float(np.abs(yd).max()))
     bad = np.flatnonzero(np.abs(xd - yd) > bound)
     holds_c = bad.size == 0
     if not holds_c:
@@ -262,29 +319,34 @@ def check_necessary(pair: PairXY) -> NecessaryReport:
 
     # (d): |x_ij|^2 <= y_ij y_ji up to a slack relative to max x_ii^2, which bounds |x_ij|^2
     # for a PSD X whatever Y holds; a product that round-off in Y makes negative counts as 0
-    slack = tol.ZERO * tol.scale(float(np.abs(xd).max())) ** 2
-    bad = np.flatnonzero(np.triu(np.abs(X) ** 2 > np.maximum((Y * Y.T).real, 0.0) + slack, 1))
+    s = tol.scale(x_diag)
+    ax, ys = np.abs(X) / s, linalg._lapack_operand(Y) / s
+    bad = np.flatnonzero(np.triu(ax * ax > np.maximum((ys * ys.T).real, 0.0) + tol.ZERO, 1))
     holds_d = bad.size == 0
     if not holds_d:
         i, j = divmod(int(bad[0]), n)
-        witnesses["d"] = {"position": (i + 1, j + 1), "lhs": abs(X[i, j]) ** 2,
-                          "rhs": (Y[i, j] * Y[j, i]).real}
+        with np.errstate(over="ignore"):            # beyond about 1e154 the witness is inf
+            witnesses["d"] = {"position": (i + 1, j + 1), "lhs": abs(X[i, j]) ** 2,
+                              "rhs": (Y[i, j] * Y[j, i]).real}
 
-    # a Hermitian X's trace norm and rank come from the eigenvalues (a) has computed already
-    if spectrum is None:
-        x_trace, x_rank = linalg.trace_norm(X), None
-    else:
-        mags = np.abs(spectrum)
-        x_trace, x_rank = float(mags.sum()), int((mags > tol.RANK * mags.max()).sum())
-    y_one = linalg.entrywise_one_norm(Y)
+    y_one = float(abs_y.sum())
     x_gap = linalg.entrywise_one_norm(X) - x_trace
-    y_gap = y_one - linalg.trace_norm(Y)
-    holds_e = x_gap <= y_gap + tol.GAP * tol.scale(y_one)
-    if not holds_e:
-        witnesses["e"] = {"x_gap": x_gap, "y_gap": y_gap}
+    if x_gap <= y_one - y_scale * math.sqrt(n) * float(np.linalg.norm(abs_y / y_scale)):
+        holds_e, y_gap = True, None
+    else:
+        y_gap = y_one - linalg.trace_norm(Y)
+        holds_e = x_gap <= y_gap + tol.GAP * tol.scale(y_one)
+        if not holds_e:
+            witnesses["e"] = {"x_gap": x_gap, "y_gap": y_gap}
 
-    return NecessaryReport(holds_a, holds_b, holds_c, holds_d, holds_e, x_gap, y_gap, x_rank,
-                           witnesses)
+    report = NecessaryReport(holds_a, holds_b, holds_c, holds_d, holds_e, x_gap, witnesses,
+                             _X=X, _Y=Y)
+    # what (a) and (e) computed anyway is kept as the cached value of its property
+    if not factorized:
+        object.__setattr__(report, "x_rank", x_rank)
+    if y_gap is not None:
+        object.__setattr__(report, "y_gap", y_gap)
+    return report
 
 
 def strong_cs_gap(v: np.ndarray, w: np.ndarray) -> tuple[float, float]:
@@ -312,7 +374,9 @@ def strong_cs_gap(v: np.ndarray, w: np.ndarray) -> tuple[float, float]:
 def length_lower_bound(pair: PairXY) -> int:
     """Lower bound on the number of terms any joint decomposition needs: rank(X).
 
-    Requires conditions (a)-(c); the rank is the report's ``x_rank``.
+    Requires conditions (a)-(c); the rank is the report's ``x_rank``, read off
+    the eigenvalues of X.  When the Cholesky certificate settled (a), the first
+    read diagonalizes X (once; the report keeps the rank).
     """
     report = pair.report
     if not report.holds_abc:

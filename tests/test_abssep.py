@@ -302,6 +302,37 @@ def test_batched_check_equals_per_ordering_loop(n, seed, near_boundary):
         assert all(np.array_equal(l_map_matrix(t, lam), l_map_loop(t, lam)) for t in tables)
 
 
+def test_the_stored_orderings_are_recognized_by_identity(monkeypatch):
+    """Given the stored tables themselves in listing order, the check reads their cached
+    positions and keeps its test matrices in the spectrum memo.  The same tables in
+    another order, or one of them alone, are restacked and leave no memo.  All three
+    answer as the per-ordering loop does."""
+    rng = np.random.default_rng(59)
+    restacked = []
+    positions = abssep._positions
+
+    def counted(n, orderings):
+        restacked.append(len(orderings))
+        return positions(n, orderings)
+
+    monkeypatch.setattr(abssep, "_positions", counted)
+    tables = enumerate_orderings(5)
+    shuffled = [tables[i] for i in rng.permutation(len(tables))]
+    for lam in (_passing_spectrum(rng, 5), random_spectrum(rng, 25)):
+        for orderings, stored in ((tables, True), (shuffled, False), (tables[7:8], False)):
+            monkeypatch.setattr(abssep, "_last_spectrum", (None, None, None))
+            restacked.clear()
+            minima, passing = ordering_min_eigenvalues(5, lam, orderings=orderings)
+            assert list(passing) == [is_psd(l_map_loop(t, lam)) for t in orderings]
+            assert list(minima) == [hermitian_eigenvalues(l_map_loop(t, lam))[-1]
+                                    for t in orderings]
+            assert restacked == ([] if stored else [len(orderings)])
+            assert ("check" in abssep._last_spectrum[2]) == stored
+            failing = np.flatnonzero(~passing)
+            assert abs_ppt_check(5, lam, orderings=orderings) == (
+                (False, int(failing[0])) if failing.size else (True, None))
+
+
 def test_maximally_mixed_always_passes():
     for n in (2, 3, 4, 5):
         lam = np.full(n * n, 1.0 / (n * n))

@@ -19,8 +19,10 @@ from pcpkit import (
     separability_verdict,
     tolerances,
 )
+from pcpkit.construct import comparison_matrix
 from pcpkit.errors import ConditionsViolatedError, NotClduiError, WrongDimensionError
 from pcpkit.linalg import entrywise_one_norm, is_psd, trace_norm
+from pcpkit.pairs import length_lower_bound
 
 from conftest import cyclic_pair, random_decomposable_pair, random_decomposition, verdict_cases
 
@@ -298,6 +300,38 @@ def test_criteria_read_the_report():
         report = check_necessary(pair)
         assert ppt_check(pair) == (report.holds_d, report.witnesses.get("d"))
         assert tuple(realignment_check(pair)) == (report.x_gap, report.y_gap, report.holds_e)
+
+
+def test_a_definite_decomposable_verdict_diagonalizes_neither_x_nor_y(monkeypatch):
+    """A Cholesky factorization settles (a) and the norm bound settles (e) for a positive
+    definite decomposable pair, so its verdict runs no SVD and diagonalizes neither X nor
+    Y: the verdict's one ``eigvalsh`` is the comparison route's, on the comparison matrix
+    of X.  The gap of Y and the rank of X, read afterwards, are the values the singular
+    values of Y and the eigenvalues of X give."""
+    pair = random_decomposable_pair(np.random.default_rng(17), 30)
+    calls = {"eigvalsh": [], "svd": []}
+
+    def recorded(name, fn):
+        def wrapper(a, *args, **kwargs):
+            calls[name].append(np.array(a))
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "svd", recorded("svd", np.linalg.svd))
+    check_necessary(pair)
+    assert calls == {"eigvalsh": [], "svd": []}
+    assert separability_verdict(pair).verdict == "separable"
+    assert calls["svd"] == [] and len(calls["eigvalsh"]) == 1
+    assert np.array_equal(calls["eigvalsh"][0], comparison_matrix(pair.X[None]))
+    monkeypatch.undo()
+
+    report = pair.report
+    w = np.linalg.eigvalsh(pair.X)
+    assert report.y_gap == entrywise_one_norm(pair.Y) - trace_norm(pair.Y)
+    assert report.x_rank == int((np.abs(w) > tolerances.RANK * np.abs(w).max()).sum()) == 30
+    assert length_lower_bound(pair) == report.x_rank
+    assert report.x_gap == pytest.approx(entrywise_one_norm(pair.X) - np.abs(w).sum(), rel=1e-13)
 
 
 def test_wrong_dimension_errors():

@@ -48,6 +48,19 @@ def test_check_pair_json_payload(capsys):
     assert payload["x_gap"] == pytest.approx(6.0, abs=1e-9)
 
 
+def test_check_pair_prints_a_gap_that_the_bound_left_unread(capsys, monkeypatch):
+    """The norm bound settles (e) for this fixture, so no SVD runs until the CLI reads
+    gap(Y) for its "norm gaps" line; the printed value is the SVD's."""
+    svds = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
+    pair, _ = load_pair_document(FIXTURES / "permutation_retry_pair.json")
+    assert pair.report.all_hold and svds == []
+    code, out, _ = run(capsys, "check-pair", FIXTURES / "permutation_retry_pair.json")
+    assert code == 0 and svds == [1]
+    assert "gap(X) = 6, gap(Y) = 9.42510018" in out
+
+
 def test_check_pair_malformed_file(capsys):
     code, _, err = run(capsys, "check-pair", FIXTURES / "broken.json")
     assert code == 1

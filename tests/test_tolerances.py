@@ -21,7 +21,9 @@ from pcpkit import (
     verify_decomposition,
 )
 
-from conftest import random_decomposable_pair
+from pcpkit.fileio import load_pair_document
+
+from conftest import FIXTURES, random_decomposable_pair
 
 SCALES = [1e-100, 1e-20, 1e-8, 1e-3, 1e3, 1e20, 1e100]
 KINDS = ["decomposable", "ppt", "realignment"]
@@ -143,6 +145,38 @@ def test_verdict_is_invariant_under_the_symmetries(pair, seed):
     d = rng.uniform(0.2, 5.0, pair.n)
     scaled = separability_verdict(PairXY(d[:, None] * pair.X * d, d[:, None] * pair.Y * d))
     assert {base.verdict, scaled.verdict} != {"separable", "entangled"}
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-200])
+def test_a_tiny_realignment_entangled_pair_and_its_images_stay_entangled(scale):
+    """The norm bound that settles (e) without an SVD squares the entries of Y only after
+    dividing them by the largest one.  Squared as they come, they underflow at these
+    scales, the bound reads ||Y||_F = 0 and passes (e) for this entangled pair."""
+    pair, _ = load_pair_document(FIXTURES / "cyclic_a2.json")
+    tiny = PairXY(scale * pair.X, scale * pair.Y)
+    images = {"scaled": tiny, **symmetric_images(tiny, np.random.default_rng(29))}
+    for name, image in images.items():
+        out = separability_verdict(image)
+        assert (out.verdict, out.criterion) == ("entangled", "realignment"), name
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_conditions_are_judged_alike_at_extreme_scales(kind):
+    """(a)-(e) hold or fail alike at scales 1, 1e-200 and 1e160: (d) squares the entries
+    of X and Y only after dividing them by X's largest diagonal entry, so the squares
+    neither underflow to 0 nor overflow.  Verdicts, whose residual norms square the
+    entries, are left out: above about 1e154 those norms overflow."""
+    pair = seeded_pair(kind, 6, 11)
+    base = check_necessary(pair)
+    assert base.failing() == {"decomposable": [], "ppt": ["d"], "realignment": ["e"]}[kind]
+    for s in (1e-200, 1e160):
+        report = check_necessary(PairXY(s * pair.X, s * pair.Y))
+        assert report.failing() == base.failing(), s
+        assert report.witnesses.keys() == base.witnesses.keys()
+        if "d" in base.witnesses:
+            assert report.witnesses["d"]["position"] == base.witnesses["d"]["position"]
+        assert report.x_gap == pytest.approx(s * base.x_gap, rel=1e-12)
+        assert report.y_gap == pytest.approx(s * base.y_gap, rel=1e-12)
 
 
 def test_transposing_y_keeps_every_verdict():
