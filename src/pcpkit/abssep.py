@@ -62,10 +62,6 @@ from .errors import (
 
 Slot = tuple
 _TAG_RANK = {"square": 0, "plus": 1, "minus": 2}
-# (key, result, what is derived from the result) of the last _check_spectrum; the last is a
-# dict that may hold the stored orderings' test matrices, with their slot values and
-# eigenvalues ("check"), and the certificate batch ("batch")
-_last_spectrum: tuple = (None, None, None)
 
 
 @dataclass(frozen=True)
@@ -143,8 +139,8 @@ def _stored_positions(n: int) -> tuple[np.ndarray, dict[bytes, int]]:
     """The ``positions`` of the stored orderings of n, one row each in listing order, and
     each row's index keyed by its bytes (none when n has no tables).  Built on the first
     check or certificate for n."""
-    positions = np.array([t.positions for t in _stored_tables(n)], dtype=int).reshape(-1, n * n)
-    return _read_only(positions)[0], {row.tobytes(): m for m, row in enumerate(positions)}
+    positions = _read_only(_positions(n, _stored_tables(n)))[0]
+    return positions, {row.tobytes(): m for m, row in enumerate(positions)}
 
 
 def _slot_positions(ordering: OrderingTable) -> dict[Slot, int]:
@@ -157,14 +153,8 @@ def _slot_positions(ordering: OrderingTable) -> dict[Slot, int]:
 def _check_spectrum(lambdas, size: int) -> np.ndarray:
     """The spectrum, which must be sorted and non-negative up to ``tolerances.ZERO``
     times its largest entry, as a read-only float array with round-off negatives clamped
-    to zero.  The last result is kept, keyed by the spectrum's bytes, and reused; a new
-    spectrum drops what was derived from the last one."""
-    global _last_spectrum
+    to zero."""
     lam = np.asarray(lambdas, dtype=float)
-    key = (size, lam.shape, lam.tobytes())
-    last_key, checked, _ = _last_spectrum
-    if key == last_key:
-        return checked
     if lam.ndim != 1 or lam.size != size:
         raise DimensionMismatchError(f"spectrum must have length {size}, got shape {lam.shape}")
     if not np.isfinite(lam).all():
@@ -174,10 +164,30 @@ def _check_spectrum(lambdas, size: int) -> np.ndarray:
         raise NotSortedError("spectrum must be sorted in non-increasing order")
     if lam.min() < -tol.ZERO * scale:
         raise PcpkitError(f"spectrum has a negative entry ({lam.min():.3e})")
-    checked = np.clip(lam, 0.0, None)
-    checked.flags.writeable = False
-    _last_spectrum = (key, checked, {})
-    return checked
+    return _read_only(np.clip(lam, 0.0, None))[0]
+
+
+class _Spectrum:
+    """The record of one spectrum for the stored orderings of n, given as the bytes
+    ``data`` of a float array of ``shape``: the checked spectrum ``lam``, the test
+    matrices Z with their plus and minus slot values (``slots``), the ``eigenvalues`` of
+    every Z and, computed on first use, the certificate ``batch``."""
+
+    def __init__(self, n: int, shape: tuple, data: bytes):
+        self.lam = _check_spectrum(np.frombuffer(data).reshape(shape), n * n)
+        self.slots = _slot_matrices(n, _stored_positions(n)[0], self.lam)
+        self.eigenvalues = np.linalg.eigvalsh(self.slots[0])
+
+    @cached_property
+    def batch(self) -> tuple[np.ndarray, np.ndarray, list[_Split]]:
+        Z = self.slots[0]
+        # half of Z's eigenvalues are those of X's comparison matrix if that is X = Z / 2
+        w = self.eigenvalues / 2.0 if comparison_matrix(Z).tobytes() == Z.tobytes() else None
+        return _split_batch(*self.slots, w)
+
+
+# the last spectrum's record, keyed by its bytes: an array edited in place is checked afresh
+_spectrum_record = functools.lru_cache(maxsize=1)(_Spectrum)
 
 
 @functools.cache
@@ -232,21 +242,19 @@ def ordering_min_eigenvalues(n: int, lambdas, *,
     ``linalg.psd_spectrum``.  Entries of the spectrum may dip below zero by
     ``tolerances.ZERO`` times the largest entry and are clamped; it is sorted
     internally.  When ``orderings`` are the stored orderings of n, the same objects
-    in their listing order (as :func:`enumerate_orderings` returns them), their
-    positions are read from the cache instead of restacked, and the spectrum memo
-    keeps the test matrices and their eigenvalues for the certificates of the same
-    spectrum.
+    in their listing order (as :func:`enumerate_orderings` returns them), the
+    eigenvalues are those of the spectrum's record, which the certificates of the
+    same spectrum share: whichever of the two runs first builds it.
     """
     if orderings is None:
         orderings = enumerate_orderings(n)
-    lam = _check_spectrum(-np.sort(-np.atleast_1d(np.asarray(lambdas, dtype=float))), n * n)
+    lam = -np.sort(-np.atleast_1d(np.asarray(lambdas, dtype=float)))
     stored = _stored_tables(n)
-    is_stored = len(orderings) == len(stored) and all(map(operator.is_, orderings, stored))
-    positions = _stored_positions(n)[0] if is_stored else _positions(n, orderings)
-    slots = _slot_matrices(n, positions, lam)
-    w = np.linalg.eigvalsh(slots[0])
-    if is_stored:
-        _last_spectrum[2]["check"] = (slots, w)
+    if len(orderings) == len(stored) and all(map(operator.is_, orderings, stored)):
+        w = _spectrum_record(n, lam.shape, lam.tobytes()).eigenvalues
+    else:
+        lam = _check_spectrum(lam, n * n)
+        w = np.linalg.eigvalsh(_slot_matrices(n, _positions(n, orderings), lam)[0])
     passes, lowest = linalg.psd_spectrum(w)
     return lowest, passes
 
@@ -309,69 +317,51 @@ def certify_special_separable(ordering: OrderingTable, lambdas) -> ConstructorOu
     positive semidefinite; ``info["min_eigenvalue"]`` is then the smallest
     eigenvalue of X = Z / 2, half that of the test matrix.
 
-    Every ordering of a spectrum is certified at once.  The first certificate of a
-    spectrum splits the pairs of all the stored orderings of n as one stack (see
-    :func:`~pcpkit.construct.comparison_split`) and verifies every item's columns on the
-    stack, one residual pass per distinct term count (see
-    :func:`~pcpkit.pairs.residuals`); the spectrum memo keeps that batch beside the
-    checked spectrum, so the other orderings of the same spectrum only read it.  The
-    pair stack and the columns are checked for finite entries once, for the whole
-    batch, and each call copies its own pair and columns into fresh read-only arrays,
-    reads its item's residuals and judges them at ``tolerances.VERIFY``.  When
-    :func:`abs_ppt_check` has just run over the stored orderings of the same spectrum,
-    the batch takes its test matrices and half of its eigenvalues instead of
-    diagonalizing X again, as long as X is its own comparison matrix bit for bit (a
-    tie in the spectrum leaves a +0 off the diagonal, and then it does not).  The
-    certificates are the same either way.  A lone call pays the whole batch, about
-    2 ms at n = 5.  An ordering is found among the stored ones by its ``positions``;
-    one outside them runs as a stack of one.  Each item of the batch is judged by its
-    own thresholds, exactly as the split of that pair alone judges it, and each call
-    builds its own outcome, which shares no array or dict with another call's.  A
-    split that raises ``ConstructionError`` does so only for its own ordering.
+    Every ordering of a spectrum is certified at once, from the spectrum's record,
+    which whichever of this function and :func:`abs_ppt_check` (over the stored
+    orderings) runs first builds.  The first certificate adds the batch to it: the
+    pairs of all the stored orderings of n split as one stack (see
+    :func:`~pcpkit.construct.comparison_split`), taking half of the record's
+    eigenvalues of the test matrices when X is its own comparison matrix bit for bit
+    (a tie in the spectrum leaves a +0 off the diagonal, and then it is not), and every
+    item's columns verified on the stack, one residual pass per distinct term count
+    (see :func:`~pcpkit.pairs.residuals`).  The pair stack and the columns are checked
+    for finite entries once.  Each call copies its own pair and columns into fresh
+    read-only arrays, reads its item's residuals and judges them at
+    ``tolerances.VERIFY``.  A lone call pays the whole batch, about 2 ms at n = 5.  An
+    ordering outside the stored ones (found by its ``positions``) runs as a stack of
+    one.  Each item is judged by its own thresholds, exactly as the split of that pair
+    alone judges it, so the certificates are the same in any call order; a split that
+    raises ``ConstructionError`` does so only for its own ordering.
     """
-    n = ordering.n
-    lam = _check_spectrum(lambdas, n * n)
-    positions, index = _stored_positions(n)
-    m = index.get(ordering.positions.tobytes())
+    n, lam = ordering.n, np.asarray(lambdas, dtype=float)
+    m = _stored_positions(n)[1].get(ordering.positions.tobytes())
     if m is None:
-        X, Y, splits = _split_batch(n, ordering.positions[None], lam)
+        X, Y, splits = _split_batch(*_slot_matrices(n, ordering.positions[None],
+                                                    _check_spectrum(lam, n * n)))
         m = 0
     else:
-        X, Y, splits = _stored_batch(n, positions)
+        X, Y, splits = _spectrum_record(n, lam.shape, lam.tobytes()).batch
     pair = _assembled(PairXY, X=X[m], Y=Y[m])
     return _split_outcome(splits[m], "abs-ppt-comparison", {"pair": pair})
 
 
-def _split_batch(n: int, positions: np.ndarray, lam: np.ndarray, slots: tuple | None = None,
-                 w: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, list[_Split]]:
-    """The pairs (X, Y) of the orderings whose positions are the rows of ``positions``,
-    stacked as complex arrays, and their verified comparison splits.  X = Z / 2 exactly
-    for the test matrix Z, diag Y = diag X, and y_kl = y_lk = (plus + minus) / 2.
-    ``slots`` holds what :func:`_slot_matrices` returns for them and ``w`` the
-    eigenvalues of each Z, when the check has computed them."""
-    Z, plus, minus = slots or _slot_matrices(n, positions, lam)
+def _split_batch(Z: np.ndarray, plus: np.ndarray, minus: np.ndarray, w: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, np.ndarray, list[_Split]]:
+    """The pairs (X, Y) of the test matrices Z with their plus and minus slot values (as
+    :func:`_slot_matrices` returns them), stacked as complex arrays, and their verified
+    comparison splits.  X = Z / 2 exactly, diag Y = diag X, and
+    y_kl = y_lk = (plus + minus) / 2.  ``w`` holds the eigenvalues of the comparison
+    matrix of each X, when they are known."""
     X = Z / 2.0
     Y = X.copy()
-    k, l = _upper_pairs(n)
+    k, l = _upper_pairs(Z.shape[-1])
     Y[:, k, l] = Y[:, l, k] = (plus + minus) / 2.0
-    # half of Z's eigenvalues are those of X's comparison matrix when that is X, bit for bit
-    if w is not None and comparison_matrix(X).tobytes() != X.tobytes():
-        w = None
     X, Y = X.astype(complex), Y.astype(complex)
-    splits = _comparison_splits(X, Y, None if w is None else w / 2.0)
+    splits = _comparison_splits(X, Y, w)
     # the pairs enter here, so here they are checked, once for the stack: an ordering whose
     # pair is not finite raises for itself, as PairXY would
     finite = _finite_items(X, Y)
     if not finite.all():
         splits = [s if ok else s._replace(finite=False) for s, ok in zip(splits, finite.tolist())]
     return X, Y, splits
-
-
-def _stored_batch(n: int, positions: np.ndarray):
-    """The :func:`_split_batch` of the stored orderings' ``positions`` for the spectrum
-    that :func:`_check_spectrum` has just returned, computed once and kept in its memo,
-    from what the check kept there."""
-    _, checked, derived = _last_spectrum
-    if "batch" not in derived:
-        derived["batch"] = _split_batch(n, positions, checked, *derived.get("check", ()))
-    return derived["batch"]

@@ -259,7 +259,7 @@ def _read_lambdas(raw: str) -> list[float]:
 
 
 def cmd_abs_ppt(args) -> int:
-    # sorted as the check sorts it, so every certificate finds the check's memo
+    # sorted as the check sorts it, so the certificates share the check's spectrum record
     lam = -np.sort(-np.asarray(_read_lambdas(args.lambdas), dtype=float))
     orderings = abssep.enumerate_orderings(args.n)
     minima, passing = abssep.ordering_min_eigenvalues(args.n, lam, orderings=orderings)

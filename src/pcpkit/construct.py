@@ -401,17 +401,14 @@ def _perron_scalings(X: np.ndarray, w: np.ndarray | None = None) -> _Scalings:
     n = X.shape[-1]
     support = M < 0.0                           # the off-diagonal support of X
     complete = psd & (support.sum(axis=(1, 2)) == n * (n - 1))
-    if complete.all():
-        d = _perron_vector(M)
-    else:
-        d = np.ones(X.shape[:-1])
-        if complete.any():
-            d[complete] = _perron_vector(M[complete])
-        for b, (ok, full) in enumerate(zip(passing, complete.tolist())):
-            if ok and not full:
-                for comp in _graph_components(support[b]):
-                    if comp.size > 1:
-                        d[b, comp] = _perron_vector(M[b][np.ix_(comp, comp)][None])[0]
+    d = np.ones(X.shape[:-1])
+    full = complete.nonzero()[0]
+    if full.size:
+        d[full] = _perron_vector(M[full])
+    for b in (psd ^ complete).nonzero()[0]:     # passing, with an incomplete support
+        for comp in _graph_components(support[b]):
+            if comp.size > 1:
+                d[b, comp] = _perron_vector(M[b][np.ix_(comp, comp)][None])[0]
     dd = d[:, :, None] * d[:, None, :]
     Xs = dd * X
     scaled = np.abs(Xs)
@@ -544,12 +541,9 @@ def _comparison_splits(X: np.ndarray, Y: np.ndarray, w: np.ndarray | None = None
             Vg = Wg = np.zeros((items.size, n, 1), complex)
         elif (cols == cols[0]).all():               # one pattern (a lone pair, no ties): compress
             Vg, Wg = V[group].compress(cols[0], axis=2), W[group].compress(cols[0], axis=2)
-        else:
-            # each item's live columns in order, as compress(live, axis=1) keeps them,
-            # gathered by their flat indices (item, row, column) in V
-            flat = ((items[:, None, None] * n + np.arange(n)[:, None]) * (p + n)
-                    + cols.nonzero()[1].reshape(items.size, 1, m))
-            Vg, Wg = V.reshape(-1)[flat], W.reshape(-1)[flat]
+        else:                                       # ties: each item's own live columns
+            Vg, Wg = (np.array([A[b].compress(c, axis=1) for b, c in zip(items, cols)])
+                      for A in (V, W))
         groups.append((items, group, Vg, Wg))
     # free the full layout before the verification allocates temporaries as large: kept,
     # it made a dense n = 100 split take 41 ms instead of 28 ms (one BLAS thread, 2 CPUs)

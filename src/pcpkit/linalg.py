@@ -101,7 +101,7 @@ def psd_test(A: np.ndarray) -> tuple[bool, float, np.ndarray | None]:
 
     This is the spectral judgement, and it always diagonalizes a Hermitian A.
     Condition (a) of ``pairs.check_necessary`` tries :func:`cholesky_certifies_psd`
-    first and comes here only for a non-Hermitian X or a failed factorization."""
+    first and, when the factorization fails, judges the spectrum of X as this does."""
     if not is_hermitian(A):
         return False, math.nan, None
     w = np.linalg.eigvalsh(_lapack_operand(np.asarray(A)))

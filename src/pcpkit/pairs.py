@@ -203,11 +203,20 @@ class Residuals(NamedTuple):
 def _frobenius(D: np.ndarray) -> np.ndarray:
     """The Frobenius norm of each matrix of a complex stack D (B, n, m), summed as
     ``np.linalg.norm`` sums one matrix: one dot product of the real parts, one of the
-    imaginary parts."""
+    imaginary parts.  An item whose squares overflow is summed again divided by the
+    power of two just above its largest entry, which is exact, so its norm is finite
+    whenever it fits a float; every other norm keeps its bits."""
     B, n, m = D.shape
     flat = D.reshape(B, 1, n * m)
     re, im = flat.real, flat.imag
-    return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0])
+    with np.errstate(over="ignore"):
+        norms = np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0])
+        if math.isinf(norms.max(initial=0.0)):
+            big = np.isinf(norms)
+            e = np.frexp(np.abs(D[big]).max(axis=(1, 2)))[1]
+            parts = np.ldexp(D[big].view(float), -e[:, None, None])
+            norms[big] = np.ldexp(np.sqrt((parts * parts).sum(axis=(1, 2))), e)
+    return norms
 
 
 def _residual_stack(V: np.ndarray, W: np.ndarray, X: np.ndarray, Y: np.ndarray
@@ -264,10 +273,11 @@ def check_necessary(pair: PairXY) -> NecessaryReport:
 
     * (a): a Hermitian X whose Cholesky factorization succeeds is PSD within
       the floor (:func:`~pcpkit.linalg.cholesky_certifies_psd` proves it from the
-      factorization's backward error), and then ||X||_tr = tr X.  Only a
-      non-Hermitian X or a failed factorization is judged by
-      :func:`~pcpkit.linalg.psd_test`, with the same witness as ever, and then
-      ||X||_tr is the sum of |eigenvalues| (the trace norm for a non-Hermitian X).
+      factorization's backward error), and then ||X||_tr = tr X.  When the
+      factorization fails, X is diagonalized and judged as
+      :func:`~pcpkit.linalg.psd_test` judges it, and ||X||_tr is the sum of
+      |eigenvalues|.  A non-Hermitian X fails (a) on its Hermiticity defect (tested
+      once) and gets one SVD, for ||X||_tr.
     * (e): ||Y||_tr <= sqrt(rank Y) ||Y||_F <= sqrt(n) ||Y||_F = U (Cauchy-Schwarz
       on the singular values), so gap(Y) >= ||Y||_1 - U, and x_gap <= ||Y||_1 - U
       proves x_gap <= gap(Y).  U is computed on Y divided by its largest entry, so
@@ -288,15 +298,16 @@ def check_necessary(pair: PairXY) -> NecessaryReport:
     factorized = hermitian and linalg.cholesky_certifies_psd(X)
     if factorized:
         holds_a, x_trace = True, float(X.diagonal().real.sum())
+    elif not hermitian:
+        holds_a, witnesses["a"] = False, {"hermiticity_defect": linalg.hermiticity_defect(X)}
+        x_trace, x_rank = linalg.trace_norm(X), None
     else:
-        holds_a, lowest, spectrum = linalg.psd_test(X)
-        if not hermitian:
-            witnesses["a"] = {"hermiticity_defect": linalg.hermiticity_defect(X)}
-            x_trace, x_rank = linalg.trace_norm(X), None
-        else:
-            if not holds_a:
-                witnesses["a"] = {"min_eigenvalue": lowest}
-            x_trace, x_rank = float(np.abs(spectrum).sum()), _numerical_rank(spectrum)
+        spectrum = np.linalg.eigvalsh(linalg._lapack_operand(X))
+        psd, lowest = linalg.psd_spectrum(spectrum)
+        holds_a = bool(psd)
+        if not holds_a:
+            witnesses["a"] = {"min_eigenvalue": float(lowest)}
+        x_trace, x_rank = float(np.abs(spectrum).sum()), _numerical_rank(spectrum)
 
     # (b) and (c) are relative to Y and to the two diagonals, not to the whole pair
     abs_y = np.abs(Y)

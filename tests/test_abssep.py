@@ -62,6 +62,15 @@ U2_REF_N3[7, 2], U2_REF_N3[7, 4] = -S, S
 U2_REF_N3[8, 3] = 1.0
 
 
+@pytest.fixture(autouse=True)
+def fresh_spectrum_record():
+    """Each test starts without a kept spectrum record and leaves none behind, so a
+    batch built under a patched routine answers no other test."""
+    abssep._spectrum_record.cache_clear()
+    yield
+    abssep._spectrum_record.cache_clear()
+
+
 def random_spectrum(rng, size):
     lam = -np.sort(-rng.uniform(0.0, 1.0, size=size))
     return lam / lam.sum()
@@ -304,8 +313,8 @@ def test_batched_check_equals_per_ordering_loop(n, seed, near_boundary):
 
 def test_the_stored_orderings_are_recognized_by_identity(monkeypatch):
     """Given the stored tables themselves in listing order, the check reads their cached
-    positions and keeps its test matrices in the spectrum memo.  The same tables in
-    another order, or one of them alone, are restacked and leave no memo.  All three
+    positions and keeps its test matrices in the spectrum's record.  The same tables in
+    another order, or one of them alone, are restacked and build no record.  All three
     answer as the per-ordering loop does."""
     rng = np.random.default_rng(59)
     restacked = []
@@ -320,14 +329,14 @@ def test_the_stored_orderings_are_recognized_by_identity(monkeypatch):
     shuffled = [tables[i] for i in rng.permutation(len(tables))]
     for lam in (_passing_spectrum(rng, 5), random_spectrum(rng, 25)):
         for orderings, stored in ((tables, True), (shuffled, False), (tables[7:8], False)):
-            monkeypatch.setattr(abssep, "_last_spectrum", (None, None, None))
+            abssep._spectrum_record.cache_clear()
             restacked.clear()
             minima, passing = ordering_min_eigenvalues(5, lam, orderings=orderings)
             assert list(passing) == [is_psd(l_map_loop(t, lam)) for t in orderings]
             assert list(minima) == [hermitian_eigenvalues(l_map_loop(t, lam))[-1]
                                     for t in orderings]
             assert restacked == ([] if stored else [len(orderings)])
-            assert ("check" in abssep._last_spectrum[2]) == stored
+            assert (abssep._spectrum_record.cache_info().currsize == 1) == stored
             failing = np.flatnonzero(~passing)
             assert abs_ppt_check(5, lam, orderings=orderings) == (
                 (False, int(failing[0])) if failing.size else (True, None))
@@ -498,20 +507,22 @@ def test_every_n5_ordering_of_the_ci_spectrum_certifies():
 
 
 def test_spectrum_check_never_answers_an_edited_array():
-    """The last checked spectrum is kept read-only, keyed by its bytes, so editing
-    the caller's array in place is checked afresh, never answered from the memo."""
+    """The last spectrum's record is kept with a read-only copy of it, keyed by its
+    bytes, so editing the caller's array in place is checked afresh, never answered
+    from the record."""
     table = enumerate_orderings(3)[0]
     other = np.arange(9, 0, -1, dtype=float) / 45.0
     want = certify_special_separable(table, other.copy()).info["pair"]
     lam = np.full(9, 1.0 / 9.0)
-    checked = _check_spectrum(lam, 9)
-    assert _check_spectrum(lam, 9) is checked
-    assert not checked.flags.writeable and not np.shares_memory(checked, lam)
+    record = abssep._spectrum_record(3, lam.shape, lam.tobytes())
+    assert abssep._spectrum_record(3, lam.shape, lam.tobytes()) is record
+    for checked in (record.lam, _check_spectrum(lam, 9)):
+        assert not checked.flags.writeable and not np.shares_memory(checked, lam)
     assert certify_special_separable(table, lam).ok
     lam[:] = other
     got = certify_special_separable(table, lam).info["pair"]
     assert np.array_equal(got.X, want.X) and np.array_equal(got.Y, want.Y)
-    # the batch kept for the flat spectrum answers none of the edited array's orderings
+    # the record kept for the flat spectrum answers none of the edited array's orderings
     for t in enumerate_orderings(3):
         assert_same_split(certify_special_separable(t, lam), t, other)
     lam[0] = 0.0
@@ -584,25 +595,32 @@ def test_batched_certificates_equal_a_stack_of_one():
     assert max(term_counts) > 1             # a batch verified in more than one stacked pass
 
 
-def test_every_n5_ordering_costs_one_eigvalsh_and_one_eigh(solver_calls, monkeypatch):
+def test_every_n5_ordering_costs_one_eigvalsh_and_one_eigh(solver_calls):
     """The 114 certificates of a passing n = 5 spectrum share one batch: one ``eigvalsh``
     judges every comparison matrix, one ``eigh`` scales them all, and no support needs
     a component analysis."""
-    monkeypatch.setattr(abssep, "_last_spectrum", (None, None, None))
     outs = [certify_special_separable(t, CI_SPECTRUM_N5) for t in enumerate_orderings(5)]
     assert len(outs) == 114 and all(out.ok for out in outs)
     assert solver_calls == {"eigvalsh": 1, "eigh": 1, "components": 0, "hermitian": 0}
 
 
-def test_the_check_and_114_certificates_cost_one_eigvalsh_and_one_eigh(solver_calls,
-                                                                      monkeypatch):
+def test_the_check_and_114_certificates_cost_one_eigvalsh_and_one_eigh(solver_calls):
     """After ``abs_ppt_check`` over the stored orderings, the batch of the same spectrum
     reads half of the check's eigenvalues: X = Z / 2 is its own comparison matrix."""
-    monkeypatch.setattr(abssep, "_last_spectrum", (None, None, None))
     tables = enumerate_orderings(5)
     assert abs_ppt_check(5, CI_SPECTRUM_N5, orderings=tables) == (True, None)
     outs = [certify_special_separable(t, CI_SPECTRUM_N5) for t in tables]
     assert len(outs) == 114 and all(out.ok for out in outs)
+    assert solver_calls == {"eigvalsh": 1, "eigh": 1, "components": 0, "hermitian": 0}
+
+
+def test_114_certificates_and_then_the_check_cost_one_eigvalsh_and_one_eigh(solver_calls):
+    """The spectrum's record does not depend on call order: the certificates build it,
+    their batch takes half of its eigenvalues, and the check that follows reads them."""
+    tables = enumerate_orderings(5)
+    outs = [certify_special_separable(t, CI_SPECTRUM_N5) for t in tables]
+    assert len(outs) == 114 and all(out.ok for out in outs)
+    assert abs_ppt_check(5, CI_SPECTRUM_N5, orderings=tables) == (True, None)
     assert solver_calls == {"eigvalsh": 1, "eigh": 1, "components": 0, "hermitian": 0}
 
 
@@ -624,7 +642,7 @@ def assert_same_outcome(a, b):
                     == getattr(b.decomposition, name).tobytes())
 
 
-def test_certificates_are_the_same_with_or_without_the_check(solver_calls, monkeypatch):
+def test_certificates_are_the_same_with_or_without_the_check(solver_calls):
     """Whether or not ``abs_ppt_check`` ran over the stored orderings first, every ordering
     of seeded spectra gets the same certificate bit for bit.  The spectra cover the
     batch that reads the check's eigenvalues (no ties), the one that diagonalizes X
@@ -640,15 +658,15 @@ def test_certificates_are_the_same_with_or_without_the_check(solver_calls, monke
                    _passing_spectrum(rng, n) * 1e-100, _passing_spectrum(rng, n) * 1e100]
         tables = enumerate_orderings(n)
         for lam in spectra:
-            monkeypatch.setattr(abssep, "_last_spectrum", (None, None, None))
+            abssep._spectrum_record.cache_clear()
             alone = [certify_special_separable(t, lam) for t in tables]
-            monkeypatch.setattr(abssep, "_last_spectrum", (None, None, None))
+            abssep._spectrum_record.cache_clear()
             abs_ppt_check(n, lam, orderings=tables)
             before = solver_calls["eigvalsh"]
             checked = [certify_special_separable(t, lam) for t in tables]
             batch_eigvalsh.append(solver_calls["eigvalsh"] - before)
-            # a check over other orderings (here the stored ones reversed) leaves nothing
-            monkeypatch.setattr(abssep, "_last_spectrum", (None, None, None))
+            # a check over other orderings (here the stored ones reversed) builds no record
+            abssep._spectrum_record.cache_clear()
             abs_ppt_check(n, lam, orderings=tables[::-1])
             reversed_check = [certify_special_separable(t, lam) for t in tables]
             for a, b, c in zip(alone, checked, reversed_check):
@@ -661,7 +679,6 @@ def test_the_batch_verifies_once_per_term_count(monkeypatch):
     """The 114 certificates of the CI spectrum run the stacked residual routine once,
     for its one term count, and build no pair or decomposition through the per-matrix
     validation of ``linalg.as_complex_matrix``."""
-    monkeypatch.setattr(abssep, "_last_spectrum", (None, None, None))
     calls = {"residuals": 0, "as_complex_matrix": 0}
 
     def counted(name, fn):
@@ -681,11 +698,10 @@ def test_the_batch_verifies_once_per_term_count(monkeypatch):
     assert calls == {"residuals": 1, "as_complex_matrix": 0}
 
 
-def test_the_batch_memo_across_orderings_spectra_and_dimensions(solver_calls, monkeypatch):
+def test_the_batch_memo_across_orderings_spectra_and_dimensions(solver_calls):
     """An ordering outside the stored tables runs as a stack of one and leaves the
     spectrum's batch in place; spectra and dimensions that alternate each get their
     own batch, and every answer is the split of its pair alone."""
-    monkeypatch.setattr(abssep, "_last_spectrum", (None, None, None))
     rng = np.random.default_rng(43)
     first = enumerate_orderings(3)[0]
     swap = {("plus", 0, 1): ("minus", 0, 1), ("minus", 0, 1): ("plus", 0, 1)}
@@ -709,7 +725,6 @@ def test_a_construction_error_surfaces_only_for_its_own_ordering(monkeypatch):
     """A scaling that misses dominance in one item of the batch raises
     ``ConstructionError`` for that ordering, every time it is asked for, and for no
     other ordering of the spectrum."""
-    monkeypatch.setattr(abssep, "_last_spectrum", (None, None, None))
     tables = enumerate_orderings(5)
     planted = 7
     perron_vector = construct._perron_vector
@@ -734,7 +749,6 @@ def test_a_failed_verification_declines_only_its_own_ordering(monkeypatch):
     """One item of the batch whose W is corrupted before the stacked verification fails
     it: that ordering declines with "comparison split failed verification", every time
     it is asked for, and every other ordering of the spectrum is still certified."""
-    monkeypatch.setattr(abssep, "_last_spectrum", (None, None, None))
     tables = enumerate_orderings(5)
     planted = 7
     stacked = construct._residual_stack
@@ -761,7 +775,6 @@ def test_a_non_finite_pair_or_column_raises_only_for_its_own_ordering(monkeypatc
     ``PairXY`` and ``PcpDecomposition`` would, every time it is asked for; every other
     ordering is still certified.  One item's Y gets a NaN after the split, and another
     item's scaling a zero entry, which leaves NaN in its rescaled columns."""
-    monkeypatch.setattr(abssep, "_last_spectrum", (None, None, None))
     tables = enumerate_orderings(5)
     bad_pair, bad_columns = 3, 11
     splits, perron_vector = abssep._comparison_splits, construct._perron_vector

@@ -161,6 +161,18 @@ def test_decompose_auto_inconclusive(capsys):
     assert set(payload["methods"]) == {"comparison", "recursive"}
 
 
+def test_decompose_prints_why_each_route_declined(capsys):
+    """Without ``--json``, a route that does not apply prints its witness, and the
+    auto route the reason of every method it tried."""
+    code, out, _ = run(capsys, "decompose", FIXTURES / "inconclusive_pair.json")
+    assert code == 3
+    assert "methods: {'comparison': 'comparison matrix of X is not positive semidefinite'" in out
+    code, out, _ = run(capsys, "decompose", FIXTURES / "inconclusive_pair.json",
+                       "--method", "recursive")
+    assert code == 3
+    assert "witness: {'position': [2, 3]" in out and "'reason': 'negative radicand'" in out
+
+
 def test_decompose_isotropic_pair(capsys, tmp_path):
     cert = tmp_path / "iso.json"
     code, _, _ = run(capsys, "decompose", FIXTURES / "isotropic_n3.json", "--out", cert)
@@ -275,6 +287,23 @@ def test_check_state_rejects_invalid(capsys, tmp_path):
     code, out, _ = run(capsys, "check-state", bad)
     assert code == 2
     assert "not a state" in out
+
+
+def test_check_state_normalize_needs_a_positive_trace(capsys, tmp_path):
+    zero = tmp_path / "zero_pair.json"
+    save_pair_document(zero, PairXY(np.zeros((2, 2)), np.zeros((2, 2))))
+    code, out, err = run(capsys, "check-state", zero, "--normalize")
+    assert code == 1 and out == ""
+    assert err == "error: cannot normalize: the state has non-positive trace\n"
+
+
+def test_check_state_json_reports_an_invalid_pair(capsys, tmp_path):
+    bad = tmp_path / "bad_pair.json"
+    save_pair_document(bad, PairXY(np.eye(2), np.array([[1.0, -0.5], [0.5, 1.0]])))
+    code, payload = run_json(capsys, "check-state", bad)
+    assert code == 2
+    assert payload["verdict"] == "invalid" and payload["form"] == "pair"
+    assert payload["holds"] == {"a": True, "b": False, "c": True, "d": True, "e": True}
 
 
 # ------------------------------------------------------------------- abs-ppt

@@ -1,18 +1,21 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from pcpkit import PairXY, decompose_comparison
+from pcpkit.cli import main
 from pcpkit.errors import PcpkitError
 from pcpkit.fileio import (
     load_certificate,
     load_pair_document,
+    load_state,
     save_certificate,
     save_pair_document,
 )
 
-from conftest import random_decomposable_pair
+from conftest import FIXTURES, random_decomposable_pair
 
 
 def _write(path, vs, ws):
@@ -82,3 +85,48 @@ def test_pair_round_trip_reads_every_entry_exactly(tmp_path):
                            for row in doc[key]])
         assert np.array_equal(got, stored) and np.array_equal(got, scalar)
     assert meta == {"label": "round trip"}
+
+
+PAIR = {"n": 2, "X": [[1.0, 0.0], [0.0, 1.0]], "Y": [[1.0, 0.0], [0.0, 1.0]]}
+MALFORMED_FILES = [
+    pytest.param("pair", [PAIR], "top level must be an object", id="pair-not-an-object"),
+    pytest.param("pair", {**PAIR, "X": []}, "X: expected a non-empty list of rows",
+                 id="pair-no-rows"),
+    pytest.param("pair", {**PAIR, "Y": [[1.0, 0.0], [0.0]]},
+                 "Y: row 2 has length 1, expected 2", id="pair-ragged-rows"),
+    pytest.param("pair", {**PAIR, "X": [[], []]}, "X[1]: expected a non-empty list of entries",
+                 id="pair-empty-rows"),
+    pytest.param("pair", {"n": 2, "X": PAIR["X"]}, "missing required field 'Y'",
+                 id="pair-missing-field"),
+    pytest.param("pair", {**PAIR, "n": 0}, "field 'n' must be a positive integer",
+                 id="pair-bad-n"),
+    pytest.param("pair", {**PAIR, "n": 3},
+                 "X is (2, 2) and Y is (2, 2), expected (3, 3) for both", id="pair-wrong-shape"),
+    pytest.param("state", {"rho": [[1.0]]}, "missing required field 'n'",
+                 id="state-missing-field"),
+    pytest.param("state", {"n": "1", "rho": [[1.0]]}, "field 'n' must be a positive integer",
+                 id="state-bad-n"),
+    pytest.param("state", {"n": 2, "rho": [[1.0]]}, "rho is (1, 1), expected (4, 4)",
+                 id="state-wrong-shape"),
+    pytest.param("certificate", {"vs": [], "ws": [[1.0]]}, "missing or empty field 'vs'",
+                 id="certificate-empty-field"),
+    pytest.param("certificate", {"vs": [[1.0]]}, "missing or empty field 'ws'",
+                 id="certificate-missing-field"),
+    pytest.param("certificate", {"vs": [[]], "ws": [[1.0]]},
+                 "vs[1]: expected a non-empty list of entries", id="certificate-empty-vector"),
+]
+
+
+@pytest.mark.parametrize("kind, doc, message", MALFORMED_FILES)
+def test_a_malformed_file_names_its_location(tmp_path, capsys, kind, doc, message):
+    """Each malformed pair, state or certificate file raises a ``PcpkitError`` that
+    names the file and the field, and the command reading it exits 1 with that message."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    load = {"pair": load_pair_document, "state": load_state, "certificate": load_certificate}
+    with pytest.raises(PcpkitError, match="^" + re.escape(f"{path}: {message}") + "$"):
+        load[kind](path)
+    argv = {"pair": ["check-pair", path], "state": ["check-state", path],
+            "certificate": ["decompose", FIXTURES / "comparison_pair.json", "--verify", path]}
+    assert main([str(a) for a in argv[kind]]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"

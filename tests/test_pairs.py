@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from pcpkit import (
     verify_decomposition,
 )
 from pcpkit.errors import ConditionsViolatedError, DimensionMismatchError, PcpkitError
+from pcpkit.pairs import residuals
 
 from conftest import cyclic_pair, random_decomposition
 
@@ -92,6 +95,47 @@ def test_verify_rejects_wrong_pair():
     assert not verify_decomposition(dec, pair.__class__(other.X, other.Y))
     with pytest.raises(DimensionMismatchError):
         verify_decomposition(dec, PairXY(np.eye(2), np.eye(2)))
+
+
+def test_verification_is_right_at_any_scale():
+    """A decomposition and its pair scaled together (the pair by s, V and W by s^(1/4))
+    verify alike: the honest certificate passes and one with W doubled fails, also
+    where the squares in the Frobenius norms overflow (s = 1e160), and without a
+    RuntimeWarning.  The doubled certificate's residuals scale with the pair."""
+    rng = np.random.default_rng(0)
+    V = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
+    W = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
+    pair = reconstruct(PcpDecomposition(V, W))
+    unit = residuals(PcpDecomposition(V, 2.0 * W), pair)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (1.0, 1e150, 1e160):
+            scaled, r = PairXY(pair.X * s, pair.Y * s), s ** 0.25
+            assert verify_decomposition(PcpDecomposition(r * V, r * W), scaled)
+            assert not verify_decomposition(PcpDecomposition(r * V, 2.0 * r * W), scaled)
+            res = residuals(PcpDecomposition(r * V, 2.0 * r * W), scaled)
+            assert np.allclose(np.array(res) / s, unit, rtol=1e-12, atol=0.0)
+
+
+def test_check_necessary_tests_hermiticity_once(monkeypatch):
+    """A singular PSD X, whose Cholesky factorization fails, is diagonalized once for
+    (a) without a second Hermiticity test, and is judged as ``psd_test`` judges it."""
+    calls = []
+    is_hermitian = linalg.is_hermitian
+
+    def counted(A):
+        calls.append(A)
+        return is_hermitian(A)
+
+    monkeypatch.setattr(linalg, "is_hermitian", counted)
+    pair = reconstruct(PcpDecomposition.from_vectors([np.ones(3)], [np.ones(3)]))
+    assert not linalg.cholesky_certifies_psd(pair.X)
+    report = check_necessary(pair)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    holds, lowest, spectrum = linalg.psd_test(pair.X)
+    assert report.all_hold and holds and "a" not in report.witnesses
+    assert report.x_rank == 1 and report.x_gap == np.abs(pair.X).sum() - np.abs(spectrum).sum()
 
 
 def test_cyclic_family_fails_only_norm_condition():
