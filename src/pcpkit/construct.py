@@ -55,6 +55,9 @@ DECOMPOSED = "decomposed"
 NOT_APPLICABLE = "not-applicable"
 CONDITIONS_VIOLATED = "conditions-violated"
 
+# the comparison route's decline when the comparison matrix of X fails the PSD floor
+_NOT_PSD = "comparison matrix of X is not positive semidefinite"
+
 
 @dataclass(frozen=True)
 class ConstructorOutcome:
@@ -148,9 +151,14 @@ def _rowwise_passes(X: np.ndarray, Y: np.ndarray, x_max: float, y_max: float, ex
     radicand of exactly zero after the round-off clamp makes a zero denominator.
 
     A step is whole-vector array code: the indices not yet pivoted are a boolean
-    mask, and no Python loop visits them.  The products with earlier terms stay
-    row-dot products ``M[:, :k] @ x``, which round each entry the same wherever
-    it sits, so a search and a pass on the permuted pair agree bitwise.
+    mask, and no Python loop visits them.  The products with earlier terms are
+    ``M[:, :k] @ x``, and a search agrees bitwise with a pass on the permuted pair
+    only where such a product rounds each entry the same wherever its row sits.
+    That is not promised by BLAS: with OpenBLAS 0.3.31 (Haswell kernel, one thread)
+    the real product under a row permutation kept its bits for n = 2..8 and for n a
+    multiple of 4, but not at n = 9, 10, 11, 13, ... (13 of 270 entries differed at
+    n = 9, 492 of 900 at n = 30); the complex product showed no difference.  The
+    agreement is relied on only for n <= 8, where the search runs.
     """
     n = X.shape[0]
     V = np.zeros((n, n), complex)
@@ -571,7 +579,7 @@ def _split_outcome(split: _Split, method: str = "comparison",
         return ConstructorOutcome(
             status=NOT_APPLICABLE,
             method=method,
-            reason="comparison matrix of X is not positive semidefinite",
+            reason=_NOT_PSD,
             info={"min_eigenvalue": split.min_eigenvalue, **extra},
         )
     if not split.residuals.within():
@@ -689,6 +697,44 @@ def decompose_isotropic(n: int, a: float, b: float) -> ConstructorOutcome:
                        mixture=t, c_plus=c_plus, c_minus=c_minus)
 
 
+def _comparison_refuted(pair: PairXY) -> bool:
+    """Whether the report of a pair meeting (a)-(e) proves that the comparison route
+    declines it as :data:`_NOT_PSD`, read off O(n) numbers: s = sum |x_ii| and the
+    report's ``x_gap``.  False proves nothing.
+
+    Let M be the comparison matrix of X and o = sum_{i != j} |x_ij|, so 1^T M 1 = s - o
+    and lambda_min(M) <= (s - o) / n.  Any matrix has ||X||_tr >= s (take the trace
+    against diagonal phases), so o = ||X||_1 - s >= ||X||_1 - ||X||_tr = gap(X), and
+    gap(X) > s makes M indefinite.  The route declines when the lowest computed
+    eigenvalue of M is below -PSD * sum |eigenvalues|, a floor at most
+    PSD * ||M||_tr <= PSD * ||M||_1 = PSD * ||X||_1 (triangle inequality over the
+    entries).  So it declines when, up to round-off, gap(X) - s > n PSD ||X||_1.
+    Then:
+
+    * ``x_gap`` is ||X||_1 less ``x_trace``, which is tr X when a Cholesky factorization
+      settled (a), else sum |eigenvalues| of X, at least sum |Re x_ii| by Schur-Horn.
+      Either falls short of s by at most sum |Im x_ii|, which the Hermiticity test
+      bounds by n STRUCTURE max|x_ij| / 2.
+    * ``eigvalsh`` reads M's lower triangle, whose 1^T M 1 may differ from s - o by
+      n^2 STRUCTURE max|x_ij| / 2, for |x_ij| and |x_ji| agree within the Hermiticity
+      test; a PSD X (within its floor) has max|x_ij| <= s (1 + 2 n PSD).
+    * ``x_trace`` <= s (1 + 2 n PSD), since X passed its own floor, so
+      ||X||_1 <= (x_gap + s)(1 + 2 n PSD).
+    * The eigenvalues of M and the sums behind ``x_gap`` and s are off by at most about
+      n^2 u ||X||_1 for the unit round-off u, below PSD ||X||_1 / 8 for n up to
+      ``linalg._CHOLESKY_MAX_N``; a larger pair is never refuted.
+
+    So gap(X) - s > n (4 PSD (x_gap + s) + n STRUCTURE s) covers the floor with the
+    round-off, and the Hermiticity defects, each at least twice over.
+    """
+    n = pair.n
+    if n > linalg._CHOLESKY_MAX_N:
+        return False
+    s = float(np.abs(pair.X.diagonal()).sum())
+    gap = pair.report.x_gap
+    return gap - s > n * (4.0 * tol.PSD * (gap + s) + n * tol.STRUCTURE * s)
+
+
 def decompose_auto(pair: PairXY, search_permutations: bool = True) -> ConstructorOutcome:
     """Try every general-purpose route in order of cost; first success wins.
 
@@ -698,12 +744,25 @@ def decompose_auto(pair: PairXY, search_permutations: bool = True) -> Constructo
     n = 2 pair meeting (a)-(d) (their comparison matrices are PSD), then the
     row-by-row elimination (with permutation retries).  When nothing applies,
     the per-method reasons are collected in ``info["methods"]``.
+
+    The comparison route is refuted from the report, with no eigensolve, when
+    gap(X) > tr X: the comparison matrix M of a PSD X has 1^T M 1 = sum |x_ii| -
+    sum_{i != j} |x_ij| <= tr X - gap(X), so lambda_min(M) <= (tr X - gap(X)) / n < 0.
+    With s = sum |x_ii|, the refutation needs gap(X) - s > n (4 PSD (gap(X) + s) +
+    n STRUCTURE s), which also clears the PSD floor of M and the round-off (see
+    :func:`_comparison_refuted`).  The route is then recorded with its usual decline
+    reason, so ``info["methods"]`` reads as if it had run.  The same 1^T M 1 bounds the
+    equilibrated S M S, S = diag(M)^(-1/2), at the vector S^(-1) 1: lambda_min(S M S)
+    <= 1 - o / s.
     """
     if violated := _violated("auto", pair, "abcde"):
         return violated
     attempts: dict[str, str] = {}
     routes = [decompose_comparison,
               functools.partial(decompose_recursive, search_permutations=search_permutations)]
+    if _comparison_refuted(pair):
+        attempts["comparison"] = _NOT_PSD
+        del routes[0]
     for route in routes:
         out = route(pair)
         if out.ok:

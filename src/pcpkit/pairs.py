@@ -200,22 +200,30 @@ class Residuals(NamedTuple):
         return self.x <= tol * self.x_scale and self.y <= tol * self.y_scale
 
 
+# a norm below this may have lost its squares to underflow (see _frobenius)
+_TINY_NORM = 2.0 ** -460
+
+
 def _frobenius(D: np.ndarray) -> np.ndarray:
     """The Frobenius norm of each matrix of a complex stack D (B, n, m), summed as
     ``np.linalg.norm`` sums one matrix: one dot product of the real parts, one of the
-    imaginary parts.  An item whose squares overflow is summed again divided by the
-    power of two just above its largest entry, which is exact, so its norm is finite
-    whenever it fits a float; every other norm keeps its bits."""
+    imaginary parts.  An item whose squares overflow, or whose norm is below 2^-460,
+    is summed again divided by the power of two just above its largest entry, which is
+    exact, so its norm is finite whenever it fits a float and keeps its relative
+    precision down to the smallest floats; every other norm keeps its bits.  A norm of
+    at least 2^-460 is right as summed: its largest square is at least 2^-920 / (n m),
+    and the at most n m squares below 2^-1022 (the subnormals, which lose precision)
+    add at most n m 2^-1074 to it, a relative 2^-134 for n m up to 2^20."""
     B, n, m = D.shape
     flat = D.reshape(B, 1, n * m)
     re, im = flat.real, flat.imag
     with np.errstate(over="ignore"):
         norms = np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0])
-        if math.isinf(norms.max(initial=0.0)):
-            big = np.isinf(norms)
-            e = np.frexp(np.abs(D[big]).max(axis=(1, 2)))[1]
-            parts = np.ldexp(D[big].view(float), -e[:, None, None])
-            norms[big] = np.ldexp(np.sqrt((parts * parts).sum(axis=(1, 2))), e)
+        redo = (norms < _TINY_NORM) | np.isinf(norms)
+        if redo.any():
+            e = np.frexp(np.abs(D[redo]).max(axis=(1, 2)))[1]
+            parts = np.ldexp(D[redo].view(float), -e[:, None, None])
+            norms[redo] = np.ldexp(np.sqrt((parts * parts).sum(axis=(1, 2))), e)
     return norms
 
 

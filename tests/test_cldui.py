@@ -19,7 +19,6 @@ from pcpkit import (
     separability_verdict,
     tolerances,
 )
-from pcpkit.construct import comparison_matrix
 from pcpkit.errors import ConditionsViolatedError, NotClduiError, WrongDimensionError
 from pcpkit.linalg import entrywise_one_norm, is_psd, trace_norm
 from pcpkit.pairs import length_lower_bound
@@ -304,12 +303,12 @@ def test_criteria_read_the_report():
 
 def test_a_definite_decomposable_verdict_diagonalizes_neither_x_nor_y(monkeypatch):
     """A Cholesky factorization settles (a) and the norm bound settles (e) for a positive
-    definite decomposable pair, so its verdict runs no SVD and diagonalizes neither X nor
-    Y: the verdict's one ``eigvalsh`` is the comparison route's, on the comparison matrix
-    of X.  The gap of Y and the rank of X, read afterwards, are the values the singular
-    values of Y and the eigenvalues of X give."""
+    definite decomposable pair, and its gap(X) exceeds tr X, which refutes the comparison
+    route from the report: its verdict runs no SVD and no eigensolver at all.  The gap
+    of Y and the rank of X, read afterwards, are the values the singular values of Y and
+    the eigenvalues of X give."""
     pair = random_decomposable_pair(np.random.default_rng(17), 30)
-    calls = {"eigvalsh": [], "svd": []}
+    calls = {"eigvalsh": [], "eigh": [], "svd": []}
 
     def recorded(name, fn):
         def wrapper(a, *args, **kwargs):
@@ -318,12 +317,12 @@ def test_a_definite_decomposable_verdict_diagonalizes_neither_x_nor_y(monkeypatc
         return wrapper
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recorded("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigh", recorded("eigh", np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "svd", recorded("svd", np.linalg.svd))
     check_necessary(pair)
-    assert calls == {"eigvalsh": [], "svd": []}
+    assert calls == {"eigvalsh": [], "eigh": [], "svd": []}
     assert separability_verdict(pair).verdict == "separable"
-    assert calls["svd"] == [] and len(calls["eigvalsh"]) == 1
-    assert np.array_equal(calls["eigvalsh"][0], comparison_matrix(pair.X[None]))
+    assert calls == {"eigvalsh": [], "eigh": [], "svd": []}
     monkeypatch.undo()
 
     report = pair.report

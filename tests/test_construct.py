@@ -960,6 +960,76 @@ def test_auto_refutes_before_any_route(monkeypatch):
         assert out.info == {"report": pair.report}
 
 
+def _near_boundary_pair(rng, n, ratio) -> PairXY:
+    """A pair meeting (a)-(e) for n >= 3 whose gap(X) / sum |x_ii| is ``ratio``: X is
+    I + t (J - I) / (n - 1) under a random diagonal unitary, so its comparison matrix
+    has 1^T M 1 = n (1 - t) and lowest eigenvalue 1 - t for t = ``ratio``, and Y is |X|."""
+    X = np.eye(n) + ratio * (np.ones((n, n)) - np.eye(n)) / (n - 1)
+    u = np.exp(2j * np.pi * rng.random(n))
+    return PairXY(u[:, None] * X * u.conj()[None, :], X)
+
+
+def _refutation_pairs() -> list[PairXY]:
+    """Dense, sparse, diagonal and complex pairs at n = 1, 2, 5..8 and 30, the verdict
+    cases, and pairs whose gap(X) lies within 1e-6 of sum |x_ii|, at scales 1, 1e-200
+    and 1e150."""
+    rng = np.random.default_rng(191)
+    pairs = [pair for _, pair in verdict_cases()]
+    for n in (1, 2, 5, 6, 7, 8, 30):
+        real = reconstruct(PcpDecomposition(rng.standard_normal((n, n + 1)),
+                                            rng.standard_normal((n, n + 1))))
+        P = np.abs(rng.standard_normal((n, n)))
+        pairs += [real, _sparse_pair(rng, n), PairXY(np.diag(np.diag(P)), P),
+                  random_decomposable_pair(rng, n)]
+    for n in (3, 5, 8, 30):
+        pairs += [_near_boundary_pair(rng, n, 1.0 + delta)
+                  for delta in (-1e-6, -1e-9, 0.0, 1e-9, 1e-8, 1e-7, 1e-6)]
+    return [PairXY(pair.X * s, pair.Y * s) for s in (1.0, 1e-200, 1e150) for pair in pairs]
+
+
+def _same_outcome(a, b) -> bool:
+    """Whether two outcomes agree in status, method, reason, info, permutation and the
+    bits of their certificates and residuals."""
+    same = (a.status, a.method, a.reason, a.info, a.permutation, a.residuals) == \
+        (b.status, b.method, b.reason, b.info, b.permutation, b.residuals)
+    if a.decomposition is None or b.decomposition is None:
+        return same and a.decomposition is b.decomposition
+    return (same and np.array_equal(a.decomposition.V, b.decomposition.V)
+            and np.array_equal(a.decomposition.W, b.decomposition.W))
+
+
+def test_refuting_the_comparison_route_changes_no_outcome(monkeypatch):
+    """``decompose_auto`` answers alike with the report's refutation of the comparison
+    route and without it, and wherever the refutation fires, the route run on the pair
+    declines for the reason ``decompose_auto`` records."""
+    refuted = construct._comparison_refuted
+    fired = []
+
+    def recorded(pair):
+        fired.append(pair)
+        return refuted(pair)
+
+    pairs = _refutation_pairs()
+    monkeypatch.setattr(construct, "_comparison_refuted", recorded)
+    with_refutation = [decompose_auto(pair) for pair in pairs]
+    monkeypatch.setattr(construct, "_comparison_refuted", lambda pair: False)
+    without = [decompose_auto(pair) for pair in pairs]
+    monkeypatch.undo()
+    for a, b in zip(with_refutation, without):
+        assert _same_outcome(a, b)
+
+    hits = [pair for pair in fired if refuted(pair)]
+    assert 0 < len(hits) < len(fired)
+    for pair in hits:
+        out = construct.comparison_split(pair)
+        assert out.status == "not-applicable" and out.reason == construct._NOT_PSD
+    # the refutation fires close above 1^T M 1 = 0, and never at or below it
+    near = [(pair, pair.report.x_gap / trace) for pair in fired
+            if (trace := np.abs(pair.X.diagonal()).sum()) > 0.0]
+    assert any(refuted(pair) for pair, ratio in near if ratio < 1.0 + 2e-7)
+    assert not any(refuted(pair) for pair, ratio in near if ratio <= 1.0)
+
+
 def test_decomposed_outcomes_carry_their_residuals():
     """Each route keeps the residuals of the one verification it passed."""
     routes = [decompose_comparison, decompose_recursive,

@@ -100,8 +100,9 @@ def test_verify_rejects_wrong_pair():
 def test_verification_is_right_at_any_scale():
     """A decomposition and its pair scaled together (the pair by s, V and W by s^(1/4))
     verify alike: the honest certificate passes and one with W doubled fails, also
-    where the squares in the Frobenius norms overflow (s = 1e160), and without a
-    RuntimeWarning.  The doubled certificate's residuals scale with the pair."""
+    where the squares in the Frobenius norms overflow (s = 1e160) or underflow
+    (s = 1e-170, 1e-200), and without a RuntimeWarning.  The doubled certificate's
+    residuals scale with the pair."""
     rng = np.random.default_rng(0)
     V = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
     W = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
@@ -109,7 +110,7 @@ def test_verification_is_right_at_any_scale():
     unit = residuals(PcpDecomposition(V, 2.0 * W), pair)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for s in (1.0, 1e150, 1e160):
+        for s in (1.0, 1e150, 1e160, 1e-170, 1e-200):
             scaled, r = PairXY(pair.X * s, pair.Y * s), s ** 0.25
             assert verify_decomposition(PcpDecomposition(r * V, r * W), scaled)
             assert not verify_decomposition(PcpDecomposition(r * V, 2.0 * r * W), scaled)
