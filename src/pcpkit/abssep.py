@@ -48,9 +48,9 @@ from .construct import (
     _read_only,
     _Split,
     _split_outcome,
-    comparison_matrix,
+    _upper_pairs,
 )
-from .pairs import PairXY, _assembled, _finite_items
+from .pairs import PairXY, _assembled
 from .errors import (
     ConstructionError,
     DimensionMismatchError,
@@ -180,20 +180,11 @@ class _Spectrum:
 
     @cached_property
     def batch(self) -> tuple[np.ndarray, np.ndarray, list[_Split]]:
-        Z = self.slots[0]
-        # half of Z's eigenvalues are those of X's comparison matrix if that is X = Z / 2
-        w = self.eigenvalues / 2.0 if comparison_matrix(Z).tobytes() == Z.tobytes() else None
-        return _split_batch(*self.slots, w)
+        return _split_batch(*self.slots, self.eigenvalues / 2.0)   # those of X = Z / 2
 
 
 # the last spectrum's record, keyed by its bytes: an array edited in place is checked afresh
 _spectrum_record = functools.lru_cache(maxsize=1)(_Spectrum)
-
-
-@functools.cache
-def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.triu_indices(n, 1)``, the index pairs k < l in row-major order, kept per n."""
-    return _read_only(*np.triu_indices(n, 1))
 
 
 def _slot_matrices(n: int, positions: np.ndarray, lam: np.ndarray
@@ -320,19 +311,13 @@ def certify_special_separable(ordering: OrderingTable, lambdas) -> ConstructorOu
     Every ordering of a spectrum is certified at once, from the spectrum's record,
     which whichever of this function and :func:`abs_ppt_check` (over the stored
     orderings) runs first builds.  The first certificate adds the batch to it: the
-    pairs of all the stored orderings of n split as one stack (see
-    :func:`~pcpkit.construct.comparison_split`), taking half of the record's
-    eigenvalues of the test matrices when X is its own comparison matrix bit for bit
-    (a tie in the spectrum leaves a +0 off the diagonal, and then it is not), and every
-    item's columns verified on the stack, one residual pass per distinct term count
-    (see :func:`~pcpkit.pairs.residuals`).  The pair stack and the columns are checked
-    for finite entries once.  Each call copies its own pair and columns into fresh
-    read-only arrays, reads its item's residuals and judges them at
-    ``tolerances.VERIFY``.  A lone call pays the whole batch, about 2 ms at n = 5.  An
-    ordering outside the stored ones (found by its ``positions``) runs as a stack of
-    one.  Each item is judged by its own thresholds, exactly as the split of that pair
-    alone judges it, so the certificates are the same in any call order; a split that
-    raises ``ConstructionError`` does so only for its own ordering.
+    pairs of all the stored orderings of n, split as one stack by
+    ``construct._comparison_splits`` with half of the record's eigenvalues of the test
+    matrices.  Each call copies its own pair and columns into fresh read-only arrays
+    and judges its item's residuals at ``tolerances.VERIFY``, so the certificates are
+    the same in any call order, and an item that raises does so only for its own
+    ordering.  A lone call pays the whole batch, about 2 ms at n = 5.  An ordering
+    outside the stored ones (found by its ``positions``) runs as a stack of one.
     """
     n, lam = ordering.n, np.asarray(lambdas, dtype=float)
     m = _stored_positions(n)[1].get(ordering.positions.tobytes())
@@ -349,19 +334,11 @@ def certify_special_separable(ordering: OrderingTable, lambdas) -> ConstructorOu
 def _split_batch(Z: np.ndarray, plus: np.ndarray, minus: np.ndarray, w: np.ndarray | None = None
                  ) -> tuple[np.ndarray, np.ndarray, list[_Split]]:
     """The pairs (X, Y) of the test matrices Z with their plus and minus slot values (as
-    :func:`_slot_matrices` returns them), stacked as complex arrays, and their verified
-    comparison splits.  X = Z / 2 exactly, diag Y = diag X, and
-    y_kl = y_lk = (plus + minus) / 2.  ``w`` holds the eigenvalues of the comparison
-    matrix of each X, when they are known."""
+    :func:`_slot_matrices` returns them), and their verified comparison splits.
+    X = Z / 2 exactly, diag Y = diag X, and y_kl = y_lk = (plus + minus) / 2.  ``w`` may
+    hold the eigenvalues of each X."""
     X = Z / 2.0
     Y = X.copy()
     k, l = _upper_pairs(Z.shape[-1])
     Y[:, k, l] = Y[:, l, k] = (plus + minus) / 2.0
-    X, Y = X.astype(complex), Y.astype(complex)
-    splits = _comparison_splits(X, Y, w)
-    # the pairs enter here, so here they are checked, once for the stack: an ordering whose
-    # pair is not finite raises for itself, as PairXY would
-    finite = _finite_items(X, Y)
-    if not finite.all():
-        splits = [s if ok else s._replace(finite=False) for s, ok in zip(splits, finite.tolist())]
-    return X, Y, splits
+    return X, Y, _comparison_splits(X, Y, w)

@@ -41,12 +41,9 @@ INCONCLUSIVE = "inconclusive"
 def dense_matrix(pair: PairXY) -> np.ndarray:
     """The dense n^2 x n^2 realization of a coefficient pair (no conditions required)."""
     n = pair.n
-    rho = np.zeros((n * n, n * n), complex)
-    for i in range(n):
-        for j in range(n):
-            rho[i * n + i, j * n + j] = pair.X[i, j]
-            if i != j:
-                rho[i * n + j, i * n + j] = pair.Y[i, j]
+    rho = np.diag(pair.Y.ravel())
+    skeleton = np.arange(n) * (n + 1)        # the flat indices (i, i)
+    rho[np.ix_(skeleton, skeleton)] = pair.X
     return rho
 
 
@@ -192,7 +189,7 @@ class SeparabilityVerdict:
     witness: dict[str, Any] | None = None
 
 
-def separability_verdict(pair: PairXY, search_permutations: bool = True) -> SeparabilityVerdict:
+def separability_verdict(pair: PairXY) -> SeparabilityVerdict:
     """Classify the state of a coefficient pair.
 
     Entangled when the partial-transpose or realignment criterion fails;
@@ -208,7 +205,7 @@ def separability_verdict(pair: PairXY, search_permutations: bool = True) -> Sepa
     if not report.holds_e:
         return SeparabilityVerdict(ENTANGLED, criterion="realignment", report=report,
                                    witness=report.witnesses["e"])
-    outcome = decompose_auto(pair, search_permutations=search_permutations)
+    outcome = decompose_auto(pair)
     if outcome.ok:
         return SeparabilityVerdict(
             SEPARABLE,

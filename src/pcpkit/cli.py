@@ -269,11 +269,16 @@ def cmd_abs_ppt(args) -> int:
     payload = {"n": args.n, "orderings": len(orderings), "passes": passes,
                "failing_ordering": failing}
     lines = [f"n = {args.n}: {len(orderings)} realizable orderings"]
-    certificates = []
+    certificates, uncertified = [], []
     for idx, (ordering, min_eig, ok) in enumerate(zip(orderings, minima, passing)):
         lines.append(f"ordering {idx}: min eigenvalue {min_eig:.9g} -> {'PASS' if ok else 'FAIL'}")
         if args.certify and ok:
             out = abssep.certify_special_separable(ordering, lam)
+            if not out.ok:
+                # the check passes within its PSD floor, but the split declines
+                uncertified.append(idx)
+                lines.append(f"ordering {idx}: no certificate ({out.reason})")
+                continue
             path = Path(args.out_dir) / f"ordering_{idx}_certificate.json"
             fileio.save_certificate(path, out.decomposition, out.method,
                                     ordering_index=idx)
@@ -281,12 +286,16 @@ def cmd_abs_ppt(args) -> int:
             lines.append(f"ordering {idx}: certificate written to {path}")
     if certificates:
         payload["certificates"] = certificates
+    if uncertified:
+        payload["uncertified"] = uncertified
     lines.append("verdict: " + ("spectrum stays PPT under every global unitary"
                                 if passes else
                                 f"test fails at ordering {failing}"))
 
     print(json.dumps(payload, indent=2) if args.json else "\n".join(lines))
-    return EXIT_OK if passes else EXIT_VIOLATED
+    if not passes:
+        return EXIT_VIOLATED
+    return EXIT_NOT_APPLICABLE if uncertified else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -337,16 +337,9 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 @functools.cache
-def _split_layout(n: int) -> tuple[np.ndarray, ...]:
-    """Flat indices for the stacked split at dimension n, over the p = n(n-1)/2 index
-    pairs k < l in row-major order: their entries (k, l) and (l, k) of an n x n matrix;
-    in the n x (p + n) block of columns, where column c < p is pair c's core column and
-    column p + i is row i's slack column, the entries (k, c), (l, c) and (i, p + i);
-    and i = 0..n-1 itself."""
-    k, l = np.triu_indices(n, 1)
-    p, width, i = k.size, k.size + n, np.arange(n)
-    c = np.arange(p)
-    return _read_only(k * n + l, l * n + k, k * width + c, l * width + c, i * width + p + i, i)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, 1)``, the index pairs k < l in row-major order, kept per n."""
+    return _read_only(*np.triu_indices(n, 1))
 
 
 def _graph_components(adjacency: np.ndarray) -> list[np.ndarray]:
@@ -383,29 +376,23 @@ def _perron_vector(M: np.ndarray) -> np.ndarray:
     return v / top[:, None]
 
 
-class _Scalings(NamedTuple):
-    """:func:`perron_scaling` of each item of a stack X (B, n, n): per item the error that
-    ``perron_scaling`` raises for it, or None, and, unless every item fails, the scalings
-    d (B, n), dd = d d^T, the rescaled dd * X and its magnitudes."""
-
-    errors: list[PcpkitError | None]
-    d: np.ndarray | None = None
-    dd: np.ndarray | None = None
-    Xs: np.ndarray | None = None
-    absXs: np.ndarray | None = None
-
-
-def _perron_scalings(X: np.ndarray, w: np.ndarray | None = None) -> _Scalings:
-    """:class:`_Scalings` of a stack X, whose comparison matrices have the eigenvalues ``w``
-    (ascending, one row per item) when they are already known."""
+def _perron_scalings(X: np.ndarray, w: np.ndarray | None = None) -> tuple:
+    """:func:`perron_scaling` of each item of a real or complex stack X (B, n, n): per item
+    the error that ``perron_scaling`` raises for it, or None, and, unless every item fails
+    (then None each), the scalings d (B, n), dd = d d^T, the rescaled dd * X and its
+    magnitudes.  ``w`` may hold the eigenvalues of every X (ascending, one row per item);
+    they stand for those of the comparison matrices only when the stack is its own
+    comparison matrix bit for bit, which a +0 off a diagonal is not."""
     M = comparison_matrix(X)
-    psd, lowest = linalg.psd_spectrum(np.linalg.eigvalsh(M) if w is None else w)
+    if w is None or M.tobytes() != X.tobytes():
+        w = np.linalg.eigvalsh(M)
+    psd, lowest = linalg.psd_spectrum(w)
     passing = psd.tolist()
     errors: list[PcpkitError | None] = [
         None if ok else ComparisonNotPsdError("comparison matrix is not positive semidefinite", low)
         for ok, low in zip(passing, lowest.tolist())]
     if not any(passing):
-        return _Scalings(errors)
+        return errors, None, None, None, None
     n = X.shape[-1]
     support = M < 0.0                           # the off-diagonal support of X
     complete = psd & (support.sum(axis=(1, 2)) == n * (n - 1))
@@ -430,7 +417,7 @@ def _perron_scalings(X: np.ndarray, w: np.ndarray | None = None) -> _Scalings:
                                               float(lowest[b]))
         else:
             errors[b] = ConstructionError("Perron rescaling did not reach diagonal dominance")
-    return _Scalings(errors, d, dd, Xs, scaled)
+    return errors, d, dd, Xs, scaled
 
 
 def perron_scaling(X: np.ndarray) -> np.ndarray:
@@ -440,15 +427,12 @@ def perron_scaling(X: np.ndarray) -> np.ndarray:
     of M must pass ``linalg.psd_spectrum``, and a decline costs just that.  Then d is M's
     lowest eigenvector: from one ``eigh`` of M when every off-diagonal entry of X is
     non-zero (a connected support), else per connected component of the support graph.
-
-    X runs as a stack of one through the stacked scaling that :func:`comparison_split`
-    uses.  Over a stack, each item is judged alone: its PSD floor, its slack of
-    dominance and the shortfall that declines it or raises read that item's entries only.
+    X runs as a stack of one through the scaling of :func:`_comparison_splits`.
     """
-    scalings = _perron_scalings(np.asarray(X)[None])
-    if scalings.errors[0] is not None:
-        raise scalings.errors[0]
-    return scalings.d[0]
+    errors, d, *_ = _perron_scalings(np.asarray(X)[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return d[0]
 
 
 def decompose_comparison(pair: PairXY) -> ConstructorOutcome:
@@ -460,10 +444,8 @@ def decompose_comparison(pair: PairXY) -> ConstructorOutcome:
 
 class _Split(NamedTuple):
     """One item of a stacked comparison split: the rescaled-back columns with the core
-    count, the scaling and their residuals against the item's pair, or the lowest
-    eigenvalue of a decline, or the message of a failure that nothing explains; and
-    whether the item's pair and columns are finite (an item that is not has no
-    residuals)."""
+    count, the scaling and their residuals against the item's pair; or the lowest
+    eigenvalue of a decline; or the error that the item raises, as its type and message."""
 
     V: np.ndarray | None = None
     W: np.ndarray | None = None
@@ -471,38 +453,50 @@ class _Split(NamedTuple):
     scaling: tuple[float, ...] = ()
     residuals: Residuals | None = None
     min_eigenvalue: float | None = None
-    error: str | None = None
-    finite: bool = True
+    error: tuple[type[PcpkitError], str] | None = None
+
+
+# the split of an item whose pair or columns are not finite
+_NOT_FINITE_SPLIT = _Split(error=(PcpkitError, linalg.NOT_FINITE))
 
 
 def _comparison_splits(X: np.ndarray, Y: np.ndarray, w: np.ndarray | None = None
                        ) -> list[_Split]:
-    """The comparison split of every pair of the complex stacks X, Y (B, n, n), with the
-    residuals of its columns.
+    """The comparison split of every pair of the real or complex stacks X, Y (B, n, n),
+    with the residuals of its columns; ``w`` may hold the eigenvalues of every X (see
+    :func:`_perron_scalings`).
 
-    The arithmetic runs over the stack: one ``eigvalsh`` judges every comparison matrix
-    (none when their eigenvalues ``w`` are given) and one ``eigh`` scales the passing
-    items whose support is complete.  Every threshold is the item's own.  The columns
-    are laid out over every index pair and every row (see :func:`_split_layout`), and
-    each item keeps the ones it uses, in the order a split of that pair alone emits
-    them.  The items that keep the same number of columns are checked for finite
-    entries, as ``PcpDecomposition`` checks one set of columns, and verified in one
-    stacked pass (see :func:`~pcpkit.pairs.residuals`), with the norms of their pairs.
-    The pairs themselves are taken as checked where they enter.
+    This is the one code path of :func:`comparison_split`, a stack of one, and of the
+    batch that splits every ordering of a spectrum at once (``abssep``).  One
+    ``eigvalsh`` judges every comparison matrix (none when ``w`` stands for them) and
+    one ``eigh`` scales the passing items whose support is complete; the near-degenerate
+    Perron retry, the components of an incomplete support and a dominance shortfall run
+    per item, only where needed.  Each item is judged alone, so its split is the one its
+    pair gets alone: the PSD floor of its comparison matrix, the flush of |x_ij| against
+    its own largest entry of X, the slack flush, the dominance slack, the shortfall that
+    declines it or raises for it only, and the verification of its columns.  The pairs,
+    and then the columns, are checked for finite entries once per stack, and an item
+    that is not finite raises ``NOT_FINITE`` for itself, as ``PairXY`` or
+    ``PcpDecomposition`` would.  The columns are laid out over every index pair and
+    every row, and each item keeps the ones it uses, in the order a split of that pair
+    alone emits them.  The items that keep the same number of columns are verified in
+    one stacked pass (see :func:`~pcpkit.pairs.residuals`), with the norms of their pairs.
     """
     Xr = linalg._lapack_operand(X)              # X real on real data
     errors, d, dd, Xs, absXs = _perron_scalings(Xr, w)
     splits: list[_Split | None] = [
-        None if err is None else _Split(min_eigenvalue=err.min_eigenvalue)
-        if isinstance(err, ComparisonNotPsdError) else _Split(error=str(err)) for err in errors]
-    kept = [b for b, err in enumerate(errors) if err is None]
+        _NOT_FINITE_SPLIT if not ok else None if err is None
+        else _Split(min_eigenvalue=err.min_eigenvalue) if isinstance(err, ComparisonNotPsdError)
+        else _Split(error=(type(err), str(err)))
+        for ok, err in zip(_finite_items(X, Y).tolist(), errors)]
+    kept = [b for b, s in enumerate(splits) if s is None]
     if not kept:
         return splits
     if len(kept) < len(errors):
         X, Xr, Y, d, dd, Xs, absXs = (a[kept] for a in (X, Xr, Y, d, dd, Xs, absXs))
     B, n = X.shape[0], X.shape[-1]
-    kl, lk, vk, vl, vi, i = _split_layout(n)
-    p = kl.size
+    k, l = _upper_pairs(n)
+    p, c, i = k.size, np.arange(k.size), np.arange(n)
     Ys = np.maximum((dd * Y).real, 0.0)         # the split reads only Y's real part
     # round-off entries of X count as zero and their Y mass moves into the slack;
     # X's threshold follows the rescaling by d_i d_j
@@ -521,18 +515,17 @@ def _comparison_splits(X: np.ndarray, Y: np.ndarray, w: np.ndarray | None = None
     # each slack entry is what Yp leaves of a Y entry, so its round-off is relative to that entry
     P[P <= tol.FLUSH * Ys] = 0.0
 
-    # a core column per index pair k < l that Yp couples, then a slack column per row
-    # that P leaves non-zero
-    Yp_kl, Yp_lk = Yp.reshape(B, n * n)[:, kl], Yp.reshape(B, n * n)[:, lk]
+    # core column c for index pair (k_c, l_c) when Yp couples it, then slack column p + i
+    # for row i when P leaves it non-zero
+    Yp_kl, Yp_lk = Yp[:, k, l], Yp[:, l, k]
     live = np.concatenate([np.maximum(Yp_kl, Yp_lk) != 0.0, (P > 0.0).any(axis=2)], axis=1)
     q_kl, q_lk = Yp_kl ** 0.25, Yp_lk ** 0.25
     V = np.zeros((B, n, p + n), complex)
     W = np.zeros_like(V)
-    Vf, Wf = V.reshape(B, -1), W.reshape(B, -1)
-    Vf[:, vk] = np.exp(1j * np.angle(Xs.reshape(B, n * n)[:, kl])) * q_kl
-    Vf[:, vl] = Wf[:, vk] = q_lk
-    Wf[:, vl] = q_kl
-    Vf[:, vi] = 1.0
+    V[:, k, c] = np.exp(1j * np.angle(Xs[:, k, l])) * q_kl
+    V[:, l, c] = W[:, k, c] = q_lk
+    W[:, l, c] = q_kl
+    V[:, i, p + i] = 1.0
     W[:, :, p:] = np.sqrt(P).swapaxes(1, 2)
     unscale = (1.0 / np.sqrt(d))[:, :, None]
     V *= unscale
@@ -555,14 +548,14 @@ def _comparison_splits(X: np.ndarray, Y: np.ndarray, w: np.ndarray | None = None
         groups.append((items, group, Vg, Wg))
     # free the full layout before the verification allocates temporaries as large: kept,
     # it made a dense n = 100 split take 41 ms instead of 28 ms (one BLAS thread, 2 CPUs)
-    del V, W, Vf, Wf
+    del V, W
     for items, group, Vg, Wg in groups:
         ok = _finite_items(Vg, Wg)
         sel = slice(None) if ok.all() else ok       # columns that are not finite get no residuals
         res = iter(_residual_stack(Vg[sel], Wg[sel], X[group][sel], Y[group][sel]))
         for b, Vb, Wb, fin in zip(items.tolist(), Vg, Wg, ok.tolist()):
-            splits[kept[b]] = _Split(Vb, Wb, cores[b], tuple(scalings[b]),
-                                     next(res) if fin else None, finite=fin)
+            splits[kept[b]] = (_Split(Vb, Wb, cores[b], tuple(scalings[b]), next(res))
+                               if fin else _NOT_FINITE_SPLIT)
     return splits
 
 
@@ -571,10 +564,9 @@ def _split_outcome(split: _Split, method: str = "comparison",
     """The outcome of one item of :func:`_comparison_splits`: its columns, judged by their
     residuals at ``tolerances.VERIFY``; ``extra`` joins the outcome's fresh ``info``."""
     extra = extra or {}
-    if not split.finite:
-        raise PcpkitError(linalg.NOT_FINITE)
     if split.error is not None:
-        raise ConstructionError(split.error)
+        kind, message = split.error
+        raise kind(message)
     if split.V is None:
         return ConstructorOutcome(
             status=NOT_APPLICABLE,
@@ -606,18 +598,8 @@ def comparison_split(pair: PairXY) -> ConstructorOutcome:
 
     Conditions (c) and (d) hold only up to their slacks, so |x_ij| is clamped
     to sqrt(y_ij y_ji) and negative slack is dropped; the verification judges
-    what that leaves out, and a split that fails it declines.
-
-    The arithmetic runs on (B, n, n) stacks, and the pair is a stack of one, so it
-    shares one code path with the batch that splits every ordering of a spectrum
-    at once (``abssep``).  Over a stack, one ``eigvalsh`` judges every comparison
-    matrix and one ``eigh`` scales the passing items whose support is complete;
-    the near-degenerate Perron retry, the component analysis of an incomplete
-    support and a dominance shortfall run per item, only where needed.  Each item
-    is judged alone: the PSD floor of its comparison matrix, the flush of |x_ij|
-    against its own largest entry of X, the slack flush, the dominance slack, the
-    shortfall that declines it or raises for it only, and the verification of its
-    columns at ``tolerances.VERIFY``.
+    what that leaves out, and a split that fails it declines.  The pair runs as
+    a stack of one through :func:`_comparison_splits`.
     """
     (split,) = _comparison_splits(pair.X[None], pair.Y[None])
     return _split_outcome(split)

@@ -94,28 +94,13 @@ def psd_spectrum(w: np.ndarray):
     return lowest >= -tol.psd_floor(w), lowest
 
 
-def psd_test(A: np.ndarray) -> tuple[bool, float, np.ndarray | None]:
-    """Whether A is Hermitian (within tolerance) with a spectrum passing :func:`psd_spectrum`,
-    its smallest eigenvalue (nan when A is not Hermitian, inf when A is empty),
-    and its eigenvalues in ascending order (None when A is not Hermitian).
-
-    This is the spectral judgement, and it always diagonalizes a Hermitian A.
-    Condition (a) of ``pairs.check_necessary`` tries :func:`cholesky_certifies_psd`
-    first and, when the factorization fails, judges the spectrum of X as this does."""
-    if not is_hermitian(A):
-        return False, math.nan, None
-    w = np.linalg.eigvalsh(_lapack_operand(np.asarray(A)))
-    psd, lowest = psd_spectrum(w)
-    return bool(psd), float(lowest), w
-
-
 # the largest n for which a successful Cholesky factorization certifies the PSD floor
 _CHOLESKY_MAX_N = math.isqrt(int(tol.PSD / (4.0 * np.finfo(float).eps)))
 
 
 def cholesky_certifies_psd(A: np.ndarray) -> bool:
     """Whether the Cholesky factorization of the Hermitian matrix A succeeds, which
-    certifies that :func:`psd_test` passes A; False proves nothing.
+    certifies that :func:`is_psd` passes A; False proves nothing.
 
     The factorization reads A's lower triangle, as ``eigvalsh`` does, in real
     arithmetic when :func:`_lapack_operand` allows.  One that succeeds computes L with
@@ -138,8 +123,14 @@ def cholesky_certifies_psd(A: np.ndarray) -> bool:
 
 
 def is_psd(A: np.ndarray) -> bool:
-    """True iff A is positive semidefinite as :func:`psd_test` judges it."""
-    return psd_test(A)[0]
+    """True iff A is Hermitian (within tolerance) with a spectrum passing :func:`psd_spectrum`.
+
+    This is the spectral judgement, and it always diagonalizes a Hermitian A.
+    Condition (a) of ``pairs.check_necessary`` tries :func:`cholesky_certifies_psd`
+    first and, when the factorization fails, judges the spectrum of X as this does."""
+    if not is_hermitian(A):
+        return False
+    return bool(psd_spectrum(np.linalg.eigvalsh(_lapack_operand(np.asarray(A))))[0])
 
 
 def trace_norm(A: np.ndarray) -> float:

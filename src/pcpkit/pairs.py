@@ -283,7 +283,7 @@ def check_necessary(pair: PairXY) -> NecessaryReport:
       the floor (:func:`~pcpkit.linalg.cholesky_certifies_psd` proves it from the
       factorization's backward error), and then ||X||_tr = tr X.  When the
       factorization fails, X is diagonalized and judged as
-      :func:`~pcpkit.linalg.psd_test` judges it, and ||X||_tr is the sum of
+      :func:`~pcpkit.linalg.is_psd` judges it, and ||X||_tr is the sum of
       |eigenvalues|.  A non-Hermitian X fails (a) on its Hermiticity defect (tested
       once) and gets one SVD, for ||X||_tr.
     * (e): ||Y||_tr <= sqrt(rank Y) ||Y||_F <= sqrt(n) ||Y||_F = U (Cauchy-Schwarz

@@ -770,20 +770,21 @@ def test_a_failed_verification_declines_only_its_own_ordering(monkeypatch):
 
 
 def test_a_non_finite_pair_or_column_raises_only_for_its_own_ordering(monkeypatch):
-    """The batch checks its pair stack and its columns for finite entries once, and an
+    """The split checks its pair stack and its columns for finite entries once, and an
     item that fails either check raises ``PcpkitError`` for its own ordering, as
     ``PairXY`` and ``PcpDecomposition`` would, every time it is asked for; every other
-    ordering is still certified.  One item's Y gets a NaN after the split, and another
-    item's scaling a zero entry, which leaves NaN in its rescaled columns."""
+    ordering is still certified.  One item's Y gets a NaN before the split, and another
+    item's scaling a zero entry, which leaves NaN in its rescaled columns.  A spectrum
+    near the largest float overflows the diagonal of its pair, which raises where the
+    NaN spectrum of its comparison matrix alone would decline it."""
     tables = enumerate_orderings(5)
     bad_pair, bad_columns = 3, 11
     splits, perron_vector = abssep._comparison_splits, construct._perron_vector
 
     def nan_pair(X, Y, w=None):
-        out = splits(X, Y, w)
         if len(Y) == len(tables):
             Y[bad_pair, 0, 1] = np.nan
-        return out
+        return splits(X, Y, w)
 
     def zero_scaling(M):
         v = perron_vector(M)
@@ -803,6 +804,8 @@ def test_a_non_finite_pair_or_column_raises_only_for_its_own_ordering(monkeypatc
             else:
                 assert_same_split(certify_special_separable(table, CI_SPECTRUM_N5), table,
                                   CI_SPECTRUM_N5)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(PcpkitError, match="finite"):
+        certify_special_separable(enumerate_orderings(2)[0], np.linspace(1.5e308, 1.4e308, 4))
 
 
 def test_outcomes_share_no_mutable_state():

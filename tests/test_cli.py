@@ -335,6 +335,26 @@ def test_abs_ppt_certify_writes_files(capsys, tmp_path):
         assert np.all(np.linalg.eigvalsh(rebuilt.X) > -1e-10)
 
 
+def test_abs_ppt_certify_reports_an_ordering_it_cannot_certify(capsys, tmp_path):
+    """The check passes this spectrum within its PSD floor (smallest eigenvalue about
+    -4.4e-10), but the comparison split declines its one ordering: no file is written,
+    the ordering is listed as uncertified, and the exit code is 3."""
+    lam = "0.5000000005,0.25,0.2,0.09"
+    code, out, _ = run(capsys, "abs-ppt", "--n", "2", "--lambdas", lam,
+                       "--certify", "--out-dir", tmp_path)
+    assert code == 3
+    assert "ordering 0: min eigenvalue -4.41176512e-10 -> PASS" in out
+    assert "ordering 0: no certificate (comparison matrix of X is not positive " \
+           "semidefinite)" in out
+    assert "stays PPT" in out
+    code, payload = run_json(capsys, "abs-ppt", "--n", "2", "--lambdas", lam,
+                             "--certify", "--out-dir", tmp_path)
+    assert code == 3
+    assert payload["passes"] is True and payload["uncertified"] == [0]
+    assert "certificates" not in payload
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_abs_ppt_lambdas_from_file(capsys, tmp_path):
     spec = tmp_path / "spectrum.txt"
     spec.write_text("0.25 0.25, 0.25\n0.25\n")

@@ -85,16 +85,17 @@ def test_real_data_runs_real_lapack_with_the_complex_decisions(monkeypatch):
             H = rng.standard_normal((n, n))
             A = A + 1j * (H - H.T) * 1e-3
         dtypes.clear()
-        psd, lowest, spectrum = linalg.psd_test(A)
-        eigenvalues = linalg.hermitian_eigenvalues(A)
+        psd = linalg.is_psd(A)
+        spectrum = linalg.hermitian_eigenvalues(A)[::-1]
         norm = linalg.trace_norm(A)
         assert dtypes == [np.complex128 if A.imag.any() else np.float64] * 3
+        holds, lowest = linalg.psd_spectrum(spectrum)
+        assert psd == holds
         reference = np.linalg.eigvalsh(A)
         assert psd == (reference.min() >= -psd_floor(reference))
         assert psd == (factor > -1.0) or A.imag.any()
         bound = 1e-13 * np.abs(reference).max()
         assert np.abs(spectrum - reference).max() <= bound
-        assert np.abs(eigenvalues[::-1] - reference).max() <= bound
         assert abs(lowest - reference.min()) <= bound
         assert abs(norm - np.linalg.svd(A, compute_uv=False).sum()) <= 1e-13 * n * norm
 

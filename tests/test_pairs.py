@@ -120,7 +120,7 @@ def test_verification_is_right_at_any_scale():
 
 def test_check_necessary_tests_hermiticity_once(monkeypatch):
     """A singular PSD X, whose Cholesky factorization fails, is diagonalized once for
-    (a) without a second Hermiticity test, and is judged as ``psd_test`` judges it."""
+    (a) without a second Hermiticity test, and is judged as ``is_psd`` judges it."""
     calls = []
     is_hermitian = linalg.is_hermitian
 
@@ -134,7 +134,9 @@ def test_check_necessary_tests_hermiticity_once(monkeypatch):
     report = check_necessary(pair)
     assert len(calls) == 1
     monkeypatch.undo()
-    holds, lowest, spectrum = linalg.psd_test(pair.X)
+    spectrum = linalg.hermitian_eigenvalues(pair.X)[::-1]
+    holds = linalg.is_psd(pair.X)
+    assert holds == linalg.psd_spectrum(spectrum)[0]
     assert report.all_hold and holds and "a" not in report.witnesses
     assert report.x_rank == 1 and report.x_gap == np.abs(pair.X).sum() - np.abs(spectrum).sum()
 
