@@ -12,6 +12,11 @@ members of both kinds:
   is entangled: X_c is DNN, the Horn matrix H is copositive (Hall & Newman,
   1963) and <H, X_c> = 5 - 10c < 0, so X_c is not CP.
 
+One family pairs X with another Y: the all-ones J against the cyclic Y_a with
+weights (1, a, 1/a).  It meets (a)-(d), so its state is PPT, but for a != 1
+realignment fails in closed form (gap(Y_a) < 6 = gap(J)), so it is entangled;
+at a = 1 it is (J, J), rank-one CP, so separable.
+
 Every member also appears as an image under maps that keep decomposability:
 a simultaneous permutation, a positive diagonal scaling (DXD, DYD) and the
 filter (X, D_a Y D_a^-1).  For each family, size and form (plain or image)
@@ -57,6 +62,20 @@ def rank_one(rng, n: int) -> np.ndarray:
     return np.outer(b, b)
 
 
+def same(make: Callable[[np.random.Generator, int], np.ndarray]):
+    """The generator of the members (X, X) for a generator of X."""
+    def member(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
+        X = make(rng, n)
+        return X, X
+    return member
+
+
+def cyclic(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(J, Y_a) with log a drawn from (-2.5, 2.5): entangled though PPT."""
+    a = np.exp(rng.uniform(-2.5, 2.5))
+    return np.ones((3, 3)), np.array([[1.0, a, 1.0 / a], [1.0 / a, 1.0, a], [a, 1.0 / a, 1.0]])
+
+
 def five_cycle(rng, n: int) -> np.ndarray:
     """X_c with c drawn from (0.5, 0.618]: DNN but not CP."""
     c = 0.5 + 0.118 * (1.0 - rng.random())
@@ -70,28 +89,30 @@ def five_cycle(rng, n: int) -> np.ndarray:
 class Family:
     name: str
     truth: str
-    make: Callable[[np.random.Generator, int], np.ndarray]   # (rng, n) -> X of the member (X, X)
-    sizes: tuple[tuple[int, int], ...]                        # (n, members) per size
+    make: Callable[[np.random.Generator, int], tuple]   # (rng, n) -> the member (X, Y)
+    sizes: tuple[tuple[int, int], ...]                   # (n, members) per size
 
 
 FAMILIES = (
-    Family("BB^T, B >= 0", SEPARABLE, gram_of_nonnegative,
+    Family("BB^T, B >= 0", SEPARABLE, same(gram_of_nonnegative),
            ((3, 200), (4, 200), (5, 100), (6, 100), (8, 100))),
-    Family("DNN, n <= 4", SEPARABLE, doubly_nonnegative, ((3, 200), (4, 400))),
-    Family("rank-one", SEPARABLE, rank_one, tuple((n, 100) for n in range(2, 7))),
-    Family("5-cycle X_c", ENTANGLED, five_cycle, ((5, 200),)),
+    Family("DNN, n <= 4", SEPARABLE, same(doubly_nonnegative), ((3, 200), (4, 400))),
+    Family("rank-one", SEPARABLE, same(rank_one), tuple((n, 100) for n in range(2, 7))),
+    Family("5-cycle X_c", ENTANGLED, same(five_cycle), ((5, 200),)),
+    Family("cyclic, a!=1", ENTANGLED, cyclic, ((3, 380),)),
+    Family("cyclic, a=1", SEPARABLE, same(lambda rng, n: np.ones((n, n))), ((3, 20),)),
 )
 
 
-def image(rng, X: np.ndarray) -> PairXY:
-    """(X, X) under a random simultaneous permutation, scaling (DXD, DXD) and filter
-    (X, D_a X D_a^-1), with D and D_a over 10^-2..10^2."""
+def image(rng, X: np.ndarray, Y: np.ndarray) -> PairXY:
+    """(X, Y) under a random simultaneous permutation, scaling (DXD, DYD) and filter
+    (X, D_a Y D_a^-1), with D and D_a over 10^-2..10^2."""
     n = X.shape[0]
     p = rng.permutation(n)
     d = 10.0 ** rng.uniform(-2.0, 2.0, n)
     a = 10.0 ** rng.uniform(-2.0, 2.0, n)
-    X = d[:, None] * X[np.ix_(p, p)] * d
-    return PairXY(X, a[:, None] * X / a)
+    X, Y = (d[:, None] * M[np.ix_(p, p)] * d for M in (X, Y))
+    return PairXY(X, a[:, None] * Y / a)
 
 
 def answered_against(truth: str, pair: PairXY) -> tuple[str, bool]:
@@ -116,8 +137,8 @@ def run(seed: int = 0, fraction: float = 1.0) -> list[dict]:
                                            "against truth"), 0) for form in ("plain", "image")}
             rng = np.random.default_rng([seed, index, n])
             for _ in range(max(1, round(members * fraction))):
-                X = family.make(rng, n)
-                for form, pair in (("plain", PairXY(X, X)), ("image", image(rng, X))):
+                X, Y = family.make(rng, n)
+                for form, pair in (("plain", PairXY(X, Y)), ("image", image(rng, X, Y))):
                     verdict, wrong = answered_against(family.truth, pair)
                     counts[form][verdict] += 1
                     counts[form]["against truth"] += wrong

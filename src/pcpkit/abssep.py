@@ -152,8 +152,8 @@ def _slot_positions(ordering: OrderingTable) -> dict[Slot, int]:
 
 def _check_spectrum(lambdas, size: int) -> np.ndarray:
     """The spectrum, which must be sorted and non-negative up to ``tolerances.ZERO``
-    times its largest entry, as a read-only float array with round-off negatives clamped
-    to zero."""
+    times its largest entry and at most :func:`_spectrum_bound`, as a read-only float
+    array with round-off negatives clamped to zero."""
     lam = np.asarray(lambdas, dtype=float)
     if lam.ndim != 1 or lam.size != size:
         raise DimensionMismatchError(f"spectrum must have length {size}, got shape {lam.shape}")
@@ -164,7 +164,22 @@ def _check_spectrum(lambdas, size: int) -> np.ndarray:
         raise NotSortedError("spectrum must be sorted in non-increasing order")
     if lam.min() < -tol.ZERO * scale:
         raise PcpkitError(f"spectrum has a negative entry ({lam.min():.3e})")
+    if scale > (bound := _spectrum_bound(size)):
+        raise PcpkitError(f"spectrum entries above {bound:.3e} would overflow the test matrices")
     return _read_only(np.clip(lam, 0.0, None))[0]
+
+
+def _spectrum_bound(size: int) -> float:
+    """The largest spectrum entry lambda_1 at which every number the test and the
+    certificates form stays finite: the largest float over 2 n^2, for n^2 = ``size``.
+
+    A test matrix Z has 2 lambda_i on its diagonal and plus - minus off it, so its row
+    sums, and ||Z||_2, are at most (n + 1) lambda_1, and the PSD floor's sum of
+    |eigenvalues| at most n (n + 1) lambda_1, which 2 n^2 covers with room for round-off
+    (at n = 1 the one eigenvalue is 2 lambda_1, exactly).  The certificates' pairs have
+    entries up to lambda_1 (Z / 2, and the slot sums (plus + minus) / 2) and row sums
+    up to n lambda_1.  A spectrum under the bound is left as it is."""
+    return float(np.finfo(float).max) / (2.0 * size)
 
 
 class _Spectrum:

@@ -30,7 +30,7 @@ from .errors import (
     NotClduiError,
     WrongDimensionError,
 )
-from .construct import ConstructorOutcome, decompose_auto
+from .construct import CRITERIA, ConstructorOutcome, decompose_auto
 from .pairs import NecessaryReport, PairXY, PcpDecomposition
 
 SEPARABLE = "separable"
@@ -192,19 +192,17 @@ class SeparabilityVerdict:
 def separability_verdict(pair: PairXY) -> SeparabilityVerdict:
     """Classify the state of a coefficient pair.
 
-    Entangled when the partial-transpose or realignment criterion fails;
-    separable when a joint decomposition is found (the certificate: replace
-    each w_k by its conjugate to obtain product vectors); inconclusive
-    otherwise.  Conditions (a)-(e) are evaluated once; both criteria and
-    every construction route read that one report.
+    Entangled when one of the :data:`~pcpkit.construct.CRITERIA` fails (the
+    first in their order is named); separable when a joint decomposition is
+    found (the certificate: replace each w_k by its conjugate to obtain product
+    vectors); inconclusive otherwise.  Conditions (a)-(e) are evaluated once;
+    every criterion and construction route reads that one report.
     """
     report = _state_report(pair)
-    if not report.holds_d:
-        return SeparabilityVerdict(ENTANGLED, criterion="ppt", report=report,
-                                   witness=report.witnesses["d"])
-    if not report.holds_e:
-        return SeparabilityVerdict(ENTANGLED, criterion="realignment", report=report,
-                                   witness=report.witnesses["e"])
+    for criterion, condition in CRITERIA.items():
+        if not getattr(report, f"holds_{condition}"):
+            return SeparabilityVerdict(ENTANGLED, criterion=criterion, report=report,
+                                       witness=report.witnesses[condition])
     outcome = decompose_auto(pair)
     if outcome.ok:
         return SeparabilityVerdict(

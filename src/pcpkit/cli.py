@@ -87,11 +87,8 @@ def cmd_check_pair(args) -> int:
     return EXIT_OK if report.all_hold else EXIT_VIOLATED
 
 
-_METHODS = {
-    "auto": lambda pair, perms: construct.decompose_auto(pair, search_permutations=perms),
-    "recursive": lambda pair, perms: construct.decompose_recursive(pair, search_permutations=perms),
-    "comparison": lambda pair, perms: construct.decompose_comparison(pair),
-}
+_METHODS = {"auto": lambda pair, perms: construct.decompose_auto(pair, search_permutations=perms),
+            **construct.ROUTES}
 
 
 def cmd_decompose(args) -> int:

@@ -1,18 +1,11 @@
 """Constructive decomposition routes for matrix pairs.
 
-Two sufficient constructions, each packaged as a function returning a
-:class:`ConstructorOutcome`:
-
-* ``decompose_comparison``  -- comparison-matrix route: Perron rescaling to a
-                               diagonally dominant X, then an explicit
-                               pair-of-columns factorization plus a diagonal
-                               slack term.
-* ``decompose_recursive``   -- row-by-row elimination, optionally retried under
-                               simultaneous row/column permutations.
-
-``decompose_isotropic`` handles the two-parameter family (aI + bJ, bI + aJ)
-by mixing closed-form decompositions of the two extreme members, and
-``decompose_auto`` tries the general routes in order of cost.
+Each construction is a function returning a :class:`ConstructorOutcome`.  The
+general routes and the criteria that refute a pair are written once, in order of
+cost, in :data:`ROUTES` and :data:`CRITERIA`: :func:`decompose_auto`,
+``cldui.separability_verdict`` and ``pcpkit decompose --method`` read them there.
+``decompose_isotropic`` handles the two-parameter family (aI + bJ, bI + aJ) by
+mixing closed-form decompositions of the two extreme members.
 
 Each general route is gated on the pair's necessary conditions, which it
 reads from ``pair.report``: a pair evaluates (a)-(e) once, however many
@@ -679,6 +672,20 @@ def decompose_isotropic(n: int, a: float, b: float) -> ConstructorOutcome:
                        mixture=t, c_plus=c_plus, c_minus=c_minus)
 
 
+# The criteria whose failure refutes a pair, each with the condition it reads from the
+# pair's report (the partial transpose is PSD exactly when (d) holds, and realignment
+# passes exactly when (e) holds), and the general routes, each run as
+# (pair, search_permutations) -> ConstructorOutcome.  Both are in the order they are
+# tried.  A route looks its function up on this module when it runs, so a rebinding
+# of ``decompose_recursive`` or ``decompose_comparison`` here is what runs.
+CRITERIA = {"ppt": "d", "realignment": "e"}
+ROUTES = {
+    "comparison": lambda pair, search_permutations: decompose_comparison(pair),
+    "recursive": lambda pair, search_permutations: decompose_recursive(
+        pair, search_permutations=search_permutations),
+}
+
+
 def _comparison_refuted(pair: PairXY) -> bool:
     """Whether the report of a pair meeting (a)-(e) proves that the comparison route
     declines it as :data:`_NOT_PSD`, read off O(n) numbers: s = sum |x_ii| and the
@@ -718,14 +725,11 @@ def _comparison_refuted(pair: PairXY) -> bool:
 
 
 def decompose_auto(pair: PairXY, search_permutations: bool = True) -> ConstructorOutcome:
-    """Try every general-purpose route in order of cost; first success wins.
+    """Try the :data:`ROUTES` in order; first success wins.
 
     A pair failing any of (a)-(e) is ``conditions-violated`` before any route
-    runs, as :func:`~pcpkit.cldui.separability_verdict` has it.  Otherwise the
-    order is the comparison route, which covers every diagonal X and every
-    n = 2 pair meeting (a)-(d) (their comparison matrices are PSD), then the
-    row-by-row elimination (with permutation retries).  When nothing applies,
-    the per-method reasons are collected in ``info["methods"]``.
+    runs, as :func:`~pcpkit.cldui.separability_verdict` has it.  When nothing
+    applies, the per-route reasons are collected in ``info["methods"]``.
 
     The comparison route is refuted from the report, with no eigensolve, when
     gap(X) > tr X: the comparison matrix M of a PSD X has 1^T M 1 = sum |x_ii| -
@@ -740,13 +744,11 @@ def decompose_auto(pair: PairXY, search_permutations: bool = True) -> Constructo
     if violated := _violated("auto", pair, "abcde"):
         return violated
     attempts: dict[str, str] = {}
-    routes = [decompose_comparison,
-              functools.partial(decompose_recursive, search_permutations=search_permutations)]
-    if _comparison_refuted(pair):
-        attempts["comparison"] = _NOT_PSD
-        del routes[0]
-    for route in routes:
-        out = route(pair)
+    for name, route in ROUTES.items():
+        if name == "comparison" and _comparison_refuted(pair):
+            attempts[name] = _NOT_PSD
+            continue
+        out = route(pair, search_permutations)
         if out.ok:
             return out
         attempts[out.method] = out.reason or out.status

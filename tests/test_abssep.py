@@ -775,8 +775,8 @@ def test_a_non_finite_pair_or_column_raises_only_for_its_own_ordering(monkeypatc
     ``PairXY`` and ``PcpDecomposition`` would, every time it is asked for; every other
     ordering is still certified.  One item's Y gets a NaN before the split, and another
     item's scaling a zero entry, which leaves NaN in its rescaled columns.  A spectrum
-    near the largest float overflows the diagonal of its pair, which raises where the
-    NaN spectrum of its comparison matrix alone would decline it."""
+    near the largest float, which would overflow the diagonal of its pair, is refused
+    where it enters, before any split."""
     tables = enumerate_orderings(5)
     bad_pair, bad_columns = 3, 11
     splits, perron_vector = abssep._comparison_splits, construct._perron_vector
@@ -804,7 +804,7 @@ def test_a_non_finite_pair_or_column_raises_only_for_its_own_ordering(monkeypatc
             else:
                 assert_same_split(certify_special_separable(table, CI_SPECTRUM_N5), table,
                                   CI_SPECTRUM_N5)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(PcpkitError, match="finite"):
+    with pytest.raises(PcpkitError, match="overflow"):
         certify_special_separable(enumerate_orderings(2)[0], np.linspace(1.5e308, 1.4e308, 4))
 
 
@@ -849,3 +849,39 @@ def test_input_validation():
     repeated = OrderingTable(2, (table.slots[0],) * 4, table.witness)
     with pytest.raises(InvalidOrderingError):
         l_map_matrix(repeated, [0.4, 0.3, 0.2, 0.1])
+
+
+# spectra near the largest float: at n = 2 a false pass and a false fail, at n = 3 a
+# test matrix whose doubled diagonal overflowed into the eigensolver
+OVERFLOWING_SPECTRA = [
+    (2, [1.7e308, 2.4e307, 2.4e307, 2.4e307]),
+    (2, [1.7e308, 1.6e308, 1.5e308, 1.4e308]),
+    (3, [1.7e308] * 4 + [1e308] * 5),
+]
+
+
+@pytest.mark.parametrize("n, lam", OVERFLOWING_SPECTRA)
+def test_a_spectrum_above_the_bound_is_refused(n, lam):
+    """The same spectra scaled down answer (False, 0), (True, None) and (True, None);
+    above the bound each entry point refuses them instead of answering."""
+    table = enumerate_orderings(n)[0]
+    for call in (lambda: abs_ppt_check(n, lam), lambda: l_map_matrix(table, lam),
+                 lambda: certify_special_separable(table, lam),
+                 lambda: ordering_min_eigenvalues(n, lam, orderings=[table])):
+        with pytest.raises(PcpkitError, match="overflow"):
+            call()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_a_spectrum_at_the_bound_keeps_its_answers(n):
+    """A passing and a failing spectrum scaled so that lambda_1 is the bound get the
+    answers and certificate statuses of the unscaled ones, with no overflow warning."""
+    bound = abssep._spectrum_bound(n * n)
+    for lam in (np.linspace(1.2, 0.8, n * n), np.linspace(1.0, 0.0, n * n) ** 4):
+        top = lam / lam[0] * bound
+        assert top[0] == bound
+        assert abs_ppt_check(n, top) == abs_ppt_check(n, lam)
+        for table in enumerate_orderings(n):
+            assert (certify_special_separable(table, top).status
+                    == certify_special_separable(table, lam).status)
+            assert np.isfinite(l_map_matrix(table, top)).all()

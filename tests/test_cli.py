@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -5,10 +6,11 @@ import sys
 import numpy as np
 import pytest
 
+import pcpkit.construct
 import pcpkit.fileio
 import pcpkit.pairs
 from pcpkit import PairXY, reconstruct, verify_decomposition
-from pcpkit.cli import main
+from pcpkit.cli import build_parser, main
 from pcpkit.errors import PcpkitError
 from pcpkit.fileio import load_certificate, load_pair_document, save_pair_document
 
@@ -146,6 +148,24 @@ def test_decompose_comparison_route(capsys, monkeypatch):
     assert payload["residual_x"] < 1e-8
     # the residuals printed are those of the route's own verification
     assert len(rebuilt) == 1
+
+
+def test_method_choices_are_auto_and_the_routes():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    (method,) = [a for a in sub.choices["decompose"]._actions if a.dest == "method"]
+    assert sorted(method.choices) == sorted(["auto", *pcpkit.construct.ROUTES])
+    assert method.default == "auto"
+
+
+@pytest.mark.parametrize("route", ["comparison", "recursive"])
+def test_decompose_method_runs_the_rebound_route(capsys, monkeypatch, route):
+    """``--method <route>`` looks the route up on ``construct`` when it runs."""
+    declined = pcpkit.construct.ConstructorOutcome("not-applicable", route, reason="rebound")
+    monkeypatch.setattr(pcpkit.construct, f"decompose_{route}", lambda pair, *a, **k: declined)
+    code, out, _ = run(capsys, "decompose", FIXTURES / "comparison_pair.json", "--method", route)
+    assert code == 3
+    assert out.startswith(f"method: {route}\nstatus: not-applicable (rebound)\n")
 
 
 def test_decompose_rejects_violated_pair(capsys):
@@ -401,3 +421,14 @@ def test_console_module_invocation():
     )
     assert proc.returncode == 0
     assert "all necessary conditions hold" in proc.stdout
+
+
+@pytest.mark.parametrize("n, lam", [
+    (2, "1.7e308,2.4e307,2.4e307,2.4e307"),        # answered PASS
+    (2, "1.7e308,1.6e308,1.5e308,1.4e308"),        # answered FAIL
+    (3, "1.7e308,1.7e308,1.7e308,1.7e308,1e308,1e308,1e308,1e308,1e308"),  # a traceback
+])
+def test_abs_ppt_refuses_a_spectrum_that_overflows(capsys, n, lam):
+    code, out, err = run(capsys, "abs-ppt", "--n", n, "--lambdas", lam)
+    assert code == 1 and out == ""
+    assert err.startswith("error: spectrum entries above") and "overflow" in err

@@ -960,6 +960,38 @@ def test_auto_refutes_before_any_route(monkeypatch):
         assert out.info == {"report": pair.report}
 
 
+def _declining(route: str, calls: list):
+    def declined(pair, *args, **kwargs):
+        calls.append(route)
+        return construct.ConstructorOutcome(construct.NOT_APPLICABLE, route,
+                                            reason=f"{route} rebound")
+    return declined
+
+
+def test_auto_and_the_verdict_run_the_rebound_routes_in_table_order(monkeypatch, fixtures):
+    """Each route looks its function up on ``construct`` when it runs, and
+    ``info["methods"]`` follows the table, whether a route ran or was refuted."""
+    assert list(construct.ROUTES) == ["comparison", "recursive"]
+    calls: list = []
+    for route in construct.ROUTES:
+        monkeypatch.setattr(construct, f"decompose_{route}", _declining(route, calls))
+    declined = [(r, f"{r} rebound") for r in construct.ROUTES]
+    pair, _ = load_pair_document(fixtures / "comparison_pair.json")
+    assert list(decompose_auto(pair).info["methods"].items()) == declined
+    verdict = separability_verdict(pair)
+    assert verdict.verdict == "inconclusive"
+    assert list(verdict.outcome.info["methods"].items()) == declined
+    assert calls == list(construct.ROUTES) * 2
+    # a comparison route refuted from the report is recorded first, and never runs
+    calls.clear()
+    pair, _ = load_pair_document(fixtures / "inconclusive_pair.json")
+    assert construct._comparison_refuted(pair)
+    out = decompose_auto(pair)
+    assert calls == ["recursive"]
+    assert list(out.info["methods"].items()) == [
+        ("comparison", construct._NOT_PSD), ("recursive", "recursive rebound")]
+
+
 def _near_boundary_pair(rng, n, ratio) -> PairXY:
     """A pair meeting (a)-(e) for n >= 3 whose gap(X) / sum |x_ii| is ``ratio``: X is
     I + t (J - I) / (n - 1) under a random diagonal unitary, so its comparison matrix

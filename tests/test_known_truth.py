@@ -23,4 +23,9 @@ def test_no_corpus_member_is_answered_against_its_truth():
     eight = [r for r in rows if r["family"] == "BB^T, B >= 0" and r["n"] == 8]
     assert len(eight) == 2 and all(r["inconclusive"] <= 15 for r in eight)
     assert {r["family"] for r in rows} == {"BB^T, B >= 0", "DNN, n <= 4", "rank-one",
-                                           "5-cycle X_c"}
+                                           "5-cycle X_c", "cyclic, a!=1", "cyclic, a=1"}
+    # (J, Y_a) fails realignment for every a != 1 and is certified at a = 1
+    cyclic = {(r["family"], r["form"]): r for r in rows if r["family"].startswith("cyclic")}
+    assert cyclic["cyclic, a!=1", "plain"]["entangled"] == 190
+    assert cyclic["cyclic, a=1", "plain"]["separable"] == 10
+    assert cyclic["cyclic, a=1", "image"]["separable"] == 10
