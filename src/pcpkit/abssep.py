@@ -85,8 +85,13 @@ class OrderingTable:
     @cached_property
     def positions(self) -> np.ndarray:
         """Position in ``slots`` of each slot: squares, then plus pairs, then minus pairs."""
-        pos = _slot_positions(self)
-        return _read_only(np.array([pos[s] for s in _slot_list(self.n)]))[0]
+        pos = {slot: m for m, slot in enumerate(self.slots)}
+        if len(pos) != len(self.slots):
+            raise InvalidOrderingError("ordering contains repeated slots")
+        try:
+            return _read_only(np.array([pos[s] for s in _slot_list(self.n)]))[0]
+        except KeyError as exc:                 # n^2 distinct slots, but not the n^2 named ones
+            raise InvalidOrderingError(f"ordering lacks the slot {exc.args[0]}") from None
 
 
 def _slot_list(n: int) -> list[Slot]:
@@ -120,34 +125,19 @@ def enumerate_orderings(n: int) -> list[OrderingTable]:
     """
     if n not in ordering_data.TABLES:
         raise UnsupportedDimensionError(f"ordering tables are stored for 2 <= n <= 5, got {n}")
-    return list(_stored_tables(n))
+    return list(_stored(n)[0])
 
 
 @functools.cache
-def _stored_tables(n: int) -> tuple[OrderingTable, ...]:
-    """The stored orderings of n, decoded on the first call for n."""
-    tables = []
-    for line in ordering_data.TABLES.get(n, "").strip().splitlines():
-        code, *x = line.split()
-        tables.append(decode_ordering(n, code, [float(v) for v in x]))
-        _read_only(tables[-1].witness)
-    return tuple(tables)
-
-
-@functools.cache
-def _stored_positions(n: int) -> tuple[np.ndarray, dict[bytes, int]]:
-    """The ``positions`` of the stored orderings of n, one row each in listing order, and
-    each row's index keyed by its bytes (none when n has no tables).  Built on the first
-    check or certificate for n."""
-    positions = _read_only(_positions(n, _stored_tables(n)))[0]
-    return positions, {row.tobytes(): m for m, row in enumerate(positions)}
-
-
-def _slot_positions(ordering: OrderingTable) -> dict[Slot, int]:
-    positions = {slot: m for m, slot in enumerate(ordering.slots)}
-    if len(positions) != len(ordering.slots):
-        raise InvalidOrderingError("ordering contains repeated slots")
-    return positions
+def _stored(n: int) -> tuple[tuple[OrderingTable, ...], np.ndarray, dict[bytes, int]]:
+    """The stored orderings of n, decoded on the first call for n, with their
+    ``positions``, one row each in listing order, and each row's index keyed by its
+    bytes (no orderings when n has no tables)."""
+    tables = tuple(decode_ordering(n, code, [float(v) for v in x]) for code, *x in
+                   map(str.split, ordering_data.TABLES.get(n, "").strip().splitlines()))
+    positions = _positions(n, tables)
+    _read_only(positions, *(t.witness for t in tables))
+    return tables, positions, {row.tobytes(): m for m, row in enumerate(positions)}
 
 
 def _check_spectrum(lambdas, size: int) -> np.ndarray:
@@ -160,7 +150,11 @@ def _check_spectrum(lambdas, size: int) -> np.ndarray:
     if not np.isfinite(lam).all():
         raise PcpkitError("spectrum entries must be finite")
     scale = tol.scale(float(np.abs(lam).max()))
-    if np.any(lam[:-1] - lam[1:] < -tol.ZERO * scale):
+    # a step between entries of opposite sign may overflow to +-inf, which still compares
+    # right: +inf is a sorted step, -inf an unsorted one
+    with np.errstate(over="ignore"):
+        unsorted = np.any(lam[:-1] - lam[1:] < -tol.ZERO * scale)
+    if unsorted:
         raise NotSortedError("spectrum must be sorted in non-increasing order")
     if lam.min() < -tol.ZERO * scale:
         raise PcpkitError(f"spectrum has a negative entry ({lam.min():.3e})")
@@ -190,7 +184,7 @@ class _Spectrum:
 
     def __init__(self, n: int, shape: tuple, data: bytes):
         self.lam = _check_spectrum(np.frombuffer(data).reshape(shape), n * n)
-        self.slots = _slot_matrices(n, _stored_positions(n)[0], self.lam)
+        self.slots = _slot_matrices(n, _stored(n)[1], self.lam)
         self.eigenvalues = np.linalg.eigvalsh(self.slots[0])
 
     @cached_property
@@ -255,7 +249,7 @@ def ordering_min_eigenvalues(n: int, lambdas, *,
     if orderings is None:
         orderings = enumerate_orderings(n)
     lam = -np.sort(-np.atleast_1d(np.asarray(lambdas, dtype=float)))
-    stored = _stored_tables(n)
+    stored = _stored(n)[0]
     if len(orderings) == len(stored) and all(map(operator.is_, orderings, stored)):
         w = _spectrum_record(n, lam.shape, lam.tobytes()).eigenvalues
     else:
@@ -289,20 +283,14 @@ def special_unitary(ordering: OrderingTable) -> np.ndarray:
     e_k (x) e_l and e_l (x) e_k.  Every column's first non-zero entry is
     positive.
     """
-    n = ordering.n
-    nn = n * n
-    pos = _slot_positions(ordering)
+    n, nn = ordering.n, ordering.n ** 2
+    col = nn - 1 - ordering.positions    # the slot at position m of ``slots`` has rank nn - 1 - m
+    k, l = _upper_pairs(n)
+    h = 1.0 / np.sqrt(2.0)
     U = np.zeros((nn, nn))
-    for slot, m in pos.items():
-        col = nn - 1 - m                 # slot with m-th smallest product holds rank col
-        tag = slot[0]
-        if tag == "square":
-            k = slot[1]
-            U[k * n + k, col] = 1.0
-        else:
-            k, l = slot[1], slot[2]
-            U[k * n + l, col] = 1.0 / np.sqrt(2.0)
-            U[l * n + k, col] = (1.0 if tag == "plus" else -1.0) / np.sqrt(2.0)
+    U[np.arange(n) * (n + 1), col[:n]] = 1.0
+    U[np.tile(k * n + l, 2), col[n:]] = h
+    U[np.tile(l * n + k, 2), col[n:]] = np.repeat([h, -h], k.size)
     if not np.allclose(U.T @ U, np.eye(nn), atol=tol.ZERO):
         raise ConstructionError("distinguished basis is not orthonormal")
     return U
@@ -331,11 +319,11 @@ def certify_special_separable(ordering: OrderingTable, lambdas) -> ConstructorOu
     matrices.  Each call copies its own pair and columns into fresh read-only arrays
     and judges its item's residuals at ``tolerances.VERIFY``, so the certificates are
     the same in any call order, and an item that raises does so only for its own
-    ordering.  A lone call pays the whole batch, about 2 ms at n = 5.  An ordering
+    ordering.  A lone call pays the whole batch.  An ordering
     outside the stored ones (found by its ``positions``) runs as a stack of one.
     """
     n, lam = ordering.n, np.asarray(lambdas, dtype=float)
-    m = _stored_positions(n)[1].get(ordering.positions.tobytes())
+    m = _stored(n)[2].get(ordering.positions.tobytes())
     if m is None:
         X, Y, splits = _split_batch(*_slot_matrices(n, ordering.positions[None],
                                                     _check_spectrum(lam, n * n)))

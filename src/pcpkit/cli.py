@@ -10,6 +10,9 @@ Subcommands:
 * ``abs-ppt``      -- spectrum test across realizable orderings, optionally
                       writing a separability certificate per ordering.
 
+Each ``cmd_*`` returns one result, ``(JSON payload, text lines, exit code)``, and
+:func:`main` prints either the lines or, with ``--json``, the payload.
+
 Exit codes: 0 success/pass, 1 I/O or parse failure, 2 condition violated /
 entangled / test failed, 3 construction not applicable, 4 inconclusive.
 """
@@ -66,89 +69,68 @@ def _report_payload(report) -> dict:
     }
 
 
-def cmd_check_pair(args) -> int:
+def cmd_check_pair(args) -> tuple[dict, list[str], int]:
     pair, _ = fileio.load_pair_document(args.pair)
     report = pair.report
-    if args.json:
-        print(json.dumps({"n": pair.n, **_report_payload(report)}, indent=2))
-    else:
-        print(f"pair: {args.pair} (n = {pair.n})")
-        for c in "abcde":
-            ok = getattr(report, f"holds_{c}")
-            line = f"{_CONDITION_TEXT[c]:<48} {'PASS' if ok else 'FAIL'}"
-            if not ok and c in report.witnesses:
-                line += f"  witness: {_jsonable(report.witnesses[c])}"
-            print(line)
-        print(f"norm gaps: gap(X) = {report.x_gap:.9g}, gap(Y) = {report.y_gap:.9g}")
-        if report.all_hold:
-            print("verdict: all necessary conditions hold")
-        else:
-            print(f"verdict: conditions {report.failing()} violated; not decomposable")
-    return EXIT_OK if report.all_hold else EXIT_VIOLATED
+    lines = [f"pair: {args.pair} (n = {pair.n})"]
+    for c in "abcde":
+        ok = getattr(report, f"holds_{c}")
+        line = f"{_CONDITION_TEXT[c]:<48} {'PASS' if ok else 'FAIL'}"
+        if not ok and c in report.witnesses:
+            line += f"  witness: {_jsonable(report.witnesses[c])}"
+        lines.append(line)
+    lines.append(f"norm gaps: gap(X) = {report.x_gap:.9g}, gap(Y) = {report.y_gap:.9g}")
+    lines.append("verdict: all necessary conditions hold" if report.all_hold else
+                 f"verdict: conditions {report.failing()} violated; not decomposable")
+    return ({"n": pair.n, **_report_payload(report)}, lines,
+            EXIT_OK if report.all_hold else EXIT_VIOLATED)
 
 
 _METHODS = {"auto": lambda pair, perms: construct.decompose_auto(pair, search_permutations=perms),
             **construct.ROUTES}
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> tuple[dict, list[str], int]:
     pair, _ = fileio.load_pair_document(args.pair)
 
     if args.verify is not None:
         dec, meta = fileio.load_certificate(args.verify)
         res = residuals(dec, pair)
-        rx, ry, ok = res.x, res.y, res.within()
-        if args.json:
-            print(json.dumps({"verified": ok, "residual_x": rx, "residual_y": ry,
-                              "m": dec.m, "method": meta.get("method")}, indent=2))
-        else:
-            print(f"certificate: {args.verify} ({dec.m} terms)")
-            print(f"residuals: X {rx:.3e}, Y {ry:.3e}")
-            print(f"verdict: {'verified' if ok else 'FAILED verification'}")
-        return EXIT_OK if ok else EXIT_VIOLATED
+        ok = res.within()
+        return ({"verified": ok, "residual_x": res.x, "residual_y": res.y,
+                 "m": dec.m, "method": meta.get("method")},
+                [f"certificate: {args.verify} ({dec.m} terms)",
+                 f"residuals: X {res.x:.3e}, Y {res.y:.3e}",
+                 f"verdict: {'verified' if ok else 'FAILED verification'}"],
+                EXIT_OK if ok else EXIT_VIOLATED)
 
     out = _METHODS[args.method](pair, args.perms)
     payload = {"method": out.method, "status": out.status, "reason": out.reason}
+    lines = [f"method: {out.method}",
+             f"status: {out.status}" + (f" ({out.reason})" if out.reason else "")]
     if out.ok:
         payload.update({"m": out.decomposition.m, "residual_x": out.residuals.x,
                         "residual_y": out.residuals.y})
+        lines += [f"terms: {out.decomposition.m}",
+                  f"residuals: X {out.residuals.x:.3e}, Y {out.residuals.y:.3e}"]
         if out.permutation is not None:
             payload["permutation"] = list(out.permutation)
+            if payload["permutation"] != sorted(out.permutation):
+                lines.append(f"permutation: {payload['permutation']}")
         if args.out:
             fileio.save_certificate(args.out, out.decomposition, out.method, out.permutation)
             payload["certificate"] = str(args.out)
-    else:
-        witness = out.info.get("witness")
-        if witness is not None:
-            payload["witness"] = _jsonable(witness)
-        if "methods" in out.info:
-            payload["methods"] = _jsonable(out.info["methods"])
-
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"method: {out.method}")
-        print(f"status: {out.status}" + (f" ({out.reason})" if out.reason else ""))
-        if out.ok:
-            print(f"terms: {out.decomposition.m}")
-            print(f"residuals: X {payload['residual_x']:.3e}, Y {payload['residual_y']:.3e}")
-            if out.permutation is not None and list(out.permutation) != sorted(out.permutation):
-                print(f"permutation: {list(out.permutation)}")
-            if args.out:
-                print(f"certificate written to {args.out}")
-        else:
-            for key in ("witness", "methods"):
-                if key in payload:
-                    print(f"{key}: {payload[key]}")
-
-    if out.ok:
-        return EXIT_OK
-    if out.status == construct.CONDITIONS_VIOLATED:
-        return EXIT_VIOLATED
-    return EXIT_NOT_APPLICABLE
+            lines.append(f"certificate written to {args.out}")
+        return payload, lines, EXIT_OK
+    for key in ("witness", "methods"):
+        if out.info.get(key) is not None:
+            payload[key] = _jsonable(out.info[key])
+            lines.append(f"{key}: {payload[key]}")
+    return payload, lines, (EXIT_VIOLATED if out.status == construct.CONDITIONS_VIOLATED
+                            else EXIT_NOT_APPLICABLE)
 
 
-def cmd_check_state(args) -> int:
+def cmd_check_state(args) -> tuple[dict, list[str], int]:
     pair, source = fileio.load_state(args.state)
 
     if args.normalize:
@@ -161,13 +143,8 @@ def cmd_check_state(args) -> int:
     lines = [f"state: {args.state} ({source} form, n = {pair.n})"]
     payload = {"n": pair.n, "form": source, **_report_payload(report)}
     if not report.holds_abc:
-        message = f"not a state: conditions {report.failing()} fail"
-        if args.json:
-            payload["verdict"] = "invalid"
-            print(json.dumps(payload, indent=2))
-        else:
-            print("\n".join(lines + [message]))
-        return EXIT_VIOLATED
+        payload["verdict"] = "invalid"
+        return payload, lines + [f"not a state: conditions {report.failing()} fail"], EXIT_VIOLATED
 
     verdict = cldui.separability_verdict(pair)
     state = cldui.ClduiState(pair)
@@ -231,12 +208,8 @@ def cmd_check_state(args) -> int:
         if verdict.outcome is not None:
             payload["methods"] = _jsonable(verdict.outcome.info.get("methods", {}))
 
-    print(json.dumps(payload, indent=2) if args.json else "\n".join(lines))
-    if verdict.verdict == cldui.SEPARABLE:
-        return EXIT_OK
-    if verdict.verdict == cldui.ENTANGLED:
-        return EXIT_VIOLATED
-    return EXIT_INCONCLUSIVE
+    return payload, lines, {cldui.SEPARABLE: EXIT_OK,
+                            cldui.ENTANGLED: EXIT_VIOLATED}.get(verdict.verdict, EXIT_INCONCLUSIVE)
 
 
 def _read_lambdas(raw: str) -> list[float]:
@@ -255,7 +228,7 @@ def _read_lambdas(raw: str) -> list[float]:
         raise PcpkitError(f"spectrum entries must be numbers: {exc}") from exc
 
 
-def cmd_abs_ppt(args) -> int:
+def cmd_abs_ppt(args) -> tuple[dict, list[str], int]:
     # sorted as the check sorts it, so the certificates share the check's spectrum record
     lam = -np.sort(-np.asarray(_read_lambdas(args.lambdas), dtype=float))
     orderings = abssep.enumerate_orderings(args.n)
@@ -289,10 +262,8 @@ def cmd_abs_ppt(args) -> int:
                                 if passes else
                                 f"test fails at ordering {failing}"))
 
-    print(json.dumps(payload, indent=2) if args.json else "\n".join(lines))
-    if not passes:
-        return EXIT_VIOLATED
-    return EXIT_NOT_APPLICABLE if uncertified else EXIT_OK
+    return payload, lines, (EXIT_VIOLATED if not passes else
+                            EXIT_NOT_APPLICABLE if uncertified else EXIT_OK)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -345,15 +316,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, lines, code = args.func(args)
     except PcpkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, ConditionsViolatedError):
             return EXIT_VIOLATED
         return EXIT_NOT_APPLICABLE if isinstance(exc, NotClduiError) else EXIT_IO
+    print(json.dumps(payload, indent=2) if args.json else "\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

@@ -649,26 +649,20 @@ def decompose_isotropic(n: int, a: float, b: float) -> ConstructorOutcome:
     t = min(max(t, 0.0), 1.0)
     c_plus, c_minus = isotropic_constants(n)
 
-    vs, ws = [], []
+    # each member has n terms, term k (column k) singling out entry k
+    eye = np.eye(n, dtype=bool)
+    Vs, Ws = [], []
     if t > 0.0:
         weight = (t * s) ** 0.25
-        for k in range(n):
-            v = np.ones(n, complex)
-            v[k] = c_plus
-            w = -np.ones(n, complex)
-            w[k] = c_minus
-            vs.append(weight * v / math.sqrt(n))
-            ws.append(weight * w)
+        Vs.append(weight * np.where(eye, c_plus, np.ones((n, n), complex)) / math.sqrt(n))
+        Ws.append(weight * np.where(eye, c_minus, -np.ones((n, n), complex)))
     if t < 1.0:
         weight = ((1.0 - t) * s) ** 0.25
         gamma = math.sqrt(n / (n + 2.0 + 2.0 * math.sqrt(n + 1.0)))
-        for k in range(n):
-            u = gamma * np.ones(n)
-            u[k] = gamma * (2.0 + math.sqrt(n + 1.0))
-            root = np.sqrt(u).astype(complex)
-            vs.append(weight * root)
-            ws.append(weight * root)
-    return _decomposed(pair, method, np.column_stack(vs), np.column_stack(ws),
+        root = np.sqrt(np.where(eye, gamma * (2.0 + math.sqrt(n + 1.0)), gamma)).astype(complex)
+        Vs.append(weight * root)
+        Ws.append(weight * root)
+    return _decomposed(pair, method, np.hstack(Vs), np.hstack(Ws),
                        mixture=t, c_plus=c_plus, c_minus=c_minus)
 
 
@@ -714,7 +708,9 @@ def _comparison_refuted(pair: PairXY) -> bool:
       ``linalg._CHOLESKY_MAX_N``; a larger pair is never refuted.
 
     So gap(X) - s > n (4 PSD (x_gap + s) + n STRUCTURE s) covers the floor with the
-    round-off, and the Hermiticity defects, each at least twice over.
+    round-off, and the Hermiticity defects, each at least twice over.  The same
+    1^T M 1 bounds the equilibrated S M S, S = diag(M)^(-1/2), at the vector S^(-1) 1:
+    lambda_min(S M S) <= 1 - o / s.
     """
     n = pair.n
     if n > linalg._CHOLESKY_MAX_N:
@@ -732,14 +728,10 @@ def decompose_auto(pair: PairXY, search_permutations: bool = True) -> Constructo
     applies, the per-route reasons are collected in ``info["methods"]``.
 
     The comparison route is refuted from the report, with no eigensolve, when
-    gap(X) > tr X: the comparison matrix M of a PSD X has 1^T M 1 = sum |x_ii| -
-    sum_{i != j} |x_ij| <= tr X - gap(X), so lambda_min(M) <= (tr X - gap(X)) / n < 0.
-    With s = sum |x_ii|, the refutation needs gap(X) - s > n (4 PSD (gap(X) + s) +
-    n STRUCTURE s), which also clears the PSD floor of M and the round-off (see
-    :func:`_comparison_refuted`).  The route is then recorded with its usual decline
-    reason, so ``info["methods"]`` reads as if it had run.  The same 1^T M 1 bounds the
-    equilibrated S M S, S = diag(M)^(-1/2), at the vector S^(-1) 1: lambda_min(S M S)
-    <= 1 - o / s.
+    :func:`_comparison_refuted` proves the comparison matrix of X indefinite (gap(X) >
+    tr X, with a margin for its PSD floor and the round-off).  The route is then
+    recorded with its usual decline reason, so ``info["methods"]`` reads as if it had
+    run.
     """
     if violated := _violated("auto", pair, "abcde"):
         return violated

@@ -53,15 +53,10 @@ def _parse_vector(entries, where: str) -> np.ndarray:
     return np.array([_parse_scalar(v, f"{where}[{k + 1}]") for k, v in enumerate(entries)])
 
 
-def _emit_scalar(z: complex):
-    z = complex(z)
-    if z.imag == 0.0:
-        return z.real
-    return [z.real, z.imag]
-
-
-def _emit_matrix(M: np.ndarray):
-    return [[_emit_scalar(M[i, j]) for j in range(M.shape[1])] for i in range(M.shape[0])]
+def _emit_rows(M: np.ndarray) -> list:
+    """The rows of a complex matrix as lists of scalars: a pair's matrix, or a
+    certificate's vectors as the rows of V.T or W.T."""
+    return [[z.real if z.imag == 0.0 else [z.real, z.imag] for z in row] for row in M.tolist()]
 
 
 def _load_json(path) -> dict[str, Any]:
@@ -90,13 +85,19 @@ def load_pair_document(path) -> tuple[PairXY, dict[str, Any]]:
     return _pair_document(_load_json(path), path)
 
 
-def _pair_document(doc: dict[str, Any], path) -> tuple[PairXY, dict[str, Any]]:
-    for key in ("n", "X", "Y"):
+def _required(doc: dict[str, Any], path, *keys: str) -> int:
+    """The document's dimension ``n``, once ``n`` and every one of ``keys`` are present."""
+    for key in ("n",) + keys:
         if key not in doc:
             raise PcpkitError(f"{path}: missing required field {key!r}")
     n = doc["n"]
     if not isinstance(n, int) or n < 1:
         raise PcpkitError(f"{path}: field 'n' must be a positive integer")
+    return n
+
+
+def _pair_document(doc: dict[str, Any], path) -> tuple[PairXY, dict[str, Any]]:
+    n = _required(doc, path, "X", "Y")
     X = _parse_matrix(doc["X"], f"{path}: X")
     Y = _parse_matrix(doc["Y"], f"{path}: Y")
     if X.shape != (n, n) or Y.shape != (n, n):
@@ -108,19 +109,14 @@ def _pair_document(doc: dict[str, Any], path) -> tuple[PairXY, dict[str, Any]]:
 
 
 def save_pair_document(path, pair: PairXY, **meta) -> None:
-    doc = {"n": pair.n, "X": _emit_matrix(pair.X), "Y": _emit_matrix(pair.Y)}
+    doc = {"n": pair.n, "X": _emit_rows(pair.X), "Y": _emit_rows(pair.Y)}
     doc.update(meta)
     _write_json(path, doc)
 
 
 def _dense_state(doc: dict[str, Any], path) -> tuple[np.ndarray, int]:
     """A dense state document ``{"n": int, "rho": rows}`` with an n^2 x n^2 matrix."""
-    for key in ("n", "rho"):
-        if key not in doc:
-            raise PcpkitError(f"{path}: missing required field {key!r}")
-    n = doc["n"]
-    if not isinstance(n, int) or n < 1:
-        raise PcpkitError(f"{path}: field 'n' must be a positive integer")
+    n = _required(doc, path, "rho")
     rho = _parse_matrix(doc["rho"], f"{path}: rho")
     if rho.shape != (n * n, n * n):
         raise PcpkitError(f"{path}: rho is {rho.shape}, expected ({n * n}, {n * n})")
@@ -143,8 +139,8 @@ def save_certificate(path, dec: PcpDecomposition, method: str,
         "m": dec.m,
         "method": method,
         "permutation": list(permutation) if permutation is not None else None,
-        "vs": [[_emit_scalar(z) for z in v] for v in dec.vs],
-        "ws": [[_emit_scalar(z) for z in w] for w in dec.ws],
+        "vs": _emit_rows(dec.V.T),
+        "ws": _emit_rows(dec.W.T),
     }
     doc.update(meta)
     _write_json(path, doc)

@@ -128,6 +128,21 @@ def l_map_loop(ordering, lam):
     return Z
 
 
+def special_unitary_loop(ordering):
+    """The reference for ``special_unitary``: the basis filled slot by slot, the slot
+    at position m of ``slots`` in column nn - 1 - m."""
+    n, nn = ordering.n, ordering.n ** 2
+    U = np.zeros((nn, nn))
+    for m, slot in enumerate(ordering.slots):
+        if slot[0] == "square":
+            U[slot[1] * (n + 1), nn - 1 - m] = 1.0
+        else:
+            k, l = slot[1:]
+            U[k * n + l, nn - 1 - m] = 1.0 / np.sqrt(2.0)
+            U[l * n + k, nn - 1 - m] = (1.0 if slot[0] == "plus" else -1.0) / np.sqrt(2.0)
+    return U
+
+
 def certified_pair_loop(ordering, lam) -> PairXY:
     """The pair that ``certify_special_separable`` certifies, built slot by slot:
     X = Z / 2 for the test matrix Z, diag Y = diag X, y_kl = y_lk = (plus + minus) / 2."""
@@ -237,6 +252,16 @@ def test_special_unitary_n3_matches_reference_up_to_column_sign():
     first, second = enumerate_orderings(3)
     assert columns_match_up_to_sign(special_unitary(first), U1_REF_N3)
     assert columns_match_up_to_sign(special_unitary(second), U2_REF_N3)
+
+
+def test_special_unitary_is_the_slot_by_slot_basis_bit_for_bit():
+    """Every stored ordering, and an n = 3 assignment that no alpha realizes (the plus
+    and minus slots of (0, 1) swapped), gets exactly the loop's basis."""
+    first = enumerate_orderings(3)[0]
+    swap = {("plus", 0, 1): ("minus", 0, 1), ("minus", 0, 1): ("plus", 0, 1)}
+    unrealizable = OrderingTable(3, tuple(swap.get(s, s) for s in first.slots), first.witness)
+    for table in [t for n in (2, 3, 4, 5) for t in enumerate_orderings(n)] + [unrealizable]:
+        assert special_unitary(table).tobytes() == special_unitary_loop(table).tobytes()
 
 
 def test_n2_check_equals_two_by_two_matrix_condition():
@@ -849,6 +874,13 @@ def test_input_validation():
     repeated = OrderingTable(2, (table.slots[0],) * 4, table.witness)
     with pytest.raises(InvalidOrderingError):
         l_map_matrix(repeated, [0.4, 0.3, 0.2, 0.1])
+    # four distinct slots, one of them not a slot of n = 2: ("plus", 1, 0) for ("plus", 0, 1)
+    misnamed = OrderingTable(2, tuple(("plus", 1, 0) if s == ("plus", 0, 1) else s
+                                      for s in table.slots), table.witness)
+    for call in (lambda: l_map_matrix(misnamed, [0.4, 0.3, 0.2, 0.1]),
+                 lambda: special_unitary(misnamed)):
+        with pytest.raises(InvalidOrderingError, match="lacks the slot"):
+            call()
 
 
 # spectra near the largest float: at n = 2 a false pass and a false fail, at n = 3 a
@@ -870,6 +902,18 @@ def test_a_spectrum_above_the_bound_is_refused(n, lam):
                  lambda: ordering_min_eigenvalues(n, lam, orderings=[table])):
         with pytest.raises(PcpkitError, match="overflow"):
             call()
+
+
+def test_huge_entries_of_both_signs_are_judged_without_overflow():
+    """A step between huge entries of opposite sign overflows to +-inf, which the
+    sortedness test reads as it should: +inf is a sorted step, so the spectrum is refused
+    for its negative entry, and -inf an unsorted one.  Neither raises an overflow
+    warning, which the suite turns into an error."""
+    with pytest.raises(PcpkitError, match="negative entry"):
+        abs_ppt_check(2, [1e308, -1e308, -1e308, -1e308])
+    (table,) = enumerate_orderings(2)
+    with pytest.raises(NotSortedError):
+        l_map_matrix(table, [-1e308, 1e308, 1e308, 1e308])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -127,6 +127,24 @@ def test_decompose_searches_permutations_at_n8(capsys, tmp_path):
     assert code == 0 and payload["verified"] is True
 
 
+def test_decompose_prints_a_permutation_only_when_it_is_not_the_identity(capsys):
+    """Text and ``--json`` output come from one result: the n = 8 search's permutation
+    is the JSON ``permutation`` and its own text line; an identity permutation is in the
+    JSON but prints no line."""
+    argv = ("decompose", FIXTURES / "search_n8_pair.json", "--method", "recursive", "--perms")
+    code, payload = run_json(capsys, *argv)
+    assert code == 0 and payload["permutation"] == [2, 5, 4, 6, 1, 0, 3, 7]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "permutation: [2, 5, 4, 6, 1, 0, 3, 7]\n" in out
+
+    argv = ("decompose", FIXTURES / "cyclic_a1.json", "--method", "recursive", "--perms")
+    code, payload = run_json(capsys, *argv)
+    assert code == 0 and payload["permutation"] == [0, 1, 2]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.startswith("method: recursive\n") and "permutation" not in out
+
+
 def test_decompose_verify_shipped_certificate(capsys):
     code, payload = run_json(capsys, "decompose", FIXTURES / "permutation_retry_pair.json",
                              "--verify", FIXTURES / "permutation_retry_certificate.json")
@@ -432,3 +450,16 @@ def test_abs_ppt_refuses_a_spectrum_that_overflows(capsys, n, lam):
     code, out, err = run(capsys, "abs-ppt", "--n", n, "--lambdas", lam)
     assert code == 1 and out == ""
     assert err.startswith("error: spectrum entries above") and "overflow" in err
+
+
+def test_abs_ppt_reports_the_negative_entry_of_a_huge_spectrum():
+    """The step from 1e308 to -1e308 overflows to +inf, a sorted step; the spectrum is
+    refused for its negative entry, and nothing but that error reaches stderr (the
+    process runs without the suite's warning filter, so a warning would be printed)."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "pcpkit", "abs-ppt", "--n", "2",
+         "--lambdas", "1e308,-1e308,-1e308,-1e308"],
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: spectrum has a negative entry (-1.000e+308)\n"

@@ -216,6 +216,47 @@ def test_recursive_tries_the_transposed_orientation():
     assert verify_decomposition(out.decomposition, pair)
 
 
+def _unverified(monkeypatch, passes: int | None) -> None:
+    """Make the first ``passes`` decompositions that ``construct`` verifies fail (every one
+    when None): their X residual reads as infinite."""
+    verified = []
+    real = construct.residuals
+
+    def residuals_failing(dec, pair):
+        verified.append(dec)
+        res = real(dec, pair)
+        return res._replace(x=math.inf) if passes is None or len(verified) <= passes else res
+
+    monkeypatch.setattr(construct, "residuals", residuals_failing)
+
+
+def test_recursive_moves_past_a_pass_that_fails_verification(monkeypatch):
+    """A completed pass whose decomposition does not verify is skipped: the search goes
+    on to the next ordering, and ``info["attempts"]`` counts every item up to the one
+    that verifies.  When no completed pass verifies, the route declines; here the
+    identity pass completes first, so the witness is its failed verification, and the
+    attempts are every item of both orientations."""
+    pair = random_decomposable_pair(np.random.default_rng(0), 3, 3)
+    items = {transposed: [(order, witness is None) for order, _, _, witness in
+                          _rowwise_passes(pair.X, pair.Y.T if transposed else pair.Y,
+                                          *_magnitudes(pair), True)]
+             for transposed in (False, True)}
+    completed = [m for m, (_, done) in enumerate(items[False]) if done]
+    assert completed[:2] == [0, 2]          # the identity completes, the next ordering fails
+
+    _unverified(monkeypatch, 1)
+    out = decompose_recursive(pair, search_permutations=True)
+    assert out.ok and not out.info["transposed"]
+    assert out.permutation == items[False][completed[1]][0] != (0, 1, 2)
+    assert out.info["attempts"] == completed[1] + 1
+
+    _unverified(monkeypatch, None)
+    out = decompose_recursive(pair, search_permutations=True)
+    assert out.status == construct.NOT_APPLICABLE
+    assert out.info["witness"] == {"reason": "completed pass failed verification"}
+    assert out.info["attempts"] == len(items[False]) + len(items[True])
+
+
 def test_search_matches_one_pass_per_permutation():
     """The search shares the steps of orderings with a common prefix and skips
     those a failed step rules out; it must complete exactly the orderings whose
@@ -873,6 +914,44 @@ def test_isotropic_grid():
             out = decompose_isotropic(n, a, b)
             assert out.ok, (n, b, out.reason)
             assert verify_decomposition(out.decomposition, isotropic_pair(n, a, b))
+
+
+def isotropic_columns_loop(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """The reference for the columns of ``decompose_isotropic`` on a > 0, -a/n <= b <= a:
+    each extreme member's n terms built one vector at a time.  The b = -a/n member's w
+    negates a complex ones vector, so its imaginary parts are -0.0."""
+    s = a / n
+    t = min(max((n - b * n / a) / (n + 1.0), 0.0), 1.0)
+    c_plus, c_minus = isotropic_constants(n)
+    vs, ws = [], []
+    if t > 0.0:
+        weight = (t * s) ** 0.25
+        for k in range(n):
+            v = np.ones(n, complex)
+            v[k] = c_plus
+            w = -np.ones(n, complex)
+            w[k] = c_minus
+            vs.append(weight * v / math.sqrt(n))
+            ws.append(weight * w)
+    if t < 1.0:
+        weight = ((1.0 - t) * s) ** 0.25
+        gamma = math.sqrt(n / (n + 2.0 + 2.0 * math.sqrt(n + 1.0)))
+        for k in range(n):
+            u = gamma * np.ones(n)
+            u[k] = gamma * (2.0 + math.sqrt(n + 1.0))
+            vs.append(weight * np.sqrt(u).astype(complex))
+            ws.append(weight * np.sqrt(u).astype(complex))
+    return np.column_stack(vs), np.column_stack(ws)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 30])
+def test_isotropic_columns_are_the_loop_bit_for_bit(n):
+    for scale in (1.0, 1e100, 1e-100):
+        for a, b in ((1.0, -1.0 / n), (1.0, 1.0), (1.0, 0.3), (2.0, 0.0), (1.0, -0.5 / n)):
+            out = decompose_isotropic(n, a * scale, b * scale)
+            V, W = isotropic_columns_loop(n, a * scale, b * scale)
+            assert out.decomposition.V.tobytes() == V.tobytes()
+            assert out.decomposition.W.tobytes() == W.tobytes()
 
 
 def test_isotropic_extremes_and_interior():
