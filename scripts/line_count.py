@@ -1,18 +1,20 @@
-"""Count the lines of each module of a package: all lines, and code lines, which
-leave out docstrings, comments and blank lines.
+"""Count the lines of each module of ``src/pcpkit`` outside ``ordering_data.py``: all
+lines, and code lines, which leave out docstrings, comments and blank lines.
 
-    python scripts/line_count.py [DIRECTORY] [--exclude NAME ...]
+    python scripts/line_count.py
 
 Prints one row per module and a total.  Informational: it sets no threshold.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import io
 import tokenize
 from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pcpkit"
+EXCLUDED = "ordering_data.py"       # the stored ordering tables: data, not code
 
 
 def code_lines(source: str) -> int:
@@ -32,23 +34,20 @@ def code_lines(source: str) -> int:
     return len(lines - docstrings)
 
 
-def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("directory", nargs="?", default="src/pcpkit")
-    parser.add_argument("--exclude", nargs="*", default=["ordering_data.py"],
-                        help="module file names to leave out (default: ordering_data.py)")
-    args = parser.parse_args(argv)
+def count_rows(package: Path = PACKAGE) -> list[tuple[str, int, int]]:
+    """``(module, lines, code lines)`` for each module of ``package`` but ``EXCLUDED``,
+    by name, then ``("total", ...)``."""
     rows = []
-    for path in sorted(Path(args.directory).glob("*.py")):
-        if path.name not in args.exclude:
+    for path in sorted(package.glob("*.py")):
+        if path.name != EXCLUDED:
             source = path.read_text()
-            rows.append((str(path), len(source.splitlines()), code_lines(source)))
-    rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
+            rows.append((path.name, len(source.splitlines()), code_lines(source)))
+    return rows + [("total", sum(r[1] for r in rows), sum(r[2] for r in rows))]
+
+
+if __name__ == "__main__":
+    rows = count_rows()
     width = max(len(r[0]) for r in rows)
     print(f"{'module':<{width}}  {'lines':>6}  {'code':>6}")
     for name, total, code in rows:
         print(f"{name:<{width}}  {total:>6}  {code:>6}")
-
-
-if __name__ == "__main__":
-    main()

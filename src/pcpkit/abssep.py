@@ -133,11 +133,13 @@ def _stored(n: int) -> tuple[tuple[OrderingTable, ...], np.ndarray, dict[bytes, 
     """The stored orderings of n, decoded on the first call for n, with their
     ``positions``, one row each in listing order, and each row's index keyed by its
     bytes (no orderings when n has no tables)."""
-    tables = tuple(decode_ordering(n, code, [float(v) for v in x]) for code, *x in
-                   map(str.split, ordering_data.TABLES.get(n, "").strip().splitlines()))
-    positions = _positions(n, tables)
-    _read_only(positions, *(t.witness for t in tables))
-    return tables, positions, {row.tobytes(): m for m, row in enumerate(positions)}
+    tables = []
+    for line in ordering_data.TABLES.get(n, "").strip().splitlines():
+        code, *x = line.split()
+        tables.append(decode_ordering(n, code, [float(v) for v in x]))
+        _read_only(tables[-1].witness)
+    positions = _read_only(_positions(n, tables))[0]
+    return tuple(tables), positions, {row.tobytes(): m for m, row in enumerate(positions)}
 
 
 def _check_spectrum(lambdas, size: int) -> np.ndarray:
@@ -283,14 +285,17 @@ def special_unitary(ordering: OrderingTable) -> np.ndarray:
     e_k (x) e_l and e_l (x) e_k.  Every column's first non-zero entry is
     positive.
     """
-    n, nn = ordering.n, ordering.n ** 2
+    n = ordering.n
+    nn = n * n
     col = nn - 1 - ordering.positions    # the slot at position m of ``slots`` has rank nn - 1 - m
     k, l = _upper_pairs(n)
     h = 1.0 / np.sqrt(2.0)
     U = np.zeros((nn, nn))
-    U[np.arange(n) * (n + 1), col[:n]] = 1.0
-    U[np.tile(k * n + l, 2), col[n:]] = h
-    U[np.tile(l * n + k, 2), col[n:]] = np.repeat([h, -h], k.size)
+    # ``positions`` lists the squares (k, k), then the plus pairs (k, l), then the minus
+    # pairs (k, l), k < l: one scatter per basis vector entry
+    U[np.arange(n) * (n + 1), col[:n]] = 1.0                            # e_k (x) e_k
+    U[np.tile(k * n + l, 2), col[n:]] = h                               # e_k (x) e_l
+    U[np.tile(l * n + k, 2), col[n:]] = np.repeat([h, -h], k.size)      # +-e_l (x) e_k
     if not np.allclose(U.T @ U, np.eye(nn), atol=tol.ZERO):
         raise ConstructionError("distinguished basis is not orthonormal")
     return U

@@ -208,8 +208,11 @@ def cmd_check_state(args) -> tuple[dict, list[str], int]:
         if verdict.outcome is not None:
             payload["methods"] = _jsonable(verdict.outcome.info.get("methods", {}))
 
-    return payload, lines, {cldui.SEPARABLE: EXIT_OK,
-                            cldui.ENTANGLED: EXIT_VIOLATED}.get(verdict.verdict, EXIT_INCONCLUSIVE)
+    if verdict.verdict == cldui.SEPARABLE:
+        return payload, lines, EXIT_OK
+    if verdict.verdict == cldui.ENTANGLED:
+        return payload, lines, EXIT_VIOLATED
+    return payload, lines, EXIT_INCONCLUSIVE
 
 
 def _read_lambdas(raw: str) -> list[float]:
@@ -262,8 +265,9 @@ def cmd_abs_ppt(args) -> tuple[dict, list[str], int]:
                                 if passes else
                                 f"test fails at ordering {failing}"))
 
-    return payload, lines, (EXIT_VIOLATED if not passes else
-                            EXIT_NOT_APPLICABLE if uncertified else EXIT_OK)
+    if not passes:
+        return payload, lines, EXIT_VIOLATED
+    return payload, lines, EXIT_NOT_APPLICABLE if uncertified else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         payload, lines, code = args.func(args)
     except PcpkitError as exc:

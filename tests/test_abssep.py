@@ -128,21 +128,6 @@ def l_map_loop(ordering, lam):
     return Z
 
 
-def special_unitary_loop(ordering):
-    """The reference for ``special_unitary``: the basis filled slot by slot, the slot
-    at position m of ``slots`` in column nn - 1 - m."""
-    n, nn = ordering.n, ordering.n ** 2
-    U = np.zeros((nn, nn))
-    for m, slot in enumerate(ordering.slots):
-        if slot[0] == "square":
-            U[slot[1] * (n + 1), nn - 1 - m] = 1.0
-        else:
-            k, l = slot[1:]
-            U[k * n + l, nn - 1 - m] = 1.0 / np.sqrt(2.0)
-            U[l * n + k, nn - 1 - m] = (1.0 if slot[0] == "plus" else -1.0) / np.sqrt(2.0)
-    return U
-
-
 def certified_pair_loop(ordering, lam) -> PairXY:
     """The pair that ``certify_special_separable`` certifies, built slot by slot:
     X = Z / 2 for the test matrix Z, diag Y = diag X, y_kl = y_lk = (plus + minus) / 2."""
@@ -252,16 +237,6 @@ def test_special_unitary_n3_matches_reference_up_to_column_sign():
     first, second = enumerate_orderings(3)
     assert columns_match_up_to_sign(special_unitary(first), U1_REF_N3)
     assert columns_match_up_to_sign(special_unitary(second), U2_REF_N3)
-
-
-def test_special_unitary_is_the_slot_by_slot_basis_bit_for_bit():
-    """Every stored ordering, and an n = 3 assignment that no alpha realizes (the plus
-    and minus slots of (0, 1) swapped), gets exactly the loop's basis."""
-    first = enumerate_orderings(3)[0]
-    swap = {("plus", 0, 1): ("minus", 0, 1), ("minus", 0, 1): ("plus", 0, 1)}
-    unrealizable = OrderingTable(3, tuple(swap.get(s, s) for s in first.slots), first.witness)
-    for table in [t for n in (2, 3, 4, 5) for t in enumerate_orderings(n)] + [unrealizable]:
-        assert special_unitary(table).tobytes() == special_unitary_loop(table).tobytes()
 
 
 def test_n2_check_equals_two_by_two_matrix_condition():

@@ -31,12 +31,10 @@ def test_code_lines_leave_out_docstrings_comments_and_blank_lines():
     assert line_count.code_lines(SOURCE) == 6
 
 
-def test_the_total_row_sums_the_modules(tmp_path, capsys):
+def test_the_total_row_sums_the_modules_but_the_ordering_data(tmp_path):
     (tmp_path / "a.py").write_text(SOURCE)
     (tmp_path / "b.py").write_text("x = 1\n\n# done\n")
-    (tmp_path / "skipped.py").write_text("y = 2\n")
-    line_count.main([str(tmp_path), "--exclude", "skipped.py"])
-    rows = capsys.readouterr().out.splitlines()
-    assert [r.split()[0] for r in rows] == ["module", str(tmp_path / "a.py"),
-                                          str(tmp_path / "b.py"), "total"]
-    assert rows[-1].split()[1:] == [str(len(SOURCE.splitlines()) + 3), "7"]
+    (tmp_path / "ordering_data.py").write_text("y = 2\n")
+    rows = line_count.count_rows(tmp_path)
+    assert [r[0] for r in rows] == ["a.py", "b.py", "total"]
+    assert rows[-1][1:] == (len(SOURCE.splitlines()) + 3, 7)
