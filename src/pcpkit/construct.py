@@ -109,15 +109,30 @@ def _zero_term(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros((n, 1), complex), np.zeros((n, 1), complex)
 
 
-def _rowwise_passes(X: np.ndarray, Y: np.ndarray, x_max: float, y_max: float, exhaustive: bool):
+def _rowwise_passes(X: np.ndarray, Y: np.ndarray, x_max: float, y_max: float, exhaustive: bool,
+                    factor: np.ndarray | None = None):
     """The row-by-row elimination under every simultaneous ordering of the
     indices (only the identity unless ``exhaustive``), in lexicographic order.
 
     Yields ``(order, V, W, None)`` per completed pass, column k holding the k-th
-    pivot's term over the original indices (valid until the next item), and
-    ``(order, None, None, witness)`` per failed step: the failing position
-    (1-based, in the ordering's coordinates) and what went wrong.  Orderings
-    with a common prefix share its steps, and a failed step rules them all out.
+    pivot's term over the original indices, and ``(order, None, None, witness)``
+    per failed step: the failing position (1-based, in the ordering's coordinates)
+    and what went wrong.  Orderings with a common prefix share its steps, and a
+    failed step rules them all out.
+
+    A pass is one recurrence on two sides.  On the X side, column k of A = V . W
+    is the Cholesky column of the ordering: a = num / sqrt(num_i), for the
+    residual column num of X at the k-th pivot i, so the terms' X part is A A*.
+    On the Y side, column k of R is the pivot's radicand row, the residual of
+    row i of Y, y_i - sum_t (|a_i^t|^2 / R[i, t]) R[:, t] over the earlier
+    terms t: one product per step, with column t of C holding the coefficients
+    |a^t|^2 / R[:, t] (0 where a term does not reach).  V and W are formed once
+    per completed pass: w = sqrt(R[:, k] / d_k) and v = a / w (0 where w is), d_k
+    being the pivot's own radicand, so |v_i|^2 |w_j|^2 = C[i, k] R[j, k].
+    With ``factor``, the lower Cholesky factor of X, an identity pass reads its
+    columns instead of forming them, as long as every radicand so far is positive
+    and no pivot vanishes; from the first step that is not, it forms its columns
+    per step from those before.  The search forms every column per step.
 
     A step that fails with a negative radicand also ends the node it was tried at:
     none of the pivots still untried there is stepped.  At a prefix P the radicands
@@ -145,19 +160,23 @@ def _rowwise_passes(X: np.ndarray, Y: np.ndarray, x_max: float, y_max: float, ex
 
     A step is whole-vector array code: the indices not yet pivoted are a boolean
     mask, and no Python loop visits them.  The products with earlier terms are
-    ``M[:, :k] @ x``, and a search agrees bitwise with a pass on the permuted pair
-    only where such a product rounds each entry the same wherever its row sits.
-    That is not promised by BLAS: with OpenBLAS 0.3.31 (Haswell kernel, one thread)
-    the real product under a row permutation kept its bits for n = 2..8 and for n a
-    multiple of 4, but not at n = 9, 10, 11, 13, ... (13 of 270 entries differed at
-    n = 9, 492 of 900 at n = 30); the complex product showed no difference.  The
-    agreement is relied on only for n <= 8, where the search runs.
+    ``R[:, :k] @ C[i, :k]`` (real) and ``A[:, :k] @ A[i, :k].conj()`` (complex), and a
+    search agrees bitwise with a pass on the permuted pair only where such a product
+    rounds each entry the same wherever its row sits.  That is not promised by BLAS:
+    with OpenBLAS 0.3.31 (Haswell kernel, one thread) the real product under a row
+    permutation kept its bits for n = 2..8 and for n a multiple of 4, but not at
+    n = 9, 10, 11, 13, ... (2 of 720 entries differed at n = 9, 285 of 8700 at n = 30,
+    over 10 random products per k); the complex product showed no difference.  The
+    agreement is relied on only for n <= 8, where the search runs.  A factor-seeded
+    pass agrees with the per-step pass in its items, not in its bits.
     """
     n = X.shape[0]
-    V = np.zeros((n, n), complex)
-    W = np.zeros((n, n), complex)
-    # |V|^2, |W|^2 and V.W, filled in one column per step
-    absV, absW, A = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n), complex)
+    Yr = Y.real
+    seeded = factor is not None and not exhaustive
+    A = np.array(factor, complex) if seeded else np.zeros((n, n), complex)
+    square = np.square(np.abs(A)) if seeded else None     # |a|^2 of the factor's columns
+    R, C = np.zeros((n, n)), np.zeros((n, n))
+    d = np.ones(n)                              # each pivot's own radicand, positive
     y_zero, y_res = tol.ZERO * y_max, tol.RESIDUAL * y_max
     x_zero, x_res = tol.ZERO * x_max, tol.RESIDUAL * x_max
     order: list[int] = []
@@ -174,19 +193,26 @@ def _rowwise_passes(X: np.ndarray, Y: np.ndarray, x_max: float, y_max: float, ex
         that succeeds writes its columns whole, since columns >= k may hold an
         earlier ordering's steps.
         """
-        rad = Y[i].real - absW[:, :k] @ absV[i, :k]     # y_{i,j} - d_{i,j} over j
+        nonlocal seeded
+        rad = Yr[i] - R[:, :k] @ C[i, :k]              # y_{i,j} - sum_t C[i,t] R[j,t] over j
         lowest = np.minimum.reduce(rad)
         if lowest < -y_zero:
             ranked = rad[order + [i] + rest]
             m = int(ranked.argmin())
             return fail(k, m, ranked[m], "negative radicand")
+        seeded = seeded and lowest > 0.0 and min(rad[i], square[k, k]) > x_zero
+        if seeded:
+            R[:, k], d[k] = rad, rad[i]
+            np.divide(square[:, k], rad, out=C[:, k])
+            return None
         if lowest < 0.0:                                # round-off below zero
             np.maximum(rad, 0.0, out=rad)
         num = X[:, i] - A[:, :k] @ A[i, :k].conj()      # x_{j,i} - c_{j,i} over j
-        if rad[i] <= x_zero or abs(num[i]) <= x_zero:
+        pivot = num[i].real
+        if min(rad[i], pivot) <= x_zero:
             # Row i already exhausted: admissible only if nothing is left of it.
             if rad.max() <= y_res and np.abs(num[unpivoted]).max() <= x_res:
-                V[:, k] = W[:, k] = absV[:, k] = absW[:, k] = A[:, k] = 0.0
+                A[:, k] = R[:, k] = C[:, k] = 0.0
                 return None
             return fail(k, k, rad[i], "vanishing pivot with unexhausted row")
         live = unpivoted
@@ -198,12 +224,9 @@ def _rowwise_passes(X: np.ndarray, Y: np.ndarray, x_max: float, y_max: float, ex
                 j = int(bad[0])
                 return fail(k, k + 1 + rest.index(j), rad[j],
                             "zero denominator under a non-zero residual")
-        root = np.sqrt(rad)
-        v = np.divide(num, root, out=np.zeros(n, complex), where=live)
-        w = root / v[i]
-        V[:, k], W[:, k], A[:, k] = v, w, v * w
-        absV[:, k] = np.square(np.abs(v))
-        absW[:, k] = np.square(np.abs(w))
+        a = np.multiply(num, 1.0 / math.sqrt(pivot), out=np.zeros(n, complex), where=live)
+        A[:, k], R[:, k], d[k] = a, rad, rad[i]
+        C[:, k] = np.divide(np.square(np.abs(a)), rad, out=np.zeros(n), where=live)
         return None
 
     def negative_row(rest: list[int]) -> tuple | None:
@@ -211,13 +234,13 @@ def _rowwise_passes(X: np.ndarray, Y: np.ndarray, x_max: float, y_max: float, ex
         ``order`` is already negative, or None.  One product forms every row; the
         reported row is formed again as its own step would form it."""
         k = len(order)
-        bad = np.minimum.reduce(Y.real - absV[:, :k] @ absW[:, :k].T, axis=1) < -y_zero
+        bad = np.minimum.reduce(Yr - C[:, :k] @ R[:, :k].T, axis=1) < -y_zero
         bad &= unpivoted
         if not bad.any():
             return None
         r = int(bad.argmax())
         ordering = order + [r] + [j for j in rest if j != r]
-        ranked = (Y[r].real - absW[:, :k] @ absV[r, :k])[ordering]
+        ranked = (Yr[r] - R[:, :k] @ C[r, :k])[ordering]
         m = int(ranked.argmin())
         return tuple(ordering), None, None, fail(k, m, ranked[m], "negative radicand")
 
@@ -240,7 +263,8 @@ def _rowwise_passes(X: np.ndarray, Y: np.ndarray, x_max: float, y_max: float, ex
                 untried.clear()                 # every ordering extending ``order`` fails at i
             yield tuple(order + [i] + rest), None, None, witness
         elif not rest:
-            yield tuple(order + [i]), V, W, None
+            W = np.sqrt(R / d)                  # 0, as is V, in an exhausted pivot's column
+            yield tuple(order + [i]), np.divide(A, W, out=np.zeros_like(A), where=W > 0.0), W, None
         else:
             order.append(i)
             unpivoted[i] = False
@@ -252,6 +276,13 @@ def _rowwise_passes(X: np.ndarray, Y: np.ndarray, x_max: float, y_max: float, ex
 
 def decompose_recursive(pair: PairXY, search_permutations: bool = False) -> ConstructorOutcome:
     """Row-by-row elimination with upper-triangular v-vectors.
+
+    A pass is a Cholesky factorization of X (the terms' X part, A = V . W) run
+    beside one recurrence on the residual rows of Y, which fixes how each column
+    of A splits into v and w (see :func:`_rowwise_passes`).  An identity pass
+    reads A from the Cholesky factor that settled condition (a), kept by the
+    pair's report, in both orientations; a singular X has none, and its pass
+    forms each column per step, as the search does.
 
     The elimination can fail on a decomposable pair for ordering reasons
     alone, so with ``search_permutations`` the same pass is retried on
@@ -283,7 +314,8 @@ def decompose_recursive(pair: PairXY, search_permutations: bool = False) -> Cons
     for transposed in (False, True):
         Y = pair.Y.T if transposed else pair.Y
         for perm, V, W, witness in _rowwise_passes(pair.X, Y, x_max, y_max,
-                                                   search_permutations and not capped):
+                                                   search_permutations and not capped,
+                                                   pair.report._factor):
             attempts += 1
             if witness is not None:
                 first_witness = first_witness or witness

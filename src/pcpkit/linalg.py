@@ -98,9 +98,9 @@ def psd_spectrum(w: np.ndarray):
 _CHOLESKY_MAX_N = math.isqrt(int(tol.PSD / (4.0 * np.finfo(float).eps)))
 
 
-def cholesky_certifies_psd(A: np.ndarray) -> bool:
-    """Whether the Cholesky factorization of the Hermitian matrix A succeeds, which
-    certifies that :func:`is_psd` passes A; False proves nothing.
+def cholesky_certifies_psd(A: np.ndarray) -> np.ndarray | None:
+    """The lower Cholesky factor L of the Hermitian matrix A when the factorization
+    succeeds, which certifies that :func:`is_psd` passes A; None proves nothing.
 
     The factorization reads A's lower triangle, as ``eigvalsh`` does, in real
     arithmetic when :func:`_lapack_operand` allows.  One that succeeds computes L with
@@ -112,14 +112,16 @@ def cholesky_certifies_psd(A: np.ndarray) -> bool:
     ``tolerances.PSD`` times the sum of |eigenvalues|, at least ``PSD * ||A||_2``, so
     the floor holds with a margin of 4 for complex round-off whenever
     n^2 eps <= PSD / 4 (n up to about 1000); a larger A is never certified.
+    The factor is returned read-only, for every reader of it shares it.
     """
     if A.shape[0] > _CHOLESKY_MAX_N:
-        return False
+        return None
     try:
-        np.linalg.cholesky(_lapack_operand(A))
+        L = np.linalg.cholesky(_lapack_operand(A))
     except np.linalg.LinAlgError:
-        return False
-    return True
+        return None
+    L.flags.writeable = False
+    return L
 
 
 def is_psd(A: np.ndarray) -> bool:

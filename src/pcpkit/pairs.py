@@ -121,6 +121,8 @@ class NecessaryReport:
     ``y_gap`` are computed on first read, from the pair's matrices, and kept:
     their values do not depend on how the conditions were settled.
     Witness indices are 1-based, matching the usual row/column convention.
+    The Cholesky factor of X that settled (a), if one did, is kept for the
+    row-by-row elimination, which reads its columns.
     """
 
     holds_a: bool
@@ -130,14 +132,18 @@ class NecessaryReport:
     holds_e: bool
     x_gap: float
     witnesses: dict[str, dict[str, Any]] = field(default_factory=dict)
-    # the pair's matrices, which y_gap and x_rank are computed from on first read
+    # the pair's matrices, which y_gap and x_rank are computed from on first read, the
+    # exponent e of the power of two that (e) divides the pair by, and X's Cholesky factor
     _X: np.ndarray | None = field(default=None, repr=False, compare=False)
     _Y: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _e: int = field(default=0, repr=False, compare=False)
+    _factor: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def y_gap(self) -> float:
-        """||Y||_1 - ||Y||_tr, the norm gap of Y."""
-        return linalg.entrywise_one_norm(self._Y) - linalg.trace_norm(self._Y)
+        """||Y||_1 - ||Y||_tr, the norm gap of Y, taken on Y / 2^e as (e) takes it."""
+        Ys = _scaled(self._Y, -self._e)
+        return math.ldexp(linalg.entrywise_one_norm(Ys) - linalg.trace_norm(Ys), self._e)
 
     @cached_property
     def x_rank(self) -> int | None:
@@ -261,6 +267,11 @@ def verify_decomposition(dec: PcpDecomposition, pair: PairXY, tol: float = VERIF
     return residuals(dec, pair).within(tol)
 
 
+def _scaled(A: np.ndarray, e: int) -> np.ndarray:
+    """A times 2^e, exact unless an entry leaves the normal range; A itself when e = 0."""
+    return A * 2.0 ** e if e else A
+
+
 def _numerical_rank(w: np.ndarray) -> int:
     """How many of the eigenvalues ``w`` exceed ``tolerances.RANK`` times the largest magnitude."""
     mags = np.abs(w)
@@ -295,31 +306,40 @@ def check_necessary(pair: PairXY) -> NecessaryReport:
       that judgement fails.  Only when the bound fails does ``linalg.trace_norm(Y)``
       judge (e), as ever.
 
+    Every sum of (e), the 1-norms, the bound and the trace norms, is taken on X and
+    Y divided by 2^e, the least power of two that keeps n^2 times the pair's largest
+    entry below 2^1000, and reported times 2^e.  That is exact, bar entries pushed
+    below the normal range, and no sum overflows, so the gaps are finite for any
+    finite pair.  e = 0, and the pair is summed as it is, unless its largest entry
+    is above about 1e300 / n^2.
+
     Either way the report holds the same judgements; ``y_gap`` and ``x_rank``
     that a certificate did not need are computed on first read (see
     :class:`NecessaryReport`).
     """
     X, Y, n = pair.X, pair.Y, pair.n
     witnesses: dict[str, dict[str, Any]] = {}
+    abs_x, abs_y = np.abs(X), np.abs(Y)
+    y_max = float(abs_y.max())
+    e = max(0, math.frexp(max(float(abs_x.max()), y_max))[1] + 2 * n.bit_length() - 1000)
 
     hermitian = linalg.is_hermitian(X)
-    factorized = hermitian and linalg.cholesky_certifies_psd(X)
-    if factorized:
-        holds_a, x_trace = True, float(X.diagonal().real.sum())
+    factor = linalg.cholesky_certifies_psd(X) if hermitian else None
+    if factor is not None:
+        holds_a, x_trace = True, float(_scaled(X.diagonal().real, -e).sum())
     elif not hermitian:
         holds_a, witnesses["a"] = False, {"hermiticity_defect": linalg.hermiticity_defect(X)}
-        x_trace, x_rank = linalg.trace_norm(X), None
+        x_trace, x_rank = linalg.trace_norm(_scaled(X, -e)), None
     else:
         spectrum = np.linalg.eigvalsh(linalg._lapack_operand(X))
         psd, lowest = linalg.psd_spectrum(spectrum)
         holds_a = bool(psd)
         if not holds_a:
             witnesses["a"] = {"min_eigenvalue": float(lowest)}
-        x_trace, x_rank = float(np.abs(spectrum).sum()), _numerical_rank(spectrum)
+        x_trace, x_rank = float(_scaled(np.abs(spectrum), -e).sum()), _numerical_rank(spectrum)
 
     # (b) and (c) are relative to Y and to the two diagonals, not to the whole pair
-    abs_y = np.abs(Y)
-    y_scale = tol.scale(float(abs_y.max()))
+    y_scale = tol.scale(y_max)
     bound = tol.ZERO * y_scale
     bad = np.flatnonzero((np.abs(Y.imag) > bound) | (Y.real < -bound))
     holds_b = bad.size == 0
@@ -337,31 +357,36 @@ def check_necessary(pair: PairXY) -> NecessaryReport:
         witnesses["c"] = {"position": i + 1, "x": complex(xd[i]), "y": complex(yd[i])}
 
     # (d): |x_ij|^2 <= y_ij y_ji up to a slack relative to max x_ii^2, which bounds |x_ij|^2
-    # for a PSD X whatever Y holds; a product that round-off in Y makes negative counts as 0
+    # for a PSD X whatever Y holds; a product that round-off in Y makes negative counts as 0,
+    # and one beyond the largest float reads as inf, which (d) passes
     s = tol.scale(x_diag)
-    ax, ys = np.abs(X) / s, linalg._lapack_operand(Y) / s
-    bad = np.flatnonzero(np.triu(ax * ax > np.maximum((ys * ys.T).real, 0.0) + tol.ZERO, 1))
-    holds_d = bad.size == 0
-    if not holds_d:
-        i, j = divmod(int(bad[0]), n)
-        with np.errstate(over="ignore"):            # beyond about 1e154 the witness is inf
+    ax, ys = abs_x / s, linalg._lapack_operand(Y) / s
+    with np.errstate(over="ignore"):                # beyond about 1e154 the witness is inf too
+        bad = np.flatnonzero(np.triu(ax * ax > np.maximum((ys * ys.T).real, 0.0) + tol.ZERO, 1))
+        holds_d = bad.size == 0
+        if not holds_d:
+            i, j = divmod(int(bad[0]), n)
             witnesses["d"] = {"position": (i + 1, j + 1), "lhs": abs(X[i, j]) ** 2,
                               "rhs": (Y[i, j] * Y[j, i]).real}
 
-    y_one = float(abs_y.sum())
-    x_gap = linalg.entrywise_one_norm(X) - x_trace
-    if x_gap <= y_one - y_scale * math.sqrt(n) * float(np.linalg.norm(abs_y / y_scale)):
+    # (e), on the pair divided by 2^e: x_trace and the sums below are in units of 2^e
+    y_one = float(_scaled(abs_y, -e).sum())
+    x_sum = float(_scaled(abs_x, -e).sum()) - x_trace
+    bound = math.ldexp(y_scale, -e) * math.sqrt(n) * float(np.linalg.norm(abs_y / y_scale))
+    if x_sum <= y_one - bound:
         holds_e, y_gap = True, None
     else:
-        y_gap = y_one - linalg.trace_norm(Y)
-        holds_e = x_gap <= y_gap + tol.GAP * tol.scale(y_one)
-        if not holds_e:
-            witnesses["e"] = {"x_gap": x_gap, "y_gap": y_gap}
+        y_sum = y_one - linalg.trace_norm(_scaled(Y, -e))
+        holds_e = x_sum <= y_sum + tol.GAP * tol.scale(y_one)
+        y_gap = math.ldexp(y_sum, e)
+    x_gap = math.ldexp(x_sum, e)
+    if not holds_e:
+        witnesses["e"] = {"x_gap": x_gap, "y_gap": y_gap}
 
     report = NecessaryReport(holds_a, holds_b, holds_c, holds_d, holds_e, x_gap, witnesses,
-                             _X=X, _Y=Y)
+                             _X=X, _Y=Y, _e=e, _factor=factor)
     # what (a) and (e) computed anyway is kept as the cached value of its property
-    if not factorized:
+    if factor is None:
         object.__setattr__(report, "x_rank", x_rank)
     if y_gap is not None:
         object.__setattr__(report, "y_gap", y_gap)

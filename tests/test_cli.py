@@ -63,6 +63,18 @@ def test_check_pair_prints_a_gap_that_the_bound_left_unread(capsys, monkeypatch)
     assert "gap(X) = 6, gap(Y) = 9.42510018" in out
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_check_pair_json_stays_json_beside_entries_near_the_largest_float(capsys):
+    """Entries of 1e308 make ||Y||_1 overflow; the gaps stay finite, so the pair passes
+    and ``--json`` prints neither NaN nor Infinity."""
+    code, out, _ = run(capsys, "check-pair", FIXTURES / "huge_entries_pair.json", "--json")
+    payload = json.loads(out, parse_constant=_no_constant)
+    assert code == 0 and all(payload["holds"].values())
+
+
 def test_check_pair_malformed_file(capsys):
     code, _, err = run(capsys, "check-pair", FIXTURES / "broken.json")
     assert code == 1

@@ -412,8 +412,9 @@ def test_lookahead_keeps_the_search_exact(monkeypatch):
     route's outcome equals the one the unpruned reference gives: status,
     permutation, orientation, witness and the certificate's V and W bitwise, and
     the first failed step of the search is the same."""
-    def unpruned(*args):
-        return _rowwise_passes_loop(*args, lookahead=False)
+    def unpruned(X, Y, x_max, y_max, exhaustive, factor=None):
+        assert exhaustive                           # the search forms every column per step
+        return _rowwise_passes_loop(X, Y, x_max, y_max, exhaustive, lookahead=False)
 
     rng = np.random.default_rng(53)
     shortened = 0
@@ -448,25 +449,98 @@ def test_search_n8_fixture_stays_small(fixtures):
     assert out.info["attempts"] <= 20
 
 
+def _items(passes) -> list[tuple]:
+    """Each item of a pass as its order, with its witness's reason and position (None
+    for a completed pass)."""
+    return [(order, witness and (witness["reason"], witness["position"]))
+            for order, _, _, witness in passes]
+
+
+def test_the_factor_seeded_identity_pass_matches_the_per_step_pass():
+    """The identity pass that reads the Cholesky factor kept by the pair's report yields
+    the items of the pass that forms each column per step: the same orderings and
+    completions, and failures with the same reason at the same position, on seeded PD
+    pairs at n = 9, 30 and 60 in both orientations.  Every completed pass verifies.
+    (I + J, I + J) has a factor, yet its radicand rows reach zero at the pivoted indices,
+    so its pass forms its columns per step from the third on."""
+    rng = np.random.default_rng(41)
+    pairs = [random_decomposable_pair(rng, n) for n in (9, 30, 60) for _ in range(6)]
+    pairs += [PairXY(np.eye(n) + 1.0, np.eye(n) + 1.0) for n in (9, 30)]
+    completed = failed = 0
+    for pair in pairs:
+        factor = pair.report._factor
+        assert factor is not None
+        for transposed in (False, True):
+            args = (pair.X, pair.Y.T if transposed else pair.Y, *_magnitudes(pair), False)
+            seeded = list(_rowwise_passes(*args, factor))
+            assert _items(seeded) == _items(_rowwise_passes(*args))
+            for _, V, W, witness in seeded:
+                failed += witness is not None
+                if witness is None:
+                    completed += 1
+                    dec = PcpDecomposition(W, V) if transposed else PcpDecomposition(V, W)
+                    assert verify_decomposition(dec, pair)
+    assert completed >= 10 and failed >= 10
+
+
+def test_a_rank_deficient_x_gets_no_factor_and_its_pass_meets_every_failure():
+    """The X of ``_elimination_pair`` is singular, so its Cholesky factorization fails and
+    the report keeps no factor: the identity pass forms every column per step, and
+    over these pairs at n = 9 and 30 it meets every failure reason and exhausted rows."""
+    rng = np.random.default_rng(43)
+    reached = set()
+    for n in (9, 30):
+        for _ in range(40):
+            pair = _elimination_pair(rng, n)
+            if np.linalg.matrix_rank(pair.X) == n:
+                continue
+            assert pair.report._factor is None
+            for _, V, _, witness in _rowwise_passes(pair.X, pair.Y, *_magnitudes(pair), False,
+                                                    pair.report._factor):
+                if witness is not None:
+                    reached.add(witness["reason"])
+                elif not np.abs(V).max(axis=0).all():
+                    reached.add("exhausted row")
+    assert reached == {"exhausted row", "negative radicand",
+                       "vanishing pivot with unexhausted row",
+                       "zero denominator under a non-zero residual"}
+
+
+def test_a_verdict_factorizes_x_once(monkeypatch, necessary_calls):
+    """A work guard: one verdict on a PD n = 30 pair that reaches the row-by-row route
+    runs ``np.linalg.cholesky`` once, for (a), and ``check_necessary`` once; the
+    identity pass reads the factor that the report keeps."""
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda A: calls.append(A) or cholesky(A))
+    pair = random_decomposable_pair(np.random.default_rng(50), 30)
+    out = separability_verdict(pair)
+    assert out.criterion == "recursive" and out.outcome.info["attempts"] == 1
+    assert len(calls) == 1 and len(necessary_calls) == 1
+
+
 def _rowwise_passes_loop(X: np.ndarray, Y: np.ndarray, x_max: float, y_max: float,
                          exhaustive: bool, lookahead: bool = True):
-    """The reference for ``_rowwise_passes``: the same search, with a scalar
-    loop over the remaining indices of each step.
+    """The reference for ``_rowwise_passes``: the same search and the same
+    recurrence, with a scalar loop over the remaining indices of each step and
+    over the entries of V and W.
 
     Yields ``(order, V, W, None)`` per completed pass, column k holding the k-th
-    pivot's term over the original indices (valid until the next item), and
-    ``(order, None, None, witness)`` per failed step: the failing position
-    (1-based, in the ordering's coordinates) and what went wrong.  Orderings
-    with a common prefix share its steps, and a failed step rules them all out;
-    a negative radicand also ends the node it was tried at.  With ``lookahead``,
-    once a step has failed, a node with two or more indices left whose row of
-    some index is already negative is dropped as one failed item.
+    pivot's term over the original indices, and ``(order, None, None, witness)``
+    per failed step: the failing position (1-based, in the ordering's
+    coordinates) and what went wrong.  Column k of A is the pivot's Cholesky
+    column a_j = num_j / sqrt(num_i), column k of R its radicand row, column k of
+    C the coefficients |a_j|^2 / R[j, k], and d_k the pivot's own radicand (1 until
+    one is written; an exhausted pivot writes none).  Orderings with a common
+    prefix share its steps, and a failed step rules them all out; a negative
+    radicand also ends the node it was tried at.  With ``lookahead``, once a step
+    has failed, a node with two or more indices left whose row of some index is
+    already negative is dropped as one failed item.
     """
     n = X.shape[0]
-    V = np.zeros((n, n), complex)
-    W = np.zeros((n, n), complex)
-    # |V|^2, |W|^2 and V.W, filled in one column per step
-    absV, absW, A = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n), complex)
+    Yr = Y.real
+    A = np.zeros((n, n), complex)
+    R, C, d = np.zeros((n, n)), np.zeros((n, n)), np.ones(n)
     y_zero, y_res = tolerances.ZERO * y_max, tolerances.RESIDUAL * y_max
     x_zero, x_res = tolerances.ZERO * x_max, tolerances.RESIDUAL * x_max
     order: list[int] = []
@@ -475,40 +549,50 @@ def _rowwise_passes_loop(X: np.ndarray, Y: np.ndarray, x_max: float, y_max: floa
         """Eliminate index i as the k-th pivot, ahead of ``rest``; a witness on failure."""
         def fail(j: int, radicand: float, reason: str) -> dict[str, Any]:
             return {"position": (k + 1, j + 1), "radicand": float(radicand), "reason": reason}
-        V[:, k] = 0.0                         # columns >= k hold an earlier ordering's steps
-        d = absW[:, :k] @ absV[i, :k]         # d_{i,j} over j
-        c = A[:, :k] @ A[i, :k].conj()        # c_{j,i} over j
-        rad = Y[i, :].real - d
+        rad = Yr[i] - R[:, :k] @ C[i, :k]     # y_{i,j} - sum_t C[i, t] R[j, t] over j
         if rad.min() < -y_zero:
             ranked = rad[order + [i] + rest]
             j = int(ranked.argmin())
             return fail(j, ranked[j], "negative radicand")
         rad = np.maximum(rad, 0.0)
-        num = X[:, i] - c                     # x_{j,i} residuals over j
-        if min(rad[i], abs(num[i])) <= x_zero:
+        num = X[:, i] - A[:, :k] @ A[i, :k].conj()    # x_{j,i} residuals over j
+        pivot = num[i].real
+        if min(rad[i], pivot) <= x_zero:
             # Row i already exhausted: admissible only if nothing is left of it.
             if rad.max() <= y_res and np.abs(num[[i] + rest]).max() <= x_res:
-                W[:, k] = absV[:, k] = absW[:, k] = A[:, k] = 0.0
+                A[:, k] = R[:, k] = C[:, k] = 0.0
                 return None
             return fail(k, rad[i], "vanishing pivot with unexhausted row")
-        vkk = num[i] / math.sqrt(rad[i])
-        V[i, k] = vkk
-        W[:, k] = np.sqrt(rad) / vkk
-        for m, j in enumerate(rest, k + 1):
+        scale = 1.0 / math.sqrt(pivot)
+        a = np.zeros(n, complex)
+        for m, j in enumerate([i] + rest, k):
             if rad[j] > 0.0:
-                V[j, k] = num[j] / math.sqrt(rad[j])
+                a[j] = num[j] * scale
             elif abs(num[j]) > x_res:
                 return fail(m, rad[j], "zero denominator under a non-zero residual")
-        absV[:, k] = np.abs(V[:, k]) ** 2
-        absW[:, k] = np.abs(W[:, k]) ** 2
-        A[:, k] = V[:, k] * W[:, k]
+        square = np.abs(a) ** 2               # numpy's |.| of an array, as the step's
+        c = np.zeros(n)
+        for j in [i] + rest:
+            if rad[j] > 0.0:
+                c[j] = square[j] / rad[j]
+        A[:, k], R[:, k], C[:, k], d[k] = a, rad, c, rad[i]
         return None
+
+    def terms() -> tuple[np.ndarray, np.ndarray]:
+        """w_j = sqrt(R[j, k] / d_k) and v_j = a_j / w_j (0 where w_j is)."""
+        V, W = np.zeros((n, n), complex), np.zeros((n, n))
+        for k in range(n):
+            for j in range(n):
+                W[j, k] = math.sqrt(R[j, k] / d[k])
+                if W[j, k] > 0.0:
+                    V[j, k] = np.divide(A[j, k], W[j, k])
+        return V, W
 
     def negative_row(prefix: list[int], rest: list[int]) -> tuple | None:
         """The failed item of the first row of ``rest`` already negative at ``prefix``."""
         k = len(prefix)
         for r in rest:
-            rad = Y[r, :].real - absW[:, :k] @ absV[r, :k]
+            rad = Yr[r] - R[:, :k] @ C[r, :k]
             if rad.min() < -y_zero:
                 ordering = prefix + [r] + [j for j in rest if j != r]
                 ranked = rad[ordering]
@@ -538,7 +622,7 @@ def _rowwise_passes_loop(X: np.ndarray, Y: np.ndarray, x_max: float, y_max: floa
         elif lookahead and failed and len(rest) > 1 and (item := negative_row(order + [i], rest)):
             yield item
         elif not rest:
-            yield tuple(order + [i]), V, W, None
+            yield (tuple(order + [i]), *terms(), None)
         else:
             order.append(i)
             stack.append((rest, rest[:] if exhaustive else rest[:1]))

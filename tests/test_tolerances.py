@@ -2,6 +2,7 @@
 do not change under the problem's symmetries or under a global scale."""
 
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +178,22 @@ def test_conditions_are_judged_alike_at_extreme_scales(kind):
             assert report.witnesses["d"]["position"] == base.witnesses["d"]["position"]
         assert report.x_gap == pytest.approx(s * base.x_gap, rel=1e-12)
         assert report.y_gap == pytest.approx(s * base.y_gap, rel=1e-12)
+
+
+def test_entries_near_the_largest_float_keep_the_gaps_finite():
+    """X = I against y_12 = y_21 = 1e308: ||Y||_1 and ||Y||_tr exceed the largest float.
+    (e) takes its sums on the pair divided by a power of two, so (a)-(e) pass with
+    finite gaps (summed as they come, gap(Y) read inf - inf = NaN and (e) failed), no
+    overflow warns, and the separable pair is never answered entangled.  The gaps
+    stay finite whether (e) is settled by the SVD of Y or, for the second pair, by
+    the norm bound, which leaves gap(Y) to be computed on first read."""
+    pair, _ = load_pair_document(FIXTURES / "huge_entries_pair.json")
+    bound_settled = PairXY(np.diag([1.0, 1e308]), [[1.0, 1e308], [1e308, 1e308]])
+    for image in (pair, bound_settled):
+        report = check_necessary(image)
+        assert report.all_hold
+        assert math.isfinite(report.x_gap) and math.isfinite(report.y_gap)
+    assert separability_verdict(pair).verdict != "entangled"
 
 
 def test_transposing_y_keeps_every_verdict():
